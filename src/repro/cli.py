@@ -227,14 +227,14 @@ def _cmd_place(args: argparse.Namespace) -> int:
     from repro.placement import SLO, search_placements
 
     slo = None
-    if (args.deadline_ms is not None or args.min_rps is not None
-            or args.energy_j is not None):
-        slo = SLO(
-            deadline_s=None if args.deadline_ms is None else args.deadline_ms / 1e3,
-            min_throughput_rps=args.min_rps,
-            max_energy_j=args.energy_j,
-        )
     try:
+        if (args.deadline_ms is not None or args.min_rps is not None
+                or args.energy_j is not None):
+            slo = SLO(
+                deadline_s=None if args.deadline_ms is None else args.deadline_ms / 1e3,
+                min_throughput_rps=args.min_rps,
+                max_energy_j=args.energy_j,
+            )
         frontier = search_placements(
             args.model,
             edge_devices=args.device or None,

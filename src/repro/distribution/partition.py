@@ -39,49 +39,48 @@ def cut_points(graph: Graph) -> list[CutPoint]:
     (which any deployment must return anyway, so it is the graph output
     size).  Fused-away ops cannot host a cut — their output does not
     materialize — so cuts land on schedulable ops only.
+
+    One O(ops + edges) sweep: the output materialized at position ``p``
+    crosses exactly the cuts ``p < k <= last[p]``, where ``last[p]`` is
+    the position of its furthest consumer, so one difference array over
+    cut positions yields every crossing sum (exact: byte counts are ints).
     """
     schedulable = graph.schedulable_ops()
     order_index = {id(op): i for i, op in enumerate(schedulable)}
-
-    def position(op: O.Op) -> int:
-        """Index (in schedulable order) of the op that materializes
-        ``op``'s output; inputs map to -1 (before everything)."""
+    # Position (in schedulable order) of the op that materializes each
+    # op's output; inputs sit at -1, before everything.
+    positions: dict[int, int] = {}
+    last: dict[int, int] = {}  # producer position -> furthest consumer
+    for op in graph.ops:  # topological: parents are positioned first
         anchor = op
         while anchor.fused_into is not None:
             anchor = anchor.fused_into
-        if isinstance(anchor, O.Input):
-            return -1
-        return order_index[id(anchor)]
-
-    consumers: dict[int, list[int]] = {}
-    for op in graph.ops:
-        consumer_pos = position(op)
+        consumer_pos = positions[id(op)] = (
+            -1 if isinstance(anchor, O.Input) else order_index[id(anchor)])
         for parent in op.inputs:
-            producer_pos = position(parent)
-            if producer_pos == consumer_pos:
-                continue
-            consumers.setdefault(producer_pos, []).append(consumer_pos)
+            producer_pos = positions[id(parent)]
+            if consumer_pos > last.get(producer_pos, producer_pos):
+                last[producer_pos] = consumer_pos
 
-    points: list[CutPoint] = []
+    count = len(schedulable)
     input_bytes = sum(op.output_bytes() for op in graph.inputs)
-    points.append(CutPoint(index=0, after_op="", transfer_bytes=input_bytes))
+    delta = [0] * (count + 1)
+    for producer_pos, last_pos in last.items():
+        # Raw inputs (position -1) consumed beyond the cut also cross it.
+        size = (input_bytes if producer_pos == -1
+                else schedulable[producer_pos].output_bytes())
+        delta[producer_pos + 1] += size
+        delta[last_pos + 1] -= size
+
+    points = [CutPoint(index=0, after_op="", transfer_bytes=input_bytes)]
     output_bytes = sum(op.output_bytes() for op in graph.outputs)
-    for k in range(1, len(schedulable) + 1):
-        # Tensors produced at position < k with a consumer at position >= k.
-        crossing = 0
-        # Raw inputs consumed beyond the cut also cross it.
-        for producer_pos, consumer_positions in consumers.items():
-            if producer_pos < k and any(pos >= k for pos in consumer_positions):
-                if producer_pos == -1:
-                    crossing += input_bytes
-                else:
-                    crossing += schedulable[producer_pos].output_bytes()
-        if k == len(schedulable):
-            crossing = output_bytes
+    crossing = delta[0]
+    for k in range(1, count + 1):
+        crossing += delta[k]
         points.append(CutPoint(
             index=k,
             after_op=schedulable[k - 1].name,
-            transfer_bytes=crossing,
+            transfer_bytes=crossing if k < count else output_bytes,
         ))
     return points
 

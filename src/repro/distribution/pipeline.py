@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.distribution.network import NetworkLink, resolve_link
 from repro.distribution.partition import cut_points
 from repro.engine.executor import InferenceSession
@@ -29,6 +31,10 @@ if TYPE_CHECKING:
 
     from repro.runtime.runner import Runner
     from repro.runtime.scenario import Scenario
+
+#: End columns per DP table block: each (start x end) table holds at most
+#: (N + 1) x 64 floats, however many ops the graph schedules.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -78,6 +84,74 @@ class PipelinePlan:
         return "\n".join(lines)
 
 
+def _prefix_compute(deployed: DeployedModel,
+                    schedulable: list[str]) -> list[float]:
+    """Running sums of one deployment's per-op latencies, in op order."""
+    # The planner prices caller-supplied deployments, outside the
+    # Runner's scenario namespace.
+    session = InferenceSession(deployed)  # repro: allow[ARCH001]
+    timings = {t.op.name: t.latency_s for t in session.plan.timings}
+    prefix = [0.0] * (len(schedulable) + 1)
+    for i, name in enumerate(schedulable):
+        prefix[i + 1] = prefix[i] + timings.get(name, 0.0)
+    return prefix
+
+
+def _partition(schedulable: list[str], prefixes: list[list[float]],
+               transfer_at: list[float]) -> PipelinePlan:
+    """The chain-partitioning DP behind both entry points.
+
+    Device ``d`` prices its ops with ``prefixes[d]``; ``transfer_at[k]``
+    ships the cut after ``k`` ops.  Per device, each candidate
+    ``max(best[start], compute + outgoing)`` is one cell of a (start x end)
+    table built ``_BLOCK`` end columns at a time; ``argmin`` down a column
+    keeps the smallest start among ties, like a scalar loop's strict ``<``.
+    """
+    n = len(schedulable)
+    num_devices = len(prefixes)
+    # Only the last stage ends at n, and it returns nothing.
+    outgoing = np.array(transfer_at[:n] + [0.0])
+    invalid = np.tri(_BLOCK, dtype=bool)  # start >= end inside a block
+    best = np.full(n + 1, np.inf)  # best[k]: minimal bottleneck over k ops
+    best[0] = 0.0
+    choices = []
+    for d, prefix in enumerate(prefixes, start=1):
+        prefix = np.array(prefix)
+        # Every device takes at least one op: device d starts at d - 1 or
+        # later and leaves one op to each device after it.
+        row, last_end = d - 1, n - (num_devices - d)
+        new_best = np.full(n + 1, np.inf)
+        choice = np.full(n + 1, -1)
+        for lo in range(n if d == num_devices else d, last_end + 1, _BLOCK):
+            hi = min(lo + _BLOCK, last_end + 1)
+            width = hi - lo
+            table = np.maximum(
+                best[row:hi - 1, None],
+                (prefix[None, lo:hi] - prefix[row:hi - 1, None])
+                + outgoing[None, lo:hi])
+            table[lo - row:][invalid[:width - 1, :width]] = np.inf
+            starts = table.argmin(axis=0)
+            new_best[lo:hi] = table[starts, np.arange(width)]
+            choice[lo:hi] = starts + row
+        best = new_best
+        choices.append(choice)
+    if best[n] == np.inf:
+        raise ValueError("no feasible partition found")
+
+    boundaries = [n]
+    for choice in reversed(choices):
+        boundaries.append(int(choice[boundaries[-1]]))
+    boundaries.reverse()
+    return PipelinePlan(stages=tuple(
+        PipelineStage(
+            device_index=d,
+            op_names=tuple(schedulable[boundaries[d]:boundaries[d + 1]]),
+            compute_s=prefix[boundaries[d + 1]] - prefix[boundaries[d]],
+            outgoing_transfer_s=(0.0 if d == num_devices - 1
+                                 else transfer_at[boundaries[d + 1]]))
+        for d, prefix in enumerate(prefixes)))
+
+
 def partition_pipeline_heterogeneous(deployments: list[DeployedModel],
                                      link: NetworkLink) -> PipelinePlan:
     """Pipeline one model across an ORDERED list of different devices.
@@ -106,56 +180,9 @@ def partition_pipeline_heterogeneous(deployments: list[DeployedModel],
 
     cuts = cut_points(deployments[0].graph)
     transfer_at = [link.transfer_time_s(c.transfer_bytes) for c in cuts]
-    prefix_compute = []
-    for deployed in deployments:
-        # The planner prices caller-supplied deployments, outside the
-        # Runner's scenario namespace.
-        timings = {
-            t.op.name: t.latency_s
-            for t in InferenceSession(deployed).plan.timings}  # repro: allow[ARCH001]
-        prefix = [0.0] * (n + 1)
-        for i, name in enumerate(schedulable):
-            prefix[i + 1] = prefix[i] + timings.get(name, 0.0)
-        prefix_compute.append(prefix)
-
-    INF = float("inf")
-    best = [[INF] * (n + 1) for _ in range(num_devices + 1)]
-    choice: list[list[int]] = [[-1] * (n + 1) for _ in range(num_devices + 1)]
-    best[0][0] = 0.0
-    for d in range(1, num_devices + 1):
-        prefix = prefix_compute[d - 1]
-        for end in range(d, n + 1):
-            for start in range(d - 1, end):
-                if best[d - 1][start] == INF:
-                    continue
-                compute = prefix[end] - prefix[start]
-                outgoing = 0.0 if (d == num_devices and end == n) else transfer_at[end]
-                candidate = max(best[d - 1][start], compute + outgoing)
-                if candidate < best[d][end]:
-                    best[d][end] = candidate
-                    choice[d][end] = start
-    if best[num_devices][n] == INF:
-        raise ValueError("no feasible partition found")
-
-    boundaries = [n]
-    cursor = n
-    for d in range(num_devices, 0, -1):
-        cursor = choice[d][cursor]
-        boundaries.append(cursor)
-    boundaries.reverse()
-
-    stages = []
-    for device_index in range(num_devices):
-        start, end = boundaries[device_index], boundaries[device_index + 1]
-        prefix = prefix_compute[device_index]
-        is_last = device_index == num_devices - 1
-        stages.append(PipelineStage(
-            device_index=device_index,
-            op_names=tuple(schedulable[start:end]),
-            compute_s=prefix[end] - prefix[start],
-            outgoing_transfer_s=0.0 if (is_last and end == n) else transfer_at[end],
-        ))
-    return PipelinePlan(stages=tuple(stages))
+    prefixes = [_prefix_compute(deployed, schedulable)
+                for deployed in deployments]
+    return _partition(schedulable, prefixes, transfer_at)
 
 
 def partition_pipeline(deployed: DeployedModel, num_devices: int,
@@ -163,66 +190,19 @@ def partition_pipeline(deployed: DeployedModel, num_devices: int,
     """Minimize the pipeline bottleneck over contiguous stage assignments.
 
     Dynamic program over (ops consumed, devices used): classic chain
-    partitioning, O(N^2 * D) with N schedulable ops.
+    partitioning with N schedulable ops, each device's O(N^2) candidates
+    evaluated as blocked NumPy tables (see :func:`_partition`).
     """
     if num_devices < 1:
         raise ValueError(f"need at least one device, got {num_devices}")
-    # The planner prices a caller-supplied deployment.
-    session = InferenceSession(deployed)  # repro: allow[ARCH001]
-    timings = {t.op.name: t.latency_s for t in session.plan.timings}
     schedulable = [op.name for op in deployed.graph.schedulable_ops()]
+    prefix = _prefix_compute(deployed, schedulable)
     n = len(schedulable)
     if num_devices > n:
         raise ValueError(f"cannot spread {n} ops over {num_devices} devices")
     cuts = cut_points(deployed.graph)  # index k -> crossing bytes after k ops
     transfer_at = [link.transfer_time_s(c.transfer_bytes) for c in cuts]
-    prefix_compute = [0.0] * (n + 1)
-    for i, name in enumerate(schedulable):
-        prefix_compute[i + 1] = prefix_compute[i] + timings.get(name, 0.0)
-
-    def stage_cost(start: int, end: int, is_last: bool) -> float:
-        compute = prefix_compute[end] - prefix_compute[start]
-        outgoing = 0.0 if is_last else transfer_at[end]
-        return compute + outgoing
-
-    INF = float("inf")
-    # best[d][k]: minimal bottleneck covering the first k ops with d devices.
-    best = [[INF] * (n + 1) for _ in range(num_devices + 1)]
-    choice: list[list[int]] = [[-1] * (n + 1) for _ in range(num_devices + 1)]
-    best[0][0] = 0.0
-    for d in range(1, num_devices + 1):
-        for end in range(d, n + 1):
-            is_last_device = d == num_devices
-            for start in range(d - 1, end):
-                if best[d - 1][start] == INF:
-                    continue
-                cost = stage_cost(start, end, is_last_device and end == n)
-                candidate = max(best[d - 1][start], cost)
-                if candidate < best[d][end]:
-                    best[d][end] = candidate
-                    choice[d][end] = start
-    if best[num_devices][n] == INF:
-        raise ValueError("no feasible partition found")
-
-    # Reconstruct stage boundaries.
-    boundaries = [n]
-    cursor = n
-    for d in range(num_devices, 0, -1):
-        cursor = choice[d][cursor]
-        boundaries.append(cursor)
-    boundaries.reverse()
-
-    stages = []
-    for device_index in range(num_devices):
-        start, end = boundaries[device_index], boundaries[device_index + 1]
-        is_last = device_index == num_devices - 1
-        stages.append(PipelineStage(
-            device_index=device_index,
-            op_names=tuple(schedulable[start:end]),
-            compute_s=prefix_compute[end] - prefix_compute[start],
-            outgoing_transfer_s=0.0 if (is_last and end == n) else transfer_at[end],
-        ))
-    return PipelinePlan(stages=tuple(stages))
+    return _partition(schedulable, [prefix] * num_devices, transfer_at)
 
 
 # -- lowering to Deployments -------------------------------------------------

@@ -209,17 +209,21 @@ def lower_split(edge: Scenario, remote: Scenario, link: NetworkLink | str, *,
                 runner: "Runner | None" = None) -> Deployment:
     """Lower one (edge scenario, remote scenario, link) split to a Deployment.
 
-    With ``cut_index`` the plan at that cut is lowered; otherwise the
-    latency-optimal cut is chosen (exactly :meth:`SplitPlanner.best`).  The
-    all-edge cut normalizes to a single-node deployment; every other cut
-    becomes a two-stage ``"split"`` deployment whose
-    :func:`as_split_plan` projection equals the planner's plan exactly.
+    With ``cut_index`` (``0 <= cut_index <= N`` for N schedulable ops)
+    the plan at that cut is lowered; otherwise the latency-optimal cut is
+    chosen (exactly :meth:`SplitPlanner.best`).  The all-edge cut
+    normalizes to a single-node deployment; every other cut becomes a
+    two-stage ``"split"`` deployment whose :func:`as_split_plan`
+    projection equals the planner's plan exactly.
     """
     link = resolve_link(link)
     plans, schedulable, edge_side, remote_side = _split_context(
         edge, remote, link, runner)
     if cut_index is None:
         cut_index = min(range(len(plans)), key=lambda i: plans[i].total_s)
+    elif not 0 <= cut_index < len(plans):
+        raise ValueError(f"cut_index must be in [0, {len(schedulable)}], "
+                         f"the schedulable op count; got {cut_index}")
     plan = plans[cut_index]
     return _deployment_from_split(
         plan, edge, remote, schedulable, link, edge_side, remote_side)
@@ -231,8 +235,9 @@ def split_deployments(edge: Scenario, remote: Scenario,
     """Lower the FULL cut sweep, input-side cut first.
 
     One engine session per side prices every cut (the planner's prefix-sum
-    sweep), so enumerating all placements of a pair costs no more than
-    pricing its best one.
+    sweep), but each cut is then lowered to its own :class:`Deployment`,
+    an O(N) op-name slice per cut.  Callers that keep only a few cuts
+    should pick them on the :class:`SplitPlan` sweep and lower just those.
     """
     link = resolve_link(link)
     plans, schedulable, edge_side, remote_side = _split_context(

@@ -9,8 +9,8 @@ price each as a :class:`~repro.placement.deployment.Deployment`.
 Pricing reuses the serving stack's own machinery: single-node candidates
 go through ONE :meth:`Runner.run_grid` sweep (deployments, plans and
 rooflines dedup across cells), and each split pair is priced by one
-prefix-sum sweep of the cut space, so enumerating every cut of a pair
-costs no more than pricing its best one.
+prefix-sum sweep of the cut space, of which only the two kept cuts are
+lowered to deployments.
 
 The result is the Pareto frontier of (latency, energy, cost): latency is
 the deployment's end-to-end seconds, energy its active joules per
@@ -26,6 +26,7 @@ first three).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -56,6 +57,14 @@ class SLO:
     deadline_s: float | None = None
     min_throughput_rps: float | None = None
     max_energy_j: float | None = None
+
+    def __post_init__(self) -> None:
+        # A NaN bound compares False against everything: it would pass all.
+        for name, bound in self.to_dict().items():
+            if bound is not None and not (isinstance(bound, (int, float))
+                                          and math.isfinite(bound) and bound > 0):
+                raise ValueError(
+                    f"SLO {name} must be a finite number > 0, got {bound!r}")
 
     def check(self, deployment: Deployment) -> tuple[bool, str]:
         """(feasible, reason) for one deployment."""
@@ -216,10 +225,14 @@ def _split_deployments(model: str, edge_devices: Sequence[str],
     """Best-cut and all-remote splits for every ordered device pair.
 
     Each side runs its single-node-best framework (already picked by the
-    grid sweep), so a pair costs one prefix-sum sweep of the cut space.
+    grid sweep).  A pair costs one prefix-sum sweep of the cut space; cuts
+    are picked on ``SplitPlan.total_s`` (the lowered ``latency_s`` bit for
+    bit) and only the kept ones are lowered.
     """
-    from repro.distribution.split import split_deployments
+    from repro.distribution.network import resolve_link
+    from repro.distribution.split import _deployment_from_split, _split_context
 
+    resolved = resolve_link(link)
     best_scenario = {d.devices[0]: d.stages[0].scenario for d in singles}
     deployments: list[Deployment] = []
     for edge_device in edge_devices:
@@ -232,13 +245,15 @@ def _split_deployments(model: str, edge_devices: Sequence[str],
             remote_scenario = best_scenario.get(remote_device)
             if remote_scenario is None:
                 continue
-            swept = split_deployments(
-                edge_scenario, remote_scenario, link, runner=runner)
-            best = min(swept, key=lambda d: d.latency_s)
-            all_remote = swept[0]
-            deployments.append(best)
-            if all_remote is not best:
-                deployments.append(all_remote)
+            plans, schedulable, edge_side, remote_side = _split_context(
+                edge_scenario, remote_scenario, resolved, runner)
+            best = min(plans, key=lambda plan: plan.total_s)
+            kept = (best,) if best is plans[0] else (best, plans[0])
+            deployments.extend(
+                _deployment_from_split(plan, edge_scenario, remote_scenario,
+                                       schedulable, resolved, edge_side,
+                                       remote_side)
+                for plan in kept)
     return deployments
 
 

@@ -80,6 +80,18 @@ class TestSplitLowering:
             assert stage.idle_w > 0
             assert stage.init_time_s > 0
 
+    @pytest.mark.parametrize("which", ["minus-one", "minus-count",
+                                       "past-end"])
+    def test_out_of_range_cut_index_rejected(self, runner, reference_plans,
+                                             which):
+        """Cuts run 0..N; negative indices must not alias from the end."""
+        count = len(reference_plans)  # N + 1 cuts for N schedulable ops
+        cut_index = {"minus-one": -1, "minus-count": -count,
+                     "past-end": count}[which]
+        with pytest.raises(ValueError, match=rf"\[0, {count - 1}\]"):
+            lower_split(EDGE, REMOTE, "wifi", cut_index=cut_index,
+                        runner=runner)
+
     def test_lowered_deployment_survives_json(self, runner):
         deployment = lower_split(EDGE, REMOTE, "lte", cut_index=3,
                                  runner=runner)

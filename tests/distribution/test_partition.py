@@ -3,9 +3,12 @@
 import pytest
 
 from repro.distribution.partition import cut_points, narrowest_cut
+from repro.frameworks import load_framework
 from repro.graphs import GraphBuilder
 from repro.graphs.transforms import fuse_graph
-from repro.models import load_model
+from repro.hardware import load_device
+from repro.models import list_models, load_model
+from tests.distribution.reference import reference_cut_points
 
 
 class TestLinearChain:
@@ -86,3 +89,18 @@ class TestNarrowestCut:
         b.relu(x)
         with pytest.raises(ValueError, match="interior"):
             narrowest_cut(b.build())
+
+
+class TestMatchesQuadraticReference:
+    """The linear sweep reproduces the per-cut rescan on the whole zoo."""
+
+    @pytest.mark.parametrize("model", list_models())
+    def test_built_graph(self, model):
+        graph = load_model(model)
+        assert cut_points(graph) == reference_cut_points(graph)
+
+    @pytest.mark.parametrize("model", list_models())
+    def test_fused_tensorrt_deployment(self, model):
+        graph = load_framework("TensorRT").deploy(
+            load_model(model), load_device("Jetson Nano")).graph
+        assert cut_points(graph) == reference_cut_points(graph)

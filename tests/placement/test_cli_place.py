@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 PLACE_ARGV = ["place", "MobileNet-v2", "--device", "Raspberry Pi 3B",
@@ -30,6 +32,14 @@ class TestPlaceVerb:
                 "--link", "lan", "--deadline-ms", "0.001", "--max-depth", "2"]
         assert main(argv) == 1
         assert "no candidate meets the SLO" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", [("--deadline-ms", "nan"),
+                                      ("--min-rps", "-1"),
+                                      ("--energy-j", "inf")])
+    def test_bad_slo_bound_is_a_usage_error(self, flag, capsys):
+        assert main(["place", "ResNet-18", *flag]) == 2
+        err = capsys.readouterr().err
+        assert "error" in err and "finite number > 0" in err
 
     def test_unknown_link_is_a_usage_error(self, capsys):
         assert main(["place", "MobileNet-v2", "--link", "carrier-pigeon"]) == 2

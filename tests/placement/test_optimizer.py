@@ -54,6 +54,33 @@ class TestSearch:
         assert all(d.devices[0] == RPI for d in splits)
 
 
+class TestSplitCutsKept:
+    """Per device pair the search keeps the latency-optimal cut and the
+    all-remote cut (cut 0), lowered exactly as :func:`lower_split` would."""
+
+    @pytest.mark.parametrize("edge_device, optimum_is_cut_0", [
+        (RPI, True), ("Jetson TX2", False)])
+    def test_split_candidates_are_the_best_and_all_remote_cuts(
+            self, edge_device, optimum_is_cut_0):
+        from repro.distribution import lower_split
+
+        frontier = search_placements(
+            "MobileNet-v2", edge_devices=(edge_device,),
+            remote_devices=("GTX Titan X",), link="wifi",
+            max_pipeline_depth=1)
+        scenarios = {c.deployment.devices[0]: c.deployment.stages[0].scenario
+                     for c in frontier.candidates
+                     if c.deployment.is_single_node}
+        edge, remote = scenarios[edge_device], scenarios["GTX Titan X"]
+        best = lower_split(edge, remote, "wifi").to_dict()
+        all_remote = lower_split(edge, remote, "wifi", cut_index=0).to_dict()
+        assert (best == all_remote) is optimum_is_cut_0
+        expected = [best] if optimum_is_cut_0 else [best, all_remote]
+        splits = [c.deployment.to_dict() for c in frontier.candidates
+                  if c.deployment.kind == "split"]
+        assert sorted(splits, key=repr) == sorted(expected, key=repr)
+
+
 class TestSLOGating:
     def test_pipeline_dominates_every_single_node_under_the_slo(
             self, rpi_frontier):
@@ -84,6 +111,18 @@ class TestSLOGating:
     def test_slo_round_trip(self):
         slo = SLO(deadline_s=0.5, min_throughput_rps=2.0, max_energy_j=1.0)
         assert SLO.from_dict(slo.to_dict()) == slo
+
+    @pytest.mark.parametrize("field", ["deadline_s", "min_throughput_rps",
+                                       "max_energy_j"])
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf"),
+                                       float("-inf"), 0.0, -1.0, "fast"])
+    def test_bad_bounds_rejected(self, field, bound):
+        """NaN would compare False against every candidate and pass them
+        all; zero, negative and infinite bounds are meaningless."""
+        with pytest.raises(ValueError, match=field):
+            SLO(**{field: bound})
+        with pytest.raises(ValueError, match=field):
+            SLO.from_dict({field: bound})
 
 
 class TestCostModel:
