@@ -92,11 +92,11 @@ _DEPRECATED_WRAPPERS = ("measurement_seed", "cell_timer", "measure_latency_s",
                         "build_session", "best_framework_latency", "deploy_key")
 
 
-class _ContractVisitor(ast.NodeVisitor):
-    """Walks one module; nondeterminism verdicts come from the shared
-    :func:`repro.check.astutil.classify_nondet` catalog, so ARCH004–ARCH007
-    and the interprocedural RACE004 rule agree on what "nondeterministic"
-    means — one engine, several contracts."""
+class _ContractChecker:
+    """Checks one module's nodes; nondeterminism verdicts come from the
+    shared :func:`repro.check.astutil.classify_nondet` catalog, so
+    ARCH004–ARCH007 and the interprocedural RACE004 rule agree on what
+    "nondeterministic" means — one engine, several contracts."""
 
     def __init__(self, module: astutil.SourceModule):
         self.module = module
@@ -120,7 +120,6 @@ class _ContractVisitor(ast.NodeVisitor):
     # -- imports feeding the nondeterminism classifier -------------------
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         self._nondet_imports.visit_import_from(node)
-        self.generic_visit(node)
 
     # -- calls -----------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
@@ -138,7 +137,6 @@ class _ContractVisitor(ast.NodeVisitor):
             self._check_deterministic_layer(node, verdict, *deterministic)
         elif self._layer() in _PURE_LAYERS:
             self._check_purity(node, verdict)
-        self.generic_visit(node)
 
     def _check_compiled_purity(self, node: ast.Call, name: str | None,
                                verdict: NondetCall | None) -> None:
@@ -214,14 +212,20 @@ class _ContractVisitor(ast.NodeVisitor):
                    for operand in operands):
                 self._emit("ARCH003", node,
                            "float literal compared with ==/!=")
-        self.generic_visit(node)
 
 
 def lint_module(module: astutil.SourceModule) -> list[Finding]:
-    """Lint one pre-parsed module."""
-    visitor = _ContractVisitor(module)
-    visitor.visit(module.tree)
-    return visitor.findings
+    """Lint one pre-parsed module, in its index's ``NodeVisitor`` order."""
+    checker = _ContractChecker(module)
+    for node in module.index.nodes:
+        cls = node.__class__
+        if cls is ast.Call:
+            checker.visit_Call(node)
+        elif cls is ast.Compare:
+            checker.visit_Compare(node)
+        elif cls is ast.ImportFrom:
+            checker.visit_ImportFrom(node)
+    return checker.findings
 
 
 def lint_source(source: str, path: str) -> list[Finding]:

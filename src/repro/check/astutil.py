@@ -10,6 +10,10 @@ chores; this module is the single copy:
   ``repro`` package and :func:`load_package` parses every module under it
   into :class:`SourceModule` records (source, AST, package-relative path,
   suppression index) so a multi-pass run parses each file once.
+* **one walk per module** — :class:`AstIndex`, built at parse time, holds
+  the module's nodes in ``ast.NodeVisitor`` order, each ``def``'s own
+  nodes and body slice, and its ``ImportFrom`` nodes, so the source
+  passes iterate lists instead of re-walking the tree.
 * **AST helpers** — :func:`dotted_chain` / :func:`call_name` normalize
   the ``a.b.c(...)`` shapes every pass pattern-matches on.
 * **nondeterminism classification** — :func:`classify_nondet` is the one
@@ -27,12 +31,14 @@ here so AST passes need only one import.
 from __future__ import annotations
 
 import ast
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.check.suppress import SuppressionIndex, display_path, relative_parts
 
 __all__ = [
+    "AstIndex",
     "NondetCall",
     "NondetImports",
     "SourceModule",
@@ -55,6 +61,68 @@ def package_root() -> Path:
     return Path(repro.__file__).resolve().parent
 
 
+class AstIndex:
+    """One pre-order walk of a module, in ``ast.NodeVisitor`` order.
+
+    ``nodes`` holds every node, the module first, and ``import_froms``
+    every ``ImportFrom``.  ``own[d]`` holds the nodes of ``def`` node
+    ``d`` that belong to no nested ``def`` (lambdas and classes are not
+    ``def``\\ s); :meth:`body` is the part of them under ``d.body``.
+    """
+
+    def __init__(self, tree: ast.AST) -> None:
+        self.nodes: list[ast.AST] = []
+        self.import_froms: list[ast.ImportFrom] = []
+        #: def -> own nodes under its arguments, its body, and the rest.
+        parts: dict[ast.AST, tuple[list, list, list]] = {}
+        stack: list[tuple[ast.AST, list | None]] = [(tree, None)]
+        # local names: the loop below runs once per node of the package
+        pop, push, visit = stack.pop, stack.append, self.nodes.append
+        node_type, function, async_function, import_from = (
+            ast.AST, ast.FunctionDef, ast.AsyncFunctionDef, ast.ImportFrom)
+        # children are pushed in reverse so that they pop in field order
+        while stack:
+            node, into = pop()
+            visit(node)
+            cls = node.__class__
+            if cls is function or cls is async_function:
+                # a def owns its children: fields args, body, then the
+                # rest (decorator_list, returns, type_params)
+                head, body, tail = parts[node] = ([], [], [])
+                for item in reversed(getattr(node, "type_params", ())):
+                    push((item, tail))
+                if node.returns is not None:
+                    push((node.returns, tail))
+                for item in reversed(node.decorator_list):
+                    push((item, tail))
+                for item in reversed(node.body):
+                    push((item, body))
+                push((node.args, head))
+                continue
+            if into is not None:
+                into.append(node)
+            if cls is import_from:
+                self.import_froms.append(node)
+            for name in reversed(node._fields):
+                value = getattr(node, name, None)
+                if value.__class__ is list:
+                    for item in reversed(value):
+                        if isinstance(item, node_type):
+                            push((item, into))
+                elif isinstance(value, node_type):
+                    push((value, into))
+        self.own = {node: head + body + tail
+                    for node, (head, body, tail) in parts.items()}
+        self._body = {node: (len(head), len(head) + len(body))
+                      for node, (head, body, _) in parts.items()}
+
+    def body(self, node: ast.FunctionDef | ast.AsyncFunctionDef
+             ) -> list[ast.AST]:
+        """The own nodes of ``node`` that lie under its body statements."""
+        start, stop = self._body[node]
+        return self.own[node][start:stop]
+
+
 @dataclass(frozen=True)
 class SourceModule:
     """One parsed module: everything a source-level pass needs, read once."""
@@ -65,6 +133,8 @@ class SourceModule:
     source: str
     tree: ast.Module
     suppressions: SuppressionIndex
+    #: the shared walk every source pass iterates (built with the parse).
+    index: AstIndex
 
     @property
     def layer(self) -> str:
@@ -74,13 +144,15 @@ class SourceModule:
 
 def load_source(source: str, path: str) -> SourceModule:
     """Parse one module's source text into a :class:`SourceModule`."""
+    tree = ast.parse(source, filename=path)
     return SourceModule(
         path=path,
         display=display_path(path),
         parts=relative_parts(path),
         source=source,
-        tree=ast.parse(source, filename=path),
+        tree=tree,
         suppressions=SuppressionIndex.from_source(source),
+        index=AstIndex(tree),
     )
 
 
@@ -152,8 +224,10 @@ class NondetImports:
     later bare ``jitter()`` call.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, nodes: Iterable[ast.ImportFrom] = ()) -> None:
         self.names: set[str] = set()
+        for node in nodes:
+            self.visit_import_from(node)
 
     def visit_import_from(self, node: ast.ImportFrom) -> None:
         if node.module in _RANDOM_MODULES:
@@ -163,13 +237,6 @@ class NondetImports:
             self.names.update(alias.asname or alias.name
                               for alias in node.names
                               if alias.name in _TIME_FUNCS)
-
-    def collect(self, tree: ast.AST) -> "NondetImports":
-        """Scan a whole tree (module-level and local imports alike)."""
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                self.visit_import_from(node)
-        return self
 
 
 def classify_nondet(node: ast.Call, imports: NondetImports | None = None

@@ -35,10 +35,10 @@ Data-driven *subscript dispatch* resolves into candidate-set edges:
   class are candidates at every dispatch site of that class — which is
   conservative in the right direction for reachability analysis.
 
-Remaining blind spot: values registered as ``lambda``\\ s (the experiment
-generators in :mod:`repro.harness.registry`) have no :class:`FunctionNode`
-and stay invisible; they are covered by the single-file ARCH rules and
-the runtime stress tests instead.
+Remaining blind spots: values registered as ``lambda``\\ s (the experiment
+generators in :mod:`repro.harness.registry`) have no :class:`FunctionNode`,
+and imports inside control-flow blocks bind nothing (``def``\\ s there do
+index); both are covered by the ARCH rules and the runtime stress tests.
 """
 
 from __future__ import annotations
@@ -65,6 +65,11 @@ class FunctionNode:
     module: SourceModule
     node: ast.FunctionDef | ast.AsyncFunctionDef
     cls: str | None = None
+    #: own nodes from the module index (nested defs' bodies left out).
+    nodes: list[ast.AST] = field(default_factory=list, repr=False)
+    #: direct nested defs by bare name (resolution tier 1).
+    nested: dict[str, "FunctionNode"] = field(default_factory=dict,
+                                              repr=False)
     calls: list["CallSite"] = field(default_factory=list)
     refs: list["CallSite"] = field(default_factory=list)
 
@@ -103,16 +108,14 @@ _CONTAINER_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
                     ast.SetComp)
 
 
-def _walk_skip_defs(node: ast.AST):
-    """``ast.walk`` that stays inside one function: nested ``def``s are
-    their own :class:`FunctionNode`s, so their bodies are not this
-    function's call sites (a direct call or reference to the nested def
-    still creates the edge)."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        yield child
-        yield from _walk_skip_defs(child)
+def _block_statements(stmt: ast.stmt):
+    """The statements in a compound statement's blocks, in source order."""
+    for name in ("body", "handlers", "cases", "orelse", "finalbody"):
+        for item in getattr(stmt, name, ()):
+            if isinstance(item, (ast.excepthandler, ast.match_case)):
+                yield from item.body
+            else:
+                yield item
 
 
 def _module_name(module: SourceModule) -> str:
@@ -148,29 +151,37 @@ class CallGraph:
         self.by_module[mod.display] = mnode
         self._module_by_dotted[_module_name(mod)] = mnode
         for stmt in mod.tree.body:
-            self._index_stmt(mnode, stmt, prefix="", cls=None)
+            self._index_stmt(mnode, stmt, prefix="", cls=None, parent=None)
         for stmt in mod.tree.body:
             self._index_module_assign(mnode, stmt)
 
     def _index_stmt(self, mnode: ModuleNode, stmt: ast.stmt, prefix: str,
-                    cls: str | None) -> None:
+                    cls: str | None, parent: FunctionNode | None) -> None:
+        """Index one statement; ``parent`` is the def whose body holds it."""
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             qual = f"{prefix}{stmt.name}"
             fnode = FunctionNode(
                 fid=f"{mnode.module.display}:{qual}",
                 name=stmt.name, qualname=qual, module=mnode.module,
-                node=stmt, cls=cls)
+                node=stmt, cls=cls, nodes=mnode.module.index.own[stmt])
             mnode.functions[qual] = fnode
             self.functions[fnode.fid] = fnode
             self.by_name.setdefault(stmt.name, []).append(fnode)
+            if parent is not None:
+                parent.nested[stmt.name] = fnode
             for inner in stmt.body:
-                self._index_stmt(mnode, inner, prefix=f"{qual}.", cls=cls)
+                self._index_stmt(mnode, inner, prefix=f"{qual}.", cls=cls,
+                                 parent=fnode)
         elif isinstance(stmt, ast.ClassDef):
             for inner in stmt.body:
                 self._index_stmt(mnode, inner, prefix=f"{stmt.name}.",
-                                 cls=stmt.name)
+                                 cls=stmt.name, parent=None)
         elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
             self._index_import(mnode, stmt)
+        else:  # if/for/while/try/with/match: defs and classes, not imports
+            for inner in _block_statements(stmt):
+                if not isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    self._index_stmt(mnode, inner, prefix, cls, parent)
 
     def _index_import(self, mnode: ModuleNode,
                       stmt: ast.Import | ast.ImportFrom) -> None:
@@ -312,7 +323,7 @@ class CallGraph:
                 continue
             params = {a.arg for a in fnode.node.args.args
                       + fnode.node.args.kwonlyargs}
-            for node in _walk_skip_defs(fnode.node):
+            for node in fnode.nodes:
                 if not (isinstance(node, ast.Assign)
                         and len(node.targets) == 1
                         and isinstance(node.targets[0], ast.Subscript)):
@@ -338,15 +349,14 @@ class CallGraph:
                 if isinstance(node, ast.Call):
                     yield node, None
         for fnode in mnode.functions.values():
-            for node in _walk_skip_defs(fnode.node):
+            for node in fnode.nodes:
                 if isinstance(node, ast.Call):
                     yield node, fnode
 
     def _harvest_registration(self, mnode: ModuleNode,
                               fnode: FunctionNode | None,
                               call: ast.Call) -> None:
-        nested = self.nested_defs(mnode, fnode) if fnode is not None else {}
-        for fid in self._resolve_call(mnode, fnode, nested, call):
+        for fid in self._resolve_call(mnode, fnode, call):
             specs = self._registrars.get(fid)
             if not specs:
                 continue
@@ -366,23 +376,22 @@ class CallGraph:
                         arg = call.args[index]
                 if arg is None:
                     continue
-                values = self._function_value(mnode, fnode, nested, arg)
+                values = self._function_value(mnode, fnode, arg)
                 if values:
                     self.dispatch_targets.setdefault(
                         (callee.cls, attr), set()).update(values)
 
     def _function_value(self, mnode: ModuleNode, fnode: FunctionNode | None,
-                        nested: dict[str, FunctionNode],
                         expr: ast.expr) -> tuple[str, ...]:
         """The function(s) an expression evaluates to, for registration."""
-        direct = self._resolve_reference(mnode, fnode, nested, expr)
+        direct = self._resolve_reference(mnode, fnode, expr)
         if direct:
             return direct
         if isinstance(expr, ast.Name) and expr.id in mnode.loop_functions:
             return mnode.loop_functions[expr.id]
         if isinstance(expr, ast.Call):  # factory(...) returning a nested def
             out: list[str] = []
-            for fid in self._resolve_call(mnode, fnode, nested, expr):
+            for fid in self._resolve_call(mnode, fnode, expr):
                 out.extend(self._returned_functions(fid))
             return tuple(dict.fromkeys(out))
         return ()
@@ -393,13 +402,12 @@ class CallGraph:
         if fnode is None:
             return ()
         mnode = self.by_module[fnode.module.display]
-        nested = self.nested_defs(mnode, fnode)
         out: list[str] = []
-        for node in _walk_skip_defs(fnode.node):
+        for node in fnode.nodes:
             if isinstance(node, ast.Return) and isinstance(node.value, ast.Name):
                 name = node.value.id
-                if name in nested:
-                    out.append(nested[name].fid)
+                if name in fnode.nested:
+                    out.append(fnode.nested[name].fid)
                 elif name in mnode.functions:
                     out.append(mnode.functions[name].fid)
         return tuple(dict.fromkeys(out))
@@ -411,26 +419,26 @@ class CallGraph:
 
     def _resolve_function(self, mnode: ModuleNode,
                           fnode: FunctionNode) -> None:
-        nested = self.nested_defs(mnode, fnode)
-        for node in _walk_skip_defs(fnode.node):
+        """Resolve every call in ``fnode``; the effects pass reads these
+        sites (a call missing from ``calls`` resolved to nothing)."""
+        for node in fnode.nodes:
             if isinstance(node, ast.Call):
-                targets = self._resolve_call(mnode, fnode, nested, node)
+                targets = self._resolve_call(mnode, fnode, node)
                 if targets:
                     fnode.calls.append(CallSite(
                         node=node, lineno=node.lineno, targets=targets))
                 for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                    ref = self._resolve_reference(mnode, fnode, nested, arg)
+                    ref = self._resolve_reference(mnode, fnode, arg)
                     if ref:
                         fnode.refs.append(CallSite(
                             node=arg, lineno=arg.lineno, targets=ref,
                             via_reference=True))
 
     def _resolve_call(self, mnode: ModuleNode, fnode: FunctionNode | None,
-                      nested: dict[str, FunctionNode],
                       node: ast.Call) -> tuple[str, ...]:
         func = node.func
         if isinstance(func, ast.Name):
-            return self._resolve_bare(mnode, fnode, nested, func.id)
+            return self._resolve_bare(mnode, fnode, func.id)
         if isinstance(func, ast.Attribute):
             return self._resolve_attribute(mnode, fnode, func)
         if isinstance(func, ast.Subscript):
@@ -460,10 +468,9 @@ class CallGraph:
         return ()
 
     def _resolve_bare(self, mnode: ModuleNode, fnode: FunctionNode | None,
-                      nested: dict[str, FunctionNode],
                       name: str) -> tuple[str, ...]:
-        if name in nested:                                    # tier 1
-            return (nested[name].fid,)
+        if fnode is not None and name in fnode.nested:        # tier 1
+            return (fnode.nested[name].fid,)
         own = mnode.functions.get(name)                       # tier 2
         if own is not None:
             return (own.fid,)
@@ -537,12 +544,11 @@ class CallGraph:
 
     def _resolve_reference(self, mnode: ModuleNode,
                            fnode: FunctionNode | None,
-                           nested: dict[str, FunctionNode],
                            arg: ast.expr) -> tuple[str, ...]:
         """Function values passed as arguments (pool.map targets, builders)."""
         if isinstance(arg, ast.Name):
-            if arg.id in nested:
-                return (nested[arg.id].fid,)
+            if fnode is not None and arg.id in fnode.nested:
+                return (fnode.nested[arg.id].fid,)
             own = mnode.functions.get(arg.id)
             if own is not None:
                 return (own.fid,)
@@ -558,31 +564,11 @@ class CallGraph:
                     return (own.fid,)
         return ()
 
-    # -- public resolution API (used by the effects pass) ------------------
-    def nested_defs(self, mnode: ModuleNode,
-                    fnode: FunctionNode) -> dict[str, FunctionNode]:
-        """Direct nested ``def``s of ``fnode``, by bare name."""
-        prefix = fnode.qualname + "."
-        return {f.name: f for q, f in mnode.functions.items()
-                if q.startswith(prefix) and "." not in q[len(prefix):]}
-
+    # -- queries -----------------------------------------------------------
     def resolve_module(self, dotted: str) -> ModuleNode | None:
         """ModuleNode for a package-relative dotted name (``engine.cache``)."""
         return self._module_by_dotted.get(dotted)
 
-    def resolve_call(self, mnode: ModuleNode, fnode: FunctionNode,
-                     nested: dict[str, FunctionNode],
-                     node: ast.Call) -> tuple[str, ...]:
-        """Resolve one call expression in ``fnode``'s scope to target fids."""
-        return self._resolve_call(mnode, fnode, nested, node)
-
-    def resolve_reference(self, mnode: ModuleNode, fnode: FunctionNode,
-                          nested: dict[str, FunctionNode],
-                          arg: ast.expr) -> tuple[str, ...]:
-        """Resolve a function-valued expression (builder, pool target)."""
-        return self._resolve_reference(mnode, fnode, nested, arg)
-
-    # -- queries -----------------------------------------------------------
     def successors(self, fid: str) -> set[str]:
         fnode = self.functions.get(fid)
         if fnode is None:

@@ -43,11 +43,11 @@ Data-driven dispatch is resolved as candidate sets: ``Registry.create``'s
 ``self._factories[key]()`` fans out to every function registered through
 ``Registry.register`` (the device factories, the zoo's per-model
 closures), and module-level dict tables like ``check.PASSES`` resolve to
-their function values.  The remaining blind spot is ``lambda``
+their function values.  The remaining blind spots are ``lambda``
 registrations (the experiment generators in
-:mod:`repro.harness.registry`), which have no name to resolve and are
-covered by the single-file ARCH rules and the runtime stress tests
-instead.
+:mod:`repro.harness.registry`), which have no name to resolve, and
+imports inside control-flow blocks; both are covered by the single-file
+ARCH rules and the runtime stress tests instead.
 """
 
 from __future__ import annotations
@@ -219,10 +219,10 @@ def _module_globals(mod: SourceModule) -> set[str]:
     return names
 
 
-def _module_scope_names(mnode: ModuleNode) -> set[str]:
+def _module_scope_names(mod: SourceModule,
+                        module_globals: set[str]) -> set[str]:
     """Everything resolvable at module scope: globals, defs, classes, imports."""
-    mod = mnode.module
-    names = _module_globals(mod)
+    names = set(module_globals)
     for stmt in mod.tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
@@ -278,19 +278,23 @@ class _FunctionAnalyzer:
     """Single-function effect extraction (nested defs analyzed separately)."""
 
     def __init__(self, graph: CallGraph, mnode: ModuleNode,
-                 fnode: FunctionNode, module_globals: set[str],
+                 fnode: FunctionNode, globals_of: dict[str, set[str]],
                  scope_names: set[str], nondet_imports: NondetImports):
         self.graph = graph
         self.mnode = mnode
         self.fnode = fnode
-        self.module_globals = module_globals
+        self.globals_of = globals_of  # module display path -> its globals
+        self.module_globals = globals_of[mnode.module.display]
         self.scope_names = scope_names
         self.nondet_imports = nondet_imports
         self.eff = FunctionEffects(fid=fnode.fid)
-        self.guard_depth = 0
+        self.guarded = False
         self.global_decls: set[str] = set()
         self.local_bound: set[str] = set()
-        self.nested = graph.nested_defs(mnode, fnode)
+        #: the call graph's resolved targets by call (or reference) node.
+        self.targets = {site.node: site.targets
+                        for site in fnode.calls + fnode.refs}
+        self._withs: list[ast.With | ast.AsyncWith] = []
         self._call_func_names: set[int] = set()
 
     # .. entry ............................................................
@@ -313,67 +317,58 @@ class _FunctionAnalyzer:
         for kwarg, default in zip(args.kwonlyargs, args.kw_defaults):
             if default is not None and _mutable_default(default):
                 self.eff.mutable_defaults.append((kwarg.arg, node.lineno))
-        self._prescan_bindings(node.body)
-        for stmt in node.body:
-            self._visit(stmt)
+        body = self.fnode.module.index.body(node)
+        self._prescan_bindings(body)
+        self._visit(body)
         return self.eff
 
-    def _prescan_bindings(self, body: list[ast.stmt]) -> None:
+    def _prescan_bindings(self, body: list[ast.AST]) -> None:
         """Collect every locally bound name first, so reads before the
-        binding line (loops, forward refs) don't misreport as globals."""
-        for stmt in body:
-            for node in self._walk_own(stmt):
-                if isinstance(node, ast.Name) and isinstance(
-                        node.ctx, (ast.Store, ast.Del)):
+        binding line (loops, forward refs) don't misreport as globals.
+        A nested def or class binds only its own name.  Notes the
+        ``with`` blocks for :meth:`_visit`."""
+        self.local_bound.update(self.fnode.nested)
+        in_class: set[int] = set()
+        for node in body:
+            cls = node.__class__
+            if cls is ast.With or cls is ast.AsyncWith:
+                self._withs.append(node)
+            if in_class and id(node) in in_class:
+                continue
+            if cls is ast.Name:
+                if isinstance(node.ctx, (ast.Store, ast.Del)):
                     self.local_bound.add(node.id)
-                elif isinstance(node, ast.Global):
-                    self.global_decls.update(node.names)
-                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                       ast.ClassDef)):
-                    self.local_bound.add(node.name)
-                elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                    self.local_bound.update(alias.asname or
-                                            alias.name.split(".")[0]
-                                            for alias in node.names)
+            elif cls is ast.Global:
+                self.global_decls.update(node.names)
+            elif cls is ast.ClassDef:
+                self.local_bound.add(node.name)
+                in_class.update(map(id, ast.walk(node)))
+            elif cls is ast.Import or cls is ast.ImportFrom:
+                self.local_bound.update(alias.asname or
+                                        alias.name.split(".")[0]
+                                        for alias in node.names)
         self.local_bound -= self.global_decls
 
-    def _walk_own(self, node: ast.AST):
-        """ast.walk that does not descend into nested function defs."""
-        yield node
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            yield from self._walk_own(child)
+    # .. one pass over the body ...........................................
+    def _visit(self, body: list[ast.AST]) -> None:
+        """Run the handlers over the body (no nested defs) in pre-order.
 
-    # .. recursive statement/expression visit .............................
-    def _visit(self, node: ast.AST) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return  # nested defs have their own FunctionNode
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            guarded = _is_lock_guard(node)
-            if guarded:
-                self.guard_depth += 1
-            for item in node.items:
-                self._visit(item.context_expr)
-            for stmt in node.body:
-                self._visit(stmt)
-            if guarded:
-                self.guard_depth -= 1
-            return
-        handler = {
-            ast.Assign: self._on_assign,
-            ast.AnnAssign: self._on_annassign,
-            ast.AugAssign: self._on_augassign,
-            ast.Delete: self._on_delete,
-            ast.Return: self._on_return,
-            ast.Call: self._on_call,
-            ast.Name: self._on_name,
-            ast.Attribute: self._on_attribute,
-        }.get(type(node))
-        if handler is not None:
-            handler(node)
-        for child in ast.iter_child_nodes(node):
-            self._visit(child)
+        All of a lock-guarded ``with`` is guarded; ``as`` targets are not
+        visited."""
+        skip: set[int] = set()
+        guarded: set[int] = set()
+        for block in self._withs:
+            for item in block.items:
+                if item.optional_vars is not None:
+                    skip.update(map(id, ast.walk(item.optional_vars)))
+            if _is_lock_guard(block):
+                guarded.update(map(id, ast.walk(block)))
+        for node in body:
+            handler = _HANDLERS.get(node.__class__)
+            if handler is None or id(node) in skip:
+                continue
+            self.guarded = id(node) in guarded
+            handler(self, node)
 
     # .. name classification ..............................................
     def _global_qual(self, name: str) -> str | None:
@@ -385,7 +380,8 @@ class _FunctionAnalyzer:
         if name in self.mnode.imported_names:
             src, orig = self.mnode.imported_names[name]
             target = self.graph.resolve_module(src)
-            if target is not None and orig in _module_globals(target.module):
+            if target is not None and orig in self.globals_of[
+                    target.module.display]:
                 return f"{target.module.display}:{orig}"
         return None
 
@@ -409,15 +405,12 @@ class _FunctionAnalyzer:
             elif node.value.id in self.mnode.import_aliases:
                 target = self.graph.resolve_module(
                     self.mnode.import_aliases[node.value.id])
-                if target is not None and node.attr in _module_globals(
-                        target.module):
+                if target is not None and node.attr in self.globals_of[
+                        target.module.display]:
                     self.eff.reads.add(
                         f"{target.module.display}:{node.attr}")
 
     # .. writes ...........................................................
-    def _guarded(self) -> bool:
-        return self.guard_depth > 0
-
     def _on_assign(self, node: ast.Assign) -> None:
         for target in node.targets:
             self._store_target(target, node)
@@ -443,13 +436,13 @@ class _FunctionAnalyzer:
             if target.id in self.global_decls:
                 qual = f"{self.mnode.module.display}:{target.id}"
                 self.eff.rebinds.append(Write(
-                    qual, node.lineno, self._guarded(),
+                    qual, node.lineno, self.guarded,
                     f"global {target.id} rebound"))
         elif isinstance(target, ast.Attribute):
             if isinstance(target.value, ast.Name):
                 if target.value.id == "self":
                     write = Write(f"self.{target.attr}", node.lineno,
-                                  self._guarded(),
+                                  self.guarded,
                                   f"self.{target.attr} assigned")
                     if not write.guarded:
                         self.eff.unguarded_self_writes.append(write)
@@ -467,7 +460,7 @@ class _FunctionAnalyzer:
         qual = self._global_qual(base)
         if qual is not None:
             self.eff.mutations.append(Write(
-                qual, lineno, self._guarded(), f"{base}.{attr} assigned"))
+                qual, lineno, self.guarded, f"{base}.{attr} assigned"))
         else:
             self.eff.local_mutations.append(Mutation(
                 base, lineno, f"{base}.{attr} assigned"))
@@ -480,7 +473,7 @@ class _FunctionAnalyzer:
             qual = self._global_qual(base.id)
             if qual is not None:
                 self.eff.mutations.append(Write(
-                    qual, lineno, self._guarded(), detail))
+                    qual, lineno, self.guarded, detail))
             else:
                 self.eff.local_mutations.append(
                     Mutation(base.id, lineno, detail))
@@ -489,7 +482,7 @@ class _FunctionAnalyzer:
         elif (isinstance(base, ast.Attribute)
               and isinstance(base.value, ast.Name)
               and base.value.id == "self"):
-            write = Write(f"self.{base.attr}", lineno, self._guarded(),
+            write = Write(f"self.{base.attr}", lineno, self.guarded,
                           detail)
             if not write.guarded:
                 self.eff.unguarded_self_writes.append(write)
@@ -499,7 +492,7 @@ class _FunctionAnalyzer:
         verdict = classify_nondet(node, self.nondet_imports)
         if verdict is not None and verdict.kind not in self.eff.nondet:
             self.eff.nondet[verdict.kind] = (verdict.description, node.lineno)
-        targets = self._resolve(node)
+        targets = self.targets.get(node, ())
         func = node.func
         if isinstance(func, ast.Name):
             # a name in call position is a callee, not a data dependency;
@@ -517,10 +510,6 @@ class _FunctionAnalyzer:
             self.eff.key_sites.append(self._digest_key_site(node))
         self._record_forwards(node, targets)
 
-    def _resolve(self, node: ast.Call) -> tuple[str, ...]:
-        return self.graph.resolve_call(self.mnode, self.fnode, self.nested,
-                                       node)
-
     def _classify_method_call(self, base: str, func: ast.Attribute,
                               node: ast.Call,
                               targets: tuple[str, ...]) -> None:
@@ -537,7 +526,7 @@ class _FunctionAnalyzer:
                 qual, func.attr, node.lineno, targets))
         elif func.attr in _MUTATORS:
             self.eff.mutations.append(Write(
-                qual, node.lineno, self._guarded(),
+                qual, node.lineno, self.guarded,
                 f"{base}.{func.attr}(...)"))
         else:
             self.eff.reads.add(qual)
@@ -551,7 +540,7 @@ class _FunctionAnalyzer:
         root = chain[0]
         dotted = ".".join(chain)
         if root == "self":
-            write = Write(f"self.{chain[1]}", node.lineno, self._guarded(),
+            write = Write(f"self.{chain[1]}", node.lineno, self.guarded,
                           f"{dotted}(...)")
             if not write.guarded:
                 self.eff.unguarded_self_writes.append(write)
@@ -559,7 +548,7 @@ class _FunctionAnalyzer:
         qual = self._global_qual(root)
         if qual is not None:
             self.eff.mutations.append(Write(
-                qual, node.lineno, self._guarded(), f"{dotted}(...)"))
+                qual, node.lineno, self.guarded, f"{dotted}(...)"))
         elif root in self.local_bound:
             self.eff.local_mutations.append(Mutation(
                 root, node.lineno, f"{dotted}(...)"))
@@ -611,9 +600,7 @@ class _FunctionAnalyzer:
                     and _is_cache_primitive(value.func):
                 self.eff.returns_cached = True
             else:
-                targets = self._resolve(value)
-                if targets:
-                    self.eff.return_calls.update(targets)
+                self.eff.return_calls.update(self.targets.get(value, ()))
             return
         if isinstance(value, ast.Name):
             for origin in self.eff.origins.get(value.id, ()):
@@ -644,7 +631,7 @@ class _FunctionAnalyzer:
                               detail=".".join(chain) or value.func.attr)
             if _is_clone_expr(value):
                 return Origin("clone", value.lineno)
-            targets = self._resolve(value)
+            targets = self.targets.get(value, ())
             if targets:
                 name = astutil.call_name(value) or "?"
                 return Origin("call", value.lineno, targets=targets,
@@ -676,19 +663,13 @@ class _FunctionAnalyzer:
         if isinstance(builder, ast.Lambda):
             site.builder_desc = "lambda"
             self._digest_lambda(builder, site)
-        elif isinstance(builder, ast.Name):
-            site.builder_desc = f"{builder.id}()"
-            fids = self.graph.resolve_reference(self.mnode, self.fnode,
-                                                self.nested, builder)
-            site.builder_fids = fids
-            site.unresolved = not fids
-        elif isinstance(builder, ast.Attribute):
-            site.builder_desc = ".".join(astutil.dotted_chain(builder)) \
-                or builder.attr
-            fids = self.graph.resolve_reference(self.mnode, self.fnode,
-                                                self.nested, builder)
-            site.builder_fids = fids
-            site.unresolved = not fids
+        elif isinstance(builder, (ast.Name, ast.Attribute)):
+            site.builder_desc = (f"{builder.id}()"
+                                 if isinstance(builder, ast.Name)
+                                 else ".".join(astutil.dotted_chain(builder))
+                                 or builder.attr)
+            site.builder_fids = self.targets.get(builder, ())
+            site.unresolved = not site.builder_fids
         else:
             site.builder_desc = "<expression>"
             site.unresolved = True
@@ -726,14 +707,26 @@ class _FunctionAnalyzer:
                 qual = self._global_qual(sub.id)
                 if qual is not None:
                     site.lambda_global_reads.add(qual)
-                elif sub.id in self.scope_names or sub.id in self.nested:
+                elif sub.id in self.scope_names or sub.id in self.fnode.nested:
                     continue  # module functions/classes; call edge below
                 elif sub.id in self.local_bound or sub.id in self.eff.params:
                     site.lambda_free_reads.add(sub.id)
             elif isinstance(sub, ast.Call):
-                call_fids.extend(self.graph.resolve_call(
-                    self.mnode, self.fnode, self.nested, sub))
+                call_fids.extend(self.targets.get(sub, ()))
         site.lambda_call_fids = tuple(call_fids)
+
+
+#: node type -> the analyzer method that records its effects.
+_HANDLERS = {
+    ast.Assign: _FunctionAnalyzer._on_assign,
+    ast.AnnAssign: _FunctionAnalyzer._on_annassign,
+    ast.AugAssign: _FunctionAnalyzer._on_augassign,
+    ast.Delete: _FunctionAnalyzer._on_delete,
+    ast.Return: _FunctionAnalyzer._on_return,
+    ast.Call: _FunctionAnalyzer._on_call,
+    ast.Name: _FunctionAnalyzer._on_name,
+    ast.Attribute: _FunctionAnalyzer._on_attribute,
+}
 
 
 # -- the pass --------------------------------------------------------------
@@ -754,13 +747,15 @@ class EffectsAnalysis:
 
     # .. summaries ........................................................
     def _summarize(self) -> None:
-        for mnode in self.graph.by_module.values():
-            module_globals = _module_globals(mnode.module)
-            scope_names = _module_scope_names(mnode)
-            imports = NondetImports().collect(mnode.module.tree)
+        globals_of = {display: _module_globals(mnode.module)
+                      for display, mnode in self.graph.by_module.items()}
+        for display, mnode in self.graph.by_module.items():
+            scope_names = _module_scope_names(mnode.module,
+                                              globals_of[display])
+            imports = NondetImports(mnode.module.index.import_froms)
             for fnode in mnode.functions.values():
                 analyzer = _FunctionAnalyzer(self.graph, mnode, fnode,
-                                             module_globals, scope_names,
+                                             globals_of, scope_names,
                                              imports)
                 self.effects[fnode.fid] = analyzer.analyze()
 
@@ -775,9 +770,11 @@ class EffectsAnalysis:
             changed = False
             for fid, eff in self.effects.items():
                 fnode = self.graph.functions[fid]
-                callees = set()
-                for site in fnode.calls + fnode.refs:
-                    callees.update(site.targets)
+                # call-site order, so the first callee delivering a kind
+                # is its witness under every hash seed
+                callees = dict.fromkeys(target
+                                        for site in fnode.calls + fnode.refs
+                                        for target in site.targets)
                 for target in callees:
                     te = self.effects.get(target)
                     if te is None:

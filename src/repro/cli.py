@@ -500,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     check_parser.add_argument("--strict", action="store_true",
                               help="fail on any finding, not just errors")
     check_parser.add_argument("--stats", action="store_true",
-                              help="print per-pass wall times to stderr")
+                              help="print per-pass and shared-parse wall "
+                                   "times to stderr")
     check_parser.add_argument("--list-rules", action="store_true",
                               help="print the rule catalog (honors --format "
                                    "json) and exit")

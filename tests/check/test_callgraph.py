@@ -199,6 +199,56 @@ class TestNestedDefIsolation:
             "repro/engine/demo.py:helper"}
 
 
+class TestDefsInsideBlocks:
+    def test_defs_in_every_kind_of_block_become_functions(self):
+        g = graph(module("""
+            try:
+                def in_try():
+                    return 1
+            except ImportError:
+                def in_except():
+                    return 2
+
+            def outer(flag, items):
+                if flag:
+                    def in_if():
+                        return in_try()
+                for item in items:
+                    def in_for():
+                        return item
+                with flag:
+                    def in_with():
+                        return 3
+                match flag:
+                    case 1:
+                        def in_case():
+                            return 4
+                return in_if()
+            """))
+        prefix = "repro/engine/demo.py:"
+        assert {prefix + name for name in (
+            "in_try", "in_except", "outer.in_if", "outer.in_for",
+            "outer.in_with", "outer.in_case")} <= set(g.functions)
+        assert g.successors(prefix + "outer") == {prefix + "outer.in_if"}
+        assert g.successors(prefix + "outer.in_if") == {prefix + "in_try"}
+
+    def test_imports_inside_blocks_stay_out(self):
+        # documented blind spot: a conditional import binds nothing
+        g = graph(
+            module("""
+                def stamp():
+                    return 0
+                """, "src/repro/measurement/clock.py"),
+            module("""
+                if True:
+                    from repro.measurement.clock import stamp as clock
+
+                def lower():
+                    return clock()
+                """, "src/repro/engine/lower.py"))
+        assert g.successors("repro/engine/lower.py:lower") == set()
+
+
 class TestReachability:
     def test_transitive_closure_includes_the_roots(self):
         g = graph(module("""
@@ -260,6 +310,14 @@ class TestRealPackageGraph:
         g = callgraph.build(astutil.load_package())
         for root in effects.PARALLEL_ROOTS:
             assert g.find(root), f"parallel root {root} not found"
+
+    def test_fallback_def_inside_an_if_reaches_the_runner(self):
+        # energy_delay_table defines its default session_factory inside
+        # `if session_factory is None:`
+        g = callgraph.build(astutil.load_package())
+        fid = "repro/analysis/efficiency.py:energy_delay_table"
+        assert f"{fid}.session_factory" in g.successors(fid)
+        assert "repro/runtime/runner.py:Runner.session" in g.reachable([fid])
 
     def test_real_tree_reaches_the_cache_layer(self):
         from repro.check import effects

@@ -47,7 +47,8 @@ class TestCheckVerb:
         assert main(["check", "--stats"]) == 0
         captured = capsys.readouterr()
         assert "no findings" in captured.out
-        for name in ("ir", "shapes", "tables", "arch", "units", "effects"):
+        for name in ("parse", "ir", "shapes", "tables", "arch", "units",
+                     "effects"):
             assert f"# {name}:" in captured.err
         assert "# total:" in captured.err
         assert "ms" in captured.err
@@ -57,3 +58,11 @@ class TestCheckVerb:
         err = capsys.readouterr().err
         assert "# shapes:" in err
         assert "# effects:" not in err
+        assert "# parse:" not in err  # no source pass, nothing parsed
+
+    def test_stats_times_the_shared_parse_apart_from_the_source_pass(
+            self, capsys):
+        assert main(["check", "units", "--stats"]) == 0
+        err = capsys.readouterr().err
+        assert "# parse:" in err
+        assert "# units:" in err

@@ -1,7 +1,11 @@
 """Effects pass: the real tree is effect-clean; seeded defects pin every
 RACE/KEY/ALIAS rule id; lock guards, clones and suppressions silence them."""
 
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 from repro.check import astutil, effects
 
@@ -144,6 +148,72 @@ class TestRace002SharedContainerMutation:
         assert any("bump()" in finding.message for finding in findings)
 
 
+class TestNestedScopesBindOnlyTheirOwnName:
+    """A def or class nested in a function binds its own name there, and
+    nothing its body binds: a module global the nested scope shadows is
+    still the enclosing function's global."""
+
+    PROBE = """
+    _CACHE = {}
+
+    class Runner:
+        def run_cells(self, cells):
+            for cell in cells:
+                _fill(cell)
+
+    def _fill(cell):
+%s
+        _CACHE[cell] = 1
+    """
+
+    def probe(self, nested):
+        return check(self.PROBE % textwrap.indent(
+            textwrap.dedent(nested), " " * 8))
+
+    def test_nested_def_binding_the_name_does_not_hide_the_write(self):
+        findings = self.probe("""
+            def helper():
+                _CACHE = {}
+                return _CACHE
+            """)
+        assert rules_of(findings) == {"RACE002"}
+        assert "_CACHE" in findings[0].message
+
+    def test_nested_class_binding_the_name_does_not_hide_the_write(self):
+        findings = self.probe("""
+            class Helper:
+                _CACHE = {}
+            """)
+        assert rules_of(findings) == {"RACE002"}
+        assert "_CACHE" in findings[0].message
+
+    def test_nested_def_name_is_bound_in_the_enclosing_function(self):
+        findings = self.probe("""
+            def _CACHE():
+                return {}
+            """)
+        assert findings == []
+
+
+class TestDefInsideControlFlow:
+    def test_race_in_a_def_inside_an_if_is_found(self):
+        # the def is its own function, called through its bare name
+        findings = check("""
+        _CACHE = {}
+
+        class Runner:
+            def run_cells(self, cells):
+                if cells:
+                    def fill(cell):
+                        _CACHE[cell] = 1
+
+                    for cell in cells:
+                        fill(cell)
+        """)
+        assert rules_of(findings) == {"RACE002"}
+        assert findings[0].location == "repro/runtime/runner.py:8"
+
+
 class TestRace003MutableDefault:
     def test_mutable_default_on_reachable_function_is_flagged(self):
         snippet = """
@@ -231,6 +301,66 @@ class TestRace004PureLayerBoundary:
                 """), "src/repro/engine/lower.py"),
         ]
         assert effects.check_modules(modules) == []
+
+    WALLS = """
+    import time
+
+    def wall_a():
+        return time.time()
+
+    def wall_b():
+        return time.perf_counter()
+
+    def wall_c():
+        return time.monotonic()
+
+    def stamp():
+        return wall_a() + wall_b() + wall_c()
+    """
+    LOWER = """
+    from repro.measurement.clock import stamp
+
+    def lower(cells):
+        return [stamp() for cell in cells]
+    """
+
+    def test_witness_is_the_first_callee_in_call_site_order(self):
+        modules = [
+            astutil.load_source(textwrap.dedent(self.WALLS),
+                                "src/repro/measurement/clock.py"),
+            astutil.load_source(textwrap.dedent(self.LOWER),
+                                "src/repro/engine/lower.py"),
+        ]
+        findings = effects.check_modules(modules)
+        assert rules_of(findings) == {"RACE004"}
+        assert findings[0].message.endswith(
+            "reaches time.time() in repro/measurement/clock.py:wall_a")
+
+    def test_witness_does_not_depend_on_the_hash_seed(self):
+        script = textwrap.dedent(f"""
+            import textwrap
+            from repro.check import astutil, effects
+            modules = [
+                astutil.load_source(textwrap.dedent({self.WALLS!r}),
+                                    "src/repro/measurement/clock.py"),
+                astutil.load_source(textwrap.dedent({self.LOWER!r}),
+                                    "src/repro/engine/lower.py"),
+            ]
+            for finding in effects.check_modules(modules):
+                print(finding.render())
+            """)
+        rendered = set()
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(
+                       [str(Path(effects.__file__).parents[2]),
+                        os.environ.get("PYTHONPATH", "")])}
+            result = subprocess.run([sys.executable, "-c", script], env=env,
+                                    capture_output=True, text=True,
+                                    check=True)
+            rendered.add(result.stdout)
+        assert len(rendered) == 1
+        assert "wall_a" in rendered.pop()
 
     def test_call_within_the_pure_layers_defers_to_the_deeper_boundary(self):
         # engine -> engine call: the boundary sits at the callee's own
