@@ -343,33 +343,41 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                      for index, spec in enumerate(args.pool or _DEFAULT_FLEET_POOLS)]
         autoscaler = Autoscaler() if args.autoscale else None
         admission = (AdmissionControl(max_queue_per_node=args.admit_limit)
-                     if args.admit_limit else None)
+                     if args.admit_limit is not None else None)
         simulation = FleetSimulation(pools, router=args.policy,
                                      autoscaler=autoscaler,
                                      admission=admission, epochs=args.epochs)
+        # Default load: 70% of the fleet's peak service rate — busy but stable.
+        rate_hz = (args.rate if args.rate is not None
+                   else 0.7 * simulation.capacity_rps)
+        # The span and the burst rate divide by these; the processes
+        # check everything else.
+        if not rate_hz > 0:
+            raise ValueError(f"--rate must be positive, got {rate_hz}")
+        if args.burst_size < 1:
+            raise ValueError(f"--burst-size must be >= 1, got {args.burst_size}")
+        span_s = (args.horizon if args.horizon is not None
+                  else args.requests / rate_hz)
+        processes = {
+            "poisson": lambda: PoissonArrivals(rate_hz=rate_hz),
+            "periodic": lambda: PeriodicArrivals(rate_hz=rate_hz,
+                                                 jitter_fraction=0.5),
+            "bursty": lambda: BurstyArrivals(
+                burst_rate_hz=rate_hz / args.burst_size,
+                burst_size=args.burst_size),
+            "diurnal": lambda: DiurnalArrivals(
+                base_rate_hz=rate_hz,
+                period_s=(args.period if args.period is not None
+                          else span_s / 2)),
+        }
+        process = reseeded(processes[args.arrivals](), args.seed)
+        if args.requests is not None:
+            arrival_times = first_n(process, args.requests)
+        else:
+            arrival_times = process.generate(args.horizon)
     except (ReproError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    # Default load: 70% of the fleet's peak service rate — busy but stable.
-    rate_hz = args.rate if args.rate else 0.7 * simulation.capacity_rps
-    span_s = (args.horizon if args.horizon is not None
-              else args.requests / rate_hz)
-    processes = {
-        "poisson": lambda: PoissonArrivals(rate_hz=rate_hz),
-        "periodic": lambda: PeriodicArrivals(rate_hz=rate_hz,
-                                             jitter_fraction=0.5),
-        "bursty": lambda: BurstyArrivals(
-            burst_rate_hz=rate_hz / args.burst_size,
-            burst_size=args.burst_size),
-        "diurnal": lambda: DiurnalArrivals(
-            base_rate_hz=rate_hz,
-            period_s=args.period if args.period else span_s / 2),
-    }
-    process = reseeded(processes[args.arrivals](), args.seed)
-    if args.requests is not None:
-        arrival_times = first_n(process, args.requests)
-    else:
-        arrival_times = process.generate(args.horizon)
     stats = simulation.run(arrival_times, seed=args.seed)
     text = (json.dumps(stats.to_dict(), indent=1) if args.format == "json"
             else stats.describe())

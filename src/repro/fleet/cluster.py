@@ -266,8 +266,8 @@ def _profile_from_records(pool: PoolSpec,
     return ServiceProfile(
         batch_wall_s=tuple(batch_wall_s),
         max_batch=len(batch_wall_s),
-        power_w=base.power_w,
-        idle_w=device.power.idle_w,
+        power_w=float(base.power_w),
+        idle_w=float(device.power.idle_w),
         init_time_s=base.init_time_s,
         thermal=device.thermal,
         cell_seed=pool.scenario.seed,
@@ -294,8 +294,8 @@ def _profile_from_deployment(pool: PoolSpec) -> ServiceProfile:
             device=stage.scenario.device,
             service_s=stage.service_s,
             compute_s=stage.compute_s,
-            power_w=stage.power_w,
-            idle_w=stage.idle_w,
+            power_w=float(stage.power_w),
+            idle_w=float(stage.idle_w),
         ))
     profile_stages = tuple(stages)
     bottleneck = max(range(len(profile_stages)),

@@ -19,10 +19,9 @@ import numpy as np
 REPORT_VERSION = 1
 
 
-def _percentile_s(sojourn_s: np.ndarray, percent: float) -> float:
-    if sojourn_s.size == 0:
-        return 0.0
-    return float(np.percentile(sojourn_s, percent))
+def _require(holds: bool, equation: str) -> None:
+    if not holds:
+        raise ValueError(f"fleet report breaks conservation: {equation}")
 
 
 @dataclass(frozen=True)
@@ -40,12 +39,14 @@ class SojournSummary:
     def from_times(cls, sojourn_s: np.ndarray) -> "SojournSummary":
         if sojourn_s.size == 0:
             return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        p50_s, p95_s, p99_s, p999_s = np.percentile(sojourn_s,
+                                                    (50, 95, 99, 99.9)).tolist()
         return cls(
             mean_s=float(sojourn_s.mean()),
-            p50_s=_percentile_s(sojourn_s, 50),
-            p95_s=_percentile_s(sojourn_s, 95),
-            p99_s=_percentile_s(sojourn_s, 99),
-            p999_s=_percentile_s(sojourn_s, 99.9),
+            p50_s=p50_s,
+            p95_s=p95_s,
+            p99_s=p99_s,
+            p999_s=p999_s,
             max_s=float(sojourn_s.max()),
         )
 
@@ -93,6 +94,13 @@ class PoolStats:
     shutdown_events: int
     final_active_replicas: int
 
+    def __post_init__(self) -> None:
+        where = f"pool {self.name!r}: "
+        _require(min(self.assigned, self.completed, self.dropped) >= 0,
+                 where + "assigned, completed, dropped >= 0")
+        _require(self.assigned == self.completed + self.dropped,
+                 where + "assigned == completed + dropped")
+
     @property
     def drop_fraction(self) -> float:
         return self.dropped / self.assigned if self.assigned else 0.0
@@ -114,9 +122,12 @@ class PoolStats:
 class FleetStats:
     """The outcome of one fleet simulation.
 
-    Conservation holds by construction and is pinned by property tests:
-    ``requests == completed + dropped + rejected`` fleet-wide, and
-    ``assigned == completed + dropped`` within every pool.
+    Conservation is checked at construction (a ``ValueError`` names the
+    broken equation), so a tampered JSON report fails to load:
+    ``requests == completed + dropped + rejected`` fleet-wide, the fleet's
+    completed and dropped are the pools' sums, ``sum(assigned) + rejected
+    == requests``, and ``assigned == completed + dropped`` within every
+    pool.
 
     Attributes:
         rejected: requests refused at the front door (admission control);
@@ -146,6 +157,19 @@ class FleetStats:
     seed: int
     epochs: int
     pools: tuple[PoolStats, ...]
+
+    def __post_init__(self) -> None:
+        # With conserving pools the assigned check follows from the first
+        # and last; it runs before the pool sums so that the message names
+        # the totals that disagree with the pools' assignments.
+        _require(self.requests == self.completed + self.dropped + self.rejected,
+                 "requests == completed + dropped + rejected")
+        _require(self.rejected >= 0, "rejected >= 0")
+        _require(sum(pool.assigned for pool in self.pools) + self.rejected
+                 == self.requests, "sum(pool.assigned) + rejected == requests")
+        _require(self.completed == sum(pool.completed for pool in self.pools)
+                 and self.dropped == sum(pool.dropped for pool in self.pools),
+                 "completed, dropped == sum over pools")
 
     @property
     def drop_fraction(self) -> float:

@@ -261,6 +261,11 @@ class FleetSimulation:
         arrivals = np.asarray(arrival_times, dtype=np.float64)
         if np.any(np.diff(arrivals) < 0):
             raise ValueError("arrival times must be sorted")
+        # The epoch grid spans [0, last arrival]: NaN, inf or a negative
+        # instant would fall off it and never be routed.
+        if arrivals.size and not (np.isfinite(arrivals).all()
+                                  and arrivals[0] >= 0):
+            raise ValueError("arrival times must be finite and >= 0")
         if arrivals.size == 0:
             # A zero-request run is a valid degenerate simulation: the
             # report is all zeros and never meets an SLO.
@@ -282,6 +287,9 @@ class FleetSimulation:
         boundaries = np.searchsorted(arrivals, edges, side="left")
         boundaries[-1] = arrivals.size
 
+        # Per-node routing constants: profiles do not change during a run.
+        energy = np.array([node.profile.energy_per_request_j for node in nodes])
+        full_batch_s = [node.profile.full_batch_request_s for node in nodes]
         sojourn_chunks: dict[str, list[np.ndarray]] = {
             pool.name: [] for pool in self.pools}
         assigned: dict[str, int] = {pool.name: 0 for pool in self.pools}
@@ -304,7 +312,8 @@ class FleetSimulation:
             hi = int(boundaries[index + 1])
             if hi > lo:
                 rejected += self._route(nodes, arrivals[lo:hi],
-                                        epoch_start_s, epoch_end_s, assigned)
+                                        epoch_start_s, epoch_end_s, assigned,
+                                        energy, full_batch_s)
             for node in nodes:
                 node.epoch_busy_s = 0.0
                 if node.stage_epoch_busy_s is not None:
@@ -350,12 +359,16 @@ class FleetSimulation:
 
     def _route(self, nodes: list[NodeState], epoch_times: np.ndarray,
                epoch_start_s: float, epoch_end_s: float,
-               assigned: dict[str, int]) -> int:
-        """Assign one epoch's arrivals; returns the rejected count."""
+               assigned: dict[str, int], energy: np.ndarray,
+               full_batch_s: list[float]) -> int:
+        """Assign one epoch's arrivals; returns the rejected count.
+
+        ``energy`` and ``full_batch_s`` are each node's profile constants
+        (``energy_per_request_j``, ``full_batch_request_s``).
+        """
         count = int(epoch_times.size)
         outstanding = np.empty(len(nodes), dtype=np.float64)
         limits = np.empty(len(nodes), dtype=np.float64)
-        energy = np.empty(len(nodes), dtype=np.float64)
         capacity = np.empty(len(nodes), dtype=np.float64)
         for position, node in enumerate(nodes):
             pending = node.outstanding(epoch_start_s)
@@ -363,10 +376,8 @@ class FleetSimulation:
             routable = (node.active and not node.shutdown
                         and node.available_at_s <= epoch_start_s)
             limits[position] = self.admission.headroom(pending) if routable else 0.0
-            energy[position] = node.profile.energy_per_request_j
             spare_s = epoch_end_s - max(node.free_at_s, epoch_start_s)
-            per_request_s = (node.profile.full_batch_request_s
-                             * node.throttle_scale)
+            per_request_s = full_batch_s[position] * node.throttle_scale
             capacity[position] = min(count, max(0.0, spare_s) / per_request_s)
         view = RoutingView(outstanding=outstanding, limits=limits,
                            energy_per_request_j=energy, capacity=capacity)
@@ -375,14 +386,15 @@ class FleetSimulation:
         total = int(quotas.sum())
         assert total <= count, "router over-assigned the epoch"
         if total:
-            admitted = epoch_times[:total]
             assignment = interleave(quotas)
             order = np.argsort(assignment, kind="stable")
-            chunks = np.split(admitted[order], np.cumsum(quotas)[:-1])
-            for node, chunk in zip(nodes, chunks):
-                if chunk.size:
-                    node.assign(chunk.tolist())
-                    assigned[node.pool] += int(chunk.size)
+            admitted = epoch_times[:total][order].tolist()
+            start = 0
+            for node, quota in zip(nodes, quotas.tolist()):
+                if quota:
+                    node.assign(admitted[start:start + quota])
+                    assigned[node.pool] += quota
+                    start += quota
         return count - total
 
     def _step_thermal(self, node: NodeState, carry_s: float, dt_s: float,

@@ -67,3 +67,27 @@ class TestFleetVerb:
     def test_requests_and_horizon_are_exclusive(self, capsys):
         assert main(["fleet", "--requests", "10", "--horizon", "5"]) == 2
         assert main(["fleet"]) == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--rate", "-5"],
+    ["--rate", "nan"],
+    ["--rate", "inf"],
+    ["--rate", "0"],
+    ["--requests", "-3"],
+    ["--horizon", "-1"],
+    ["--horizon", "nan"],
+    ["--horizon", "inf"],
+    ["--arrivals", "bursty", "--burst-size", "0"],
+    ["--arrivals", "diurnal", "--period", "-1"],
+    ["--arrivals", "diurnal", "--period", "0"],
+    ["--admit-limit", "0"],
+], ids=" ".join)
+def test_hostile_flags_exit_2_without_a_traceback(flags, capsys):
+    argv = ["fleet", "--epochs", "8", *flags]
+    if "--requests" not in flags and "--horizon" not in flags:
+        argv += ["--requests", "50"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -1,6 +1,7 @@
 """FleetStats: summaries, SLO gates, and the JSON round trip."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,35 @@ class TestFleetStats:
         for pool in stats.pools:
             if pool.assigned:
                 assert pool.drop_fraction == pool.dropped / pool.assigned
+
+
+class TestConservationAtConstruction:
+    """A report that breaks conservation cannot be built or loaded; the
+    error names the broken equation."""
+
+    @pytest.mark.parametrize("tamper, equation", [
+        (lambda p: p.update(completed=p["completed"] + 1),
+         "requests == completed + dropped + rejected"),
+        (lambda p: p.update(completed=p["completed"] + 1,
+                            rejected=p["rejected"] - 1),
+         "rejected >= 0"),
+        (lambda p: p.update(completed=p["completed"] + 1, requests=4001,
+                            rejected=p["rejected"]),
+         "sum(pool.assigned) + rejected == requests"),
+        (lambda p: p.update(completed=p["completed"] - 1,
+                            dropped=p["dropped"] + 1),
+         "completed, dropped == sum over pools"),
+        (lambda p: p["pools"][0].update(completed=p["pools"][0]["completed"] + 1),
+         "pool 'nano': assigned == completed + dropped"),
+        (lambda p: p["pools"][0].update(assigned=-1, completed=-1),
+         "pool 'nano': assigned, completed, dropped >= 0"),
+    ], ids=["fleet-total", "negative-rejected", "assigned", "pool-sums",
+            "pool-total", "pool-negative"])
+    def test_tampered_report_fails_to_load(self, stats, tamper, equation):
+        payload = json.loads(stats.to_json())
+        tamper(payload)
+        with pytest.raises(ValueError, match=re.escape(equation)):
+            FleetStats.from_dict(payload)
 
 
 class TestDegenerateRuns:

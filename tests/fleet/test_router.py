@@ -2,16 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fleet import (
     ROUTER_POLICIES,
+    AdmissionControl,
+    Autoscaler,
     EnergyAwareRouter,
     LeastOutstandingRouter,
+    PoolSpec,
     RoundRobinRouter,
     RoutingView,
     make_router,
+    simulate_fleet,
 )
 from repro.fleet.router import interleave, water_fill
+from repro.runtime import Scenario
+from repro.workloads import BurstyArrivals
+from tests.fleet.reference import reference_bracket, reference_water_fill
 
 
 def _view(outstanding, limits=None, energy=None, capacity=None):
@@ -47,6 +56,86 @@ class TestWaterFill:
     def test_deterministic_tiebreak_by_index(self):
         quotas = water_fill(3, np.zeros(2), np.full(2, np.inf))
         assert quotas.tolist() == [2, 1]  # remainder goes to the lower index
+
+    def test_replays_halvings_that_stop_short_of_adjacent_floats(self):
+        count, base, limits = 2, np.array([0.0, -1.0, 1e6]), np.full(3, np.inf)
+        # 64 halvings of [-1, 1e6 + 2] end 500 floats apart around 0.5.
+        low, high = reference_bracket(count, base, np.minimum(limits, count))
+        assert np.nextafter(low, np.inf) < high
+        # At the smallest level that supplies 2 (one float below 0.5) node
+        # 0's fraction is below node 1's; at the halvings' endpoint they
+        # tie and the remainder goes to node 0.
+        assert reference_water_fill(count, base, limits).tolist() == [1, 1, 0]
+        assert water_fill(count, base, limits).tolist() == [1, 1, 0]
+
+
+_LIMIT = st.sampled_from([0.0, np.inf]) | st.integers(0, 400).map(float)
+_BASES = {
+    "integer": st.integers(0, 2000).map(float),
+    "negative": st.integers(-2000, 0).map(float),
+    "mixed": (st.floats(-1e6, 1e6) | st.floats(-1e-3, 1e-3)
+              | st.integers(-50, 50).map(float)),
+}
+
+
+@st.composite
+def _fill_inputs(draw):
+    """(count, base, limits) over the shapes the routers produce and more."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["integer", "negative", "mixed", "offsets"]))
+    if kind == "offsets":  # round-robin's rotated 1e-9 tie-breakers
+        base = (np.arange(n) - draw(st.integers(0, n - 1))) % n / n * 1e-9
+    else:
+        base = draw(st.lists(_BASES[kind], min_size=n, max_size=n))
+    limits = draw(st.lists(_LIMIT, min_size=n, max_size=n))
+    return (draw(st.integers(0, 5000)), np.asarray(base, dtype=np.float64),
+            np.asarray(limits, dtype=np.float64))
+
+
+def _assert_matches_reference(case):
+    count, base, limits = case
+    fast = water_fill(count, base, limits)
+    slow = reference_water_fill(count, base, limits)
+    assert fast.dtype == slow.dtype == np.int64
+    assert fast.tolist() == slow.tolist()
+
+
+class TestWaterFillParity:
+    """The exact-threshold search must reproduce the 64-step bisection's
+    quotas bit for bit, since fleet reports are byte-identical."""
+
+    @given(_fill_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_bisection(self, case):
+        _assert_matches_reference(case)
+
+    @pytest.mark.stress
+    @given(_fill_inputs())
+    @settings(max_examples=5000, deadline=None)
+    def test_matches_the_bisection_stress(self, case):
+        _assert_matches_reference(case)
+
+    @pytest.mark.parametrize("control", ["none", "admission", "autoscaler"])
+    @pytest.mark.parametrize("policy", sorted(ROUTER_POLICIES))
+    def test_reports_are_byte_identical(self, policy, control, monkeypatch):
+        scenario = Scenario("ResNet-18", "Jetson Nano", "TensorRT")
+        pools = [PoolSpec(name="nano", scenario=scenario, replicas=3,
+                          max_batch=4),
+                 PoolSpec(name="tx2", replicas=2, scenario=Scenario(
+                     "ResNet-18", "Jetson TX2", "PyTorch"))]
+        kwargs = {"none": {},
+                  "admission": {"admission": AdmissionControl(6)},
+                  "autoscaler": {"autoscaler": Autoscaler()}}[control]
+
+        def report():
+            return simulate_fleet(pools, BurstyArrivals(15.0, 20),
+                                  requests=4000, seed=3, epochs=128,
+                                  router=policy, **kwargs).to_json()
+
+        fast = report()
+        monkeypatch.setattr("repro.fleet.router.water_fill",
+                            reference_water_fill)
+        assert report() == fast
 
 
 class TestInterleave:

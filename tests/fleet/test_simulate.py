@@ -6,6 +6,7 @@ import pytest
 from repro.fleet import (
     AdmissionControl,
     Autoscaler,
+    Cluster,
     FleetSimulation,
     PoolSpec,
     simulate_fleet,
@@ -175,8 +176,46 @@ class TestValidation:
         with pytest.raises(ValueError, match="at least one pool"):
             FleetSimulation([])
 
+    @pytest.mark.parametrize("times", [
+        [0.0, 1.0, np.inf],  # linspace up to inf: NaN epoch edges
+        [-5.0, -1.0, 0.0],  # before the grid's first edge: never routed
+        [0.0, np.nan, 1.0],  # passes the sort check, NaN p99
+        [np.nan],  # NaN horizon
+    ], ids=["inf", "negative", "nan-inside", "nan-only"])
+    def test_arrivals_off_the_epoch_grid_are_rejected(self, times):
+        pools = [_pool(replicas=2, max_batch=4)]
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            simulate_fleet(pools, np.array(times))
+
     def test_horizon_mode(self):
         stats = simulate_fleet([_pool()], PoissonArrivals(20.0),
                                horizon_s=10.0, seed=5, epochs=32)
         assert stats.requests == pytest.approx(200, rel=0.5)
         assert stats.completed + stats.dropped + stats.rejected == stats.requests
+
+
+class TestUnitTags:
+    """Profiles hold plain floats, so joules and degrees computed from a
+    power never carry the ``Watts`` tag ("W") into reports or thermals."""
+
+    def test_energies_and_temperatures_are_plain_floats(self):
+        from repro.distribution import lower_pipeline
+
+        chain = (Scenario("ResNet-18", "Jetson Nano", "TensorRT"),) * 2
+        pools = [_pool("Raspberry Pi 3B", "TFLite", replicas=2, name="pi"),
+                 PoolSpec.from_deployment("pipe", lower_pipeline(chain, "lan"),
+                                          replicas=1)]
+        simulation = FleetSimulation(pools, epochs=64)
+        stats = simulation.run(PoissonArrivals(1.0, seed=1).generate(2000.0))
+        assert type(stats.energy_j) is float
+        assert type(stats.energy_per_request_j) is float
+        for pool in stats.pools:
+            assert type(pool.energy_j) is float
+            assert type(pool.energy_per_request_j) is float
+        for profile in simulation.profiles.values():
+            assert type(profile.energy_per_request_j) is float
+            for stage in profile.stages or ():
+                assert type(stage.power_w) is type(stage.idle_w) is float
+        for node in Cluster(pools, simulation.profiles).nodes:
+            node.thermal_sim.step(node.profile.power_w, 1.0)
+            assert type(node.thermal_sim.temperature_c) is float

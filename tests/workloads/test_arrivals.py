@@ -154,6 +154,25 @@ class TestProtocol:
         with pytest.raises(ValueError):
             first_n(PoissonArrivals(10.0), 0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("build", [
+        lambda v: PeriodicArrivals(v),
+        lambda v: PoissonArrivals(v),
+        lambda v: BurstyArrivals(v, 4),
+        lambda v: DiurnalArrivals(v),
+        lambda v: DiurnalArrivals(10.0, period_s=v),
+    ], ids=["periodic", "poisson", "bursty", "diurnal", "diurnal-period"])
+    def test_non_finite_rates_and_periods_rejected(self, build, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            build(value)
+
+    @pytest.mark.parametrize("process", PROCESSES,
+                             ids=lambda p: type(p).__name__)
+    @pytest.mark.parametrize("horizon_s", [float("nan"), float("inf")])
+    def test_non_finite_horizon_rejected(self, process, horizon_s):
+        with pytest.raises(ValueError, match="horizon"):
+            process.generate(horizon_s)
+
     def test_reseeded_changes_the_stream_only(self):
         process = PoissonArrivals(25.0, seed=3)
         other = reseeded(process, 4)
