@@ -1,18 +1,14 @@
 """Architectural linter: `ast`-based contract checks over ``src/repro``.
 
-PR 2's runtime layer introduced contracts that convention alone cannot hold:
-all measurement goes through the :class:`~repro.runtime.runner.Runner`, the
-old string-triple helpers are migration shims only, and everything the
-engine memoizes must be pure.  This pass walks the package source and
-enforces them:
+The runtime layer introduced contracts that convention alone cannot hold:
+all measurement goes through the :class:`~repro.runtime.runner.Runner`, and
+everything the engine memoizes must be pure.  This pass walks the package
+source and enforces them:
 
 * **ARCH001** — no direct ``InferenceSession``/``InferenceTimer``
   construction outside the ``runtime``/``engine``/``measurement`` layers.
   Simulation code that prices ad-hoc deployments (split planners, batch
   servers) carries an explicit inline suppression instead.
-* **ARCH002** — no call sites of the deprecated wrappers
-  (``measurement_seed``, ``cell_timer``, ``measure_latency_s``,
-  ``build_session``, ``best_framework_latency``, ``engine.cache.deploy_key``).
 * **ARCH003** — no ``==``/``!=`` against float literals; physics code
   compares with tolerances or sentinels.
 * **ARCH004** — no nondeterministic calls (``random``, wall-clock ``time``,
@@ -55,7 +51,6 @@ from repro.check.findings import Finding, Severity
 RULES: dict[str, tuple[Severity, str]] = {
     "ARCH001": (Severity.ERROR, "sessions/timers are constructed by the runtime layer, "
                                 "not ad hoc"),
-    "ARCH002": (Severity.ERROR, "deprecated wrapper call; use Scenario/Runner instead"),
     "ARCH003": (Severity.ERROR, "float literal compared with ==/!=; use a tolerance"),
     "ARCH004": (Severity.ERROR, "nondeterministic call in a pure cached path"),
     "ARCH005": (Severity.ERROR, "impure call inside the sweep compiler; compile "
@@ -88,8 +83,6 @@ _DETERMINISTIC_LAYERS: dict[str, tuple[str, str, str, str]] = {
 
 _SESSION_TYPES = ("InferenceSession", "InferenceTimer")
 _MEASUREMENT_TYPES = ("InferenceSession", "InferenceTimer", "EnergyMeter")
-_DEPRECATED_WRAPPERS = ("measurement_seed", "cell_timer", "measure_latency_s",
-                        "build_session", "best_framework_latency", "deploy_key")
 
 
 class _ContractChecker:
@@ -127,8 +120,6 @@ class _ContractChecker:
         if name in _SESSION_TYPES and self._layer() not in _SESSION_LAYERS:
             self._emit("ARCH001", node,
                        f"direct {name} construction outside the runtime layer")
-        if name in _DEPRECATED_WRAPPERS:
-            self._emit("ARCH002", node, f"call to deprecated wrapper {name}()")
         verdict = classify_nondet(node, self._nondet_imports)
         deterministic = _DETERMINISTIC_LAYERS.get(self._layer())
         if self.parts == _COMPILED_MODULE:

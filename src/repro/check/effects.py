@@ -88,7 +88,6 @@ PARALLEL_ROOTS = (
     "runtime/runner.py:Runner.run_cells",
     "harness/sweep_runner.py:run_sweep",
     "harness/sweep_runner.py:run_scenarios",
-    "engine/compile.py:compile_cells",
     "engine/compile.py:gather",
     "engine/compile.py:lower",
     "engine/compile.py:scatter",

@@ -78,6 +78,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_time(args: argparse.Namespace) -> int:
+    for flag, value in (("--batch", args.batch), ("--runs", args.runs)):
+        if value is not None and value < 1:
+            print(f"error: {flag} must be >= 1, got {value}", file=sys.stderr)
+            return 2
     scenario = Scenario(
         args.model, args.device, args.framework,
         dtype=args.dtype, batch_size=args.batch,
@@ -375,7 +379,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             arrival_times = first_n(process, args.requests)
         else:
             arrival_times = process.generate(args.horizon)
-    except (ReproError, ValueError) as error:
+    except (ReproError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     stats = simulation.run(arrival_times, seed=args.seed)
@@ -405,8 +409,12 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _cmd_diff(args: argparse.Namespace) -> int:
     from repro.harness.suite import compare_results, load_results
 
-    before = load_results(args.before)
-    after = load_results(args.after)
+    try:
+        before = load_results(args.before)
+        after = load_results(args.after)
+    except (ValueError, OSError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     differences = compare_results(before, after, rel_tolerance=args.tolerance)
     for difference in differences:
         print(difference.describe())

@@ -7,13 +7,13 @@ efficiencies are one-point calibrated against paper anchors
 (:mod:`repro.engine.calibration`); every other (model, framework, device)
 combination is a prediction.
 
-Whole scenario grids compile through :mod:`repro.engine.compile`, which
-dedups the deploy/plan pipeline across cells and lowers every roofline
-into one array program.
+Every measurement compiles through :mod:`repro.engine.compile`, which
+dedups the deploy/plan pipeline across a grid's cells and lowers every
+roofline into one array program.
 """
 
 from repro.engine.executor import EngineConfig, ExecutionPlan, InferenceSession, OpTiming
-from repro.engine.roofline import RooflineInputs, lower_rooflines_s, time_op, time_ops
+from repro.engine.roofline import RooflineInputs, lower_rooflines_s
 from repro.engine.calibration import ANCHORS, efficiency_scale
 from repro.engine.cache import (
     cache_stats,
@@ -29,7 +29,6 @@ from repro.engine.cache import (
 from repro.engine.compile import (
     CompiledCell,
     CompileStats,
-    compile_cells,
     compile_stats,
     reset_compile_stats,
 )
@@ -49,12 +48,9 @@ __all__ = [
     "caching_disabled",
     "caching_enabled",
     "clear_caches",
-    "compile_cells",
     "compile_stats",
     "efficiency_scale",
     "lower_rooflines_s",
     "reset_compile_stats",
     "set_caching",
-    "time_op",
-    "time_ops",
 ]

@@ -21,9 +21,9 @@ Five caches, one per pipeline stage:
   :func:`cached_deploy` participate; ad-hoc deployments (mutated devices,
   pruned graphs, tests poking at ``storage_mode``) always re-plan.
 * ``RECORD_CACHE`` — finished ``RunRecord``s keyed by the scenario's full
-  canonical key plus the measurement flags.  Populated by the Runner and
-  the sweep compiler (:mod:`repro.engine.compile`); records are frozen
-  dataclasses, so sharing them is safe by construction.
+  canonical key plus the measurement flags.  Populated by
+  ``Runner.run_grid``; records are frozen dataclasses, so sharing them is
+  safe by construction.
 * ``PAYLOAD_CACHE`` — exported experiment payloads keyed by experiment id
   (the warm-suite fast path of ``harness.suite.export_results``).
 
@@ -218,14 +218,6 @@ def cache_stats() -> dict[str, dict[str, Any]]:
 # -- content keys --------------------------------------------------------
 def graph_key(model_name: str) -> str:
     return canonical_name(model_name)
-
-
-def deploy_key(model_name: str, device_name: str, framework_name: str,
-               dtype: Any = None) -> tuple:
-    """Deploy-cache key; the canonical form lives on ``Scenario.deploy_key``."""
-    from repro.runtime.scenario import Scenario
-
-    return Scenario(model_name, device_name, framework_name, dtype=dtype).deploy_key
 
 
 def plan_key(deployed: Any, config: Any, efficiency_scale: float) -> tuple | None:

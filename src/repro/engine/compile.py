@@ -1,29 +1,27 @@
-"""Batched sweep compiler: lower a scenario grid into array programs.
+"""Batched sweep compiler: the one execution path from scenarios to plans.
 
-The harness's figures and sweeps price the same (model, device, framework)
-pipeline cell by cell, each cell walking graph -> deploy -> plan through
-Python objects.  This module takes the whole grid of
-:class:`repro.runtime.Scenario` cells at once and compiles it:
+Every measurement — a single :meth:`Runner.run` cell or a whole figure's
+grid — takes the same route through this module.  It compiles a list of
+:class:`repro.runtime.Scenario` cells in three phases:
 
 * **gather** — walk the cells in order, deduplicating deployments (by
   deploy key and power mode) and plan specs (by deployment and batch
-  size), recording the same deploy-cache outcome sequence the scalar
-  Runner would have produced and re-using plan-cache entries where they
-  already exist;
-* **lower** — concatenate every unresolved spec's per-op quantities
-  (MACs, weight bytes, activation I/O, kernel efficiency) into parallel
-  float64 arrays and evaluate the roofline for the entire grid through
-  ONE call to :func:`repro.engine.roofline.lower_rooflines_s`, then split
-  the result back into per-spec :class:`ExecutionPlan`s (written through
-  to the plan cache when caching is enabled);
+  size), recording each cell's deploy-cache outcome (``"miss"`` for the
+  first cell to need a deployment, ``"hit"`` after it, ``"bypass"`` when
+  the deployment cannot be cached) and re-using plan-cache entries where
+  they already exist;
+* **lower** — hand every unresolved spec to
+  :func:`repro.engine.executor.lower_plan_specs`, which prices the entire
+  grid through ONE roofline array program and splits the result back into
+  per-spec :class:`ExecutionPlan`s (written through to the plan cache when
+  caching is enabled);
 * **scatter** — derive the per-cell quantities a
   :class:`repro.runtime.RunRecord` carries (plan latency, utilization,
   power draw, init time, weight bytes) once per unique plan and fan them
   back out to every cell that shares it.
 
-Every float comes out of the identical IEEE-754 operations in the
-identical order as the scalar path, so compiled grids are bit-identical
-to per-cell :meth:`Runner.run` — the equivalence suite diffs them at
+The roofline program is elementwise, so a cell's record never depends on
+which other cells share its grid; the composition suite checks that at
 zero tolerance.
 
 Purity contract (enforced as ARCH005): this module never constructs
@@ -36,23 +34,21 @@ on top of the compiled latencies; the wall-clock fields of
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Sequence
 
-import numpy as np
-
+import repro.engine.cache as engine_cache
 from repro.core.errors import ReproError
-from repro.engine import cache as engine_cache
 from repro.engine.executor import (
     EngineConfig,
     ExecutionPlan,
     PlanSpec,
     check_batch_memory,
     deployed_init_time_s,
+    lower_plan_specs,
     plan_utilization,
     resolve_plan_spec,
 )
-from repro.engine.roofline import OpTiming, lower_rooflines_s
 from repro.runtime.scenario import Scenario
 
 
@@ -93,22 +89,7 @@ class CompileStats:
         return float(self.cells) if self.cells else 1.0
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "cells": self.cells,
-            "unique_deploys": self.unique_deploys,
-            "deploy_failures": self.deploy_failures,
-            "unique_plans": self.unique_plans,
-            "plan_cache_hits": self.plan_cache_hits,
-            "dedup_ratio": self.dedup_ratio,
-            "array_programs": self.array_programs,
-            "ops_lowered": self.ops_lowered,
-            "macs_lowered": self.macs_lowered,
-            "bytes_lowered": self.bytes_lowered,
-            "gather_s": self.gather_s,
-            "lower_s": self.lower_s,
-            "scatter_s": self.scatter_s,
-            "timer_s": self.timer_s,
-        }
+        return {**asdict(self), "dedup_ratio": self.dedup_ratio}
 
 
 @dataclass
@@ -131,7 +112,7 @@ class CompiledCell:
     utilization: float | None = None
     power_w: float | None = None
     weight_bytes: int | None = None
-    cpu_scale: float | None = None
+    deployed: Any = None
 
     @property
     def ok(self) -> bool:
@@ -164,9 +145,27 @@ class GridProgram:
     stats: CompileStats = field(default_factory=CompileStats)
 
 
-def _deploy(scenario: Scenario):
-    """Deploy one unique cell, mirroring ``Runner.deploy`` exactly."""
-    if scenario.is_default_runtime:
+def deploy_outcome(scenario: Scenario, graph: Any = None) -> str:
+    """The deploy-cache outcome :func:`deploy` is about to produce.
+
+    ``"hit"``/``"miss"`` through the memo layer, or ``"bypass"`` when the
+    deployment cannot be cached: an explicit (e.g. pruned) ``graph``, a
+    non-default power mode, or caching disabled.
+    """
+    if (graph is not None or not scenario.is_default_runtime
+            or not engine_cache.caching_enabled()):
+        return "bypass"
+    return "hit" if engine_cache.DEPLOY_CACHE.contains(scenario.deploy_key) else "miss"
+
+
+def deploy(scenario: Scenario, graph: Any = None):
+    """Deploy one cell: the deploy rule every measurement uses.
+
+    Stock-power-mode cells of zoo models go through the memo cache;
+    an explicit ``graph`` or a non-default power mode deploys directly
+    (the latter on the device rebuilt at that operating point).
+    """
+    if graph is None and scenario.is_default_runtime:
         return engine_cache.cached_deploy(
             scenario.model, scenario.device, scenario.framework,
             dtype=scenario.dtype)
@@ -174,20 +173,23 @@ def _deploy(scenario: Scenario):
     from repro.frameworks import load_framework
     from repro.models import load_model
 
-    device = apply_operating_point(load_device(scenario.device),
-                                   scenario.power_mode)
+    device = load_device(scenario.device)
+    if not scenario.is_default_runtime:
+        device = apply_operating_point(device, scenario.power_mode)
+    if graph is None:
+        graph = load_model(scenario.model)
     return load_framework(scenario.framework).deploy(
-        load_model(scenario.model), device, dtype=scenario.dtype)
+        graph, device, dtype=scenario.dtype)
 
 
-def gather(scenarios: Sequence[Scenario]) -> GridProgram:
+def gather(scenarios: Sequence[Scenario], graph: Any = None) -> GridProgram:
     """Phase 1: dedup deployments and plan specs across the grid.
 
-    Cells are visited in input order and the recorded deploy-cache
-    outcomes reproduce the scalar Runner's sequence: the first cell to
-    need a deployment sees a ``"miss"`` (or ``"hit"`` when a previous
-    grid or scalar run already cached it), every later cell sharing it
-    sees a ``"hit"``, and uncacheable cells see ``"bypass"``.
+    Cells are visited in input order: the first cell to need a deployment
+    records a ``"miss"`` (or ``"hit"`` when an earlier grid already cached
+    it), every later cell sharing it a ``"hit"``, and uncacheable cells
+    ``"bypass"`` (see :func:`deploy_outcome`).  An explicit ``graph``
+    replaces the zoo model for every cell of the grid.
     """
     from repro.engine.calibration import efficiency_scale as resolve_scale
 
@@ -198,19 +200,12 @@ def gather(scenarios: Sequence[Scenario]) -> GridProgram:
 
     for scenario in scenarios:
         dkey = (scenario.deploy_key, scenario.power_mode.lower())
-        cacheable = scenario.is_default_runtime and engine_cache.caching_enabled()
-        if not cacheable:
-            outcome = "bypass"
-        elif engine_cache.DEPLOY_CACHE.contains(scenario.deploy_key):
-            outcome = "hit"
-        else:
-            outcome = "miss"
-
+        outcome = deploy_outcome(scenario, graph)
         if dkey not in deploys:
             stats.unique_deploys += 1
             entry = _PlanEntry()
             try:
-                entry.deployed = _deploy(scenario)
+                entry.deployed = deploy(scenario, graph)
             except ReproError as error:
                 entry.error = error
                 stats.deploy_failures += 1
@@ -261,94 +256,21 @@ def _resolve_entry(base: _PlanEntry, batch_size: int, resolve_scale,
 def lower(program: GridProgram) -> None:
     """Phase 2: price every unresolved spec through one array program.
 
-    Per-op quantities from every pending spec are concatenated into
-    parallel (ops x cells) arrays, evaluated elementwise in a single
-    :func:`lower_rooflines_s` call, and split back into per-spec
-    :class:`ExecutionPlan`s — bit-identical to pricing each spec alone,
-    since the program is elementwise.  Plans with a cacheable key are
-    written through to the shared plan cache.
+    Hands every pending spec to :func:`lower_plan_specs` at once, so the
+    whole grid is priced by a single :func:`lower_rooflines_s` call.  Plans
+    with a cacheable key are written through to the shared plan cache.
     """
     pending = [entry for entry in program.plans.values()
                if entry.spec is not None]
     if not pending:
         return
-    macs_parts, eff_parts, weight_parts, io_parts = [], [], [], []
-    peak_parts, batch_parts, wbw_parts, bw_parts, overhead_parts = [], [], [], [], []
-    counts = []
-    for entry in pending:
-        spec = entry.spec
-        ops = spec.ops
-        n = len(ops)
-        counts.append(n)
-        sparsity = spec.exploit_sparsity
-        macs_parts.append(np.array([op.effective_macs(sparsity) for op in ops],
-                                   dtype=np.float64))
-        eff_parts.append(np.asarray(spec.efficiencies, dtype=np.float64))
-        if spec.include_memory_term:
-            weight_parts.append(np.array(
-                [op.traffic_weight_bytes(sparsity) for op in ops],
-                dtype=np.float64))
-            io_parts.append(np.array(
-                [op.input_bytes() + op.output_bytes() for op in ops],
-                dtype=np.float64))
-        else:
-            # Zero traffic makes the memory quotient exactly 0.0, the same
-            # as the scalar path's ablation branch.
-            weight_parts.append(np.zeros(n))
-            io_parts.append(np.zeros(n))
-        inputs = spec.inputs
-        peak_parts.append(np.full(n, inputs.peak_macs_per_s))
-        batch_parts.append(np.full(n, spec.batch_size, dtype=np.float64))
-        wbw_parts.append(np.full(n, inputs.weight_bandwidth_bytes_per_s))
-        bw_parts.append(np.full(n, inputs.memory_bandwidth_bytes_per_s))
-        overhead_parts.append(np.full(
-            n, inputs.dispatch_overhead_s + spec.per_op_overhead_s))
-
-    macs = np.concatenate(macs_parts) if macs_parts else np.zeros(0)
-    efficiency = np.concatenate(eff_parts) if eff_parts else np.zeros(0)
-    if macs.size and np.any(efficiency <= 0):
-        worst = float(efficiency.min())
-        raise ValueError(f"efficiency must be positive, got {worst}")
-    compute_s, memory_s, dispatch_s = lower_rooflines_s(
-        macs,
-        efficiency,
-        np.concatenate(peak_parts) if peak_parts else np.zeros(0),
-        np.concatenate(weight_parts) if weight_parts else np.zeros(0),
-        np.concatenate(io_parts) if io_parts else np.zeros(0),
-        np.concatenate(batch_parts) if batch_parts else np.ones(0),
-        np.concatenate(wbw_parts) if wbw_parts else np.ones(0),
-        np.concatenate(bw_parts) if bw_parts else np.ones(0),
-        np.concatenate(overhead_parts) if overhead_parts else np.zeros(0),
-    )
+    lowered = lower_plan_specs([entry.spec for entry in pending])
     stats = program.stats
     stats.array_programs += 1
-    stats.ops_lowered += int(macs.size)
-    stats.macs_lowered += float(macs.sum())
-    stats.bytes_lowered += float(
-        np.concatenate(weight_parts).sum() + np.concatenate(io_parts).sum()
-    ) if weight_parts else 0.0
-
-    compute_list = compute_s.tolist()
-    memory_list = memory_s.tolist()
-    dispatch_list = dispatch_s.tolist()
-    offset = 0
-    for entry, n in zip(pending, counts):
-        spec = entry.spec
-        timings = [
-            OpTiming(op=op, compute_s=c, memory_s=m, dispatch_s=d)
-            for op, c, m, d in zip(
-                spec.ops,
-                compute_list[offset:offset + n],
-                memory_list[offset:offset + n],
-                dispatch_list[offset:offset + n],
-            )
-        ]
-        offset += n
-        plan = ExecutionPlan(
-            timings=timings,
-            session_overhead_s=spec.session_overhead_s,
-            input_transfer_s=spec.input_transfer_s,
-        )
+    stats.ops_lowered += lowered.ops
+    stats.macs_lowered += lowered.macs
+    stats.bytes_lowered += lowered.traffic_bytes
+    for entry, plan in zip(pending, lowered.plans):
         if entry.plan_key is not None:
             plan = engine_cache.PLAN_CACHE.store(entry.plan_key, plan)
         entry.plan = plan
@@ -381,21 +303,9 @@ def scatter(program: GridProgram) -> list[CompiledCell]:
             utilization=entry.utilization,
             power_w=entry.power_w,
             weight_bytes=entry.weight_bytes,
-            cpu_scale=entry.deployed.cpu_scale,
+            deployed=entry.deployed,
         ))
     return cells
-
-
-def compile_cells(scenarios: Sequence[Scenario],
-                  ) -> tuple[list[CompiledCell], CompileStats]:
-    """Gather, lower and scatter one grid in a single call.
-
-    Drivers that want per-phase wall times (``Runner.run_grid``) call the
-    phases themselves and stamp the stats afterwards.
-    """
-    program = gather(list(scenarios))
-    lower(program)
-    return scatter(program), program.stats
 
 
 # -- process-wide stats plumbing (engine.cache style) ----------------------
@@ -409,19 +319,8 @@ def record_compile(stats: CompileStats) -> None:
     global _GRIDS
     with _LOCK:
         _GRIDS += 1
-        _TOTALS.cells += stats.cells
-        _TOTALS.unique_deploys += stats.unique_deploys
-        _TOTALS.deploy_failures += stats.deploy_failures
-        _TOTALS.unique_plans += stats.unique_plans
-        _TOTALS.plan_cache_hits += stats.plan_cache_hits
-        _TOTALS.array_programs += stats.array_programs
-        _TOTALS.ops_lowered += stats.ops_lowered
-        _TOTALS.macs_lowered += stats.macs_lowered
-        _TOTALS.bytes_lowered += stats.bytes_lowered
-        _TOTALS.gather_s += stats.gather_s
-        _TOTALS.lower_s += stats.lower_s
-        _TOTALS.scatter_s += stats.scatter_s
-        _TOTALS.timer_s += stats.timer_s
+        for name, value in asdict(stats).items():
+            setattr(_TOTALS, name, getattr(_TOTALS, name) + value)
 
 
 def compile_stats() -> dict[str, Any]:
@@ -444,8 +343,9 @@ __all__ = [
     "CompileStats",
     "CompiledCell",
     "GridProgram",
-    "compile_cells",
     "compile_stats",
+    "deploy",
+    "deploy_outcome",
     "gather",
     "lower",
     "record_compile",

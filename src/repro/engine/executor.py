@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from repro.core.errors import OutOfMemoryError
 from repro.core.quantity import Seconds
@@ -21,7 +23,7 @@ from repro.engine.roofline import (
     ON_CHIP_BANDWIDTH_MULTIPLIER,
     OpTiming,
     RooflineInputs,
-    time_ops,
+    lower_rooflines_s,
 )
 from repro.graphs.tensor import DType
 
@@ -129,9 +131,9 @@ class PlanSpec:
 
     The resolution work — op schedule, per-op kernel efficiencies, roofline
     constants, framework overheads — is separated from the arithmetic so
-    the sweep compiler (:mod:`repro.engine.compile`) can gather many specs
-    and lower them through one array program.  ``plan_from_spec`` is the
-    single-spec path the session uses; both produce bit-identical plans.
+    :func:`lower_plan_specs` can price any number of specs through one
+    array program: one spec for a session, a whole grid for the sweep
+    compiler (:mod:`repro.engine.compile`).
     """
 
     ops: tuple
@@ -246,22 +248,84 @@ def resolve_plan_spec(deployed: DeployedModel, config: EngineConfig,
     )
 
 
-def plan_from_spec(spec: PlanSpec) -> ExecutionPlan:
-    """Price one resolved spec through the vectorized roofline."""
-    timings = time_ops(
-        spec.ops,
-        spec.inputs,
-        spec.efficiencies,
-        exploit_sparsity=spec.exploit_sparsity,
-        per_op_overhead_s=spec.per_op_overhead_s,
-        batch_size=spec.batch_size,
-        include_memory_term=spec.include_memory_term,
+class LoweredPlans(NamedTuple):
+    """The plans one array program priced, plus its global counters."""
+
+    plans: list[ExecutionPlan]
+    ops: int
+    macs: float
+    traffic_bytes: float
+
+
+def _op_columns(spec: PlanSpec) -> tuple[np.ndarray, ...]:
+    """One spec's per-op roofline inputs, in :func:`lower_rooflines_s` order."""
+    ops, n, sparsity, inputs = spec.ops, len(spec.ops), spec.exploit_sparsity, spec.inputs
+    if spec.include_memory_term:
+        weight_bytes = np.array([op.traffic_weight_bytes(sparsity) for op in ops],
+                                dtype=np.float64)
+        io_bytes = np.array([op.input_bytes() + op.output_bytes() for op in ops],
+                            dtype=np.float64)
+    else:
+        # Zero traffic makes the memory quotient exactly 0.0.
+        weight_bytes = io_bytes = np.zeros(n)
+    return (
+        np.array([op.effective_macs(sparsity) for op in ops], dtype=np.float64),
+        np.asarray(spec.efficiencies, dtype=np.float64),
+        np.full(n, inputs.peak_macs_per_s),
+        weight_bytes,
+        io_bytes,
+        np.full(n, spec.batch_size, dtype=np.float64),
+        np.full(n, inputs.weight_bandwidth_bytes_per_s),
+        np.full(n, inputs.memory_bandwidth_bytes_per_s),
+        np.full(n, inputs.dispatch_overhead_s + spec.per_op_overhead_s),
     )
-    return ExecutionPlan(
-        timings=timings,
-        session_overhead_s=spec.session_overhead_s,
-        input_transfer_s=spec.input_transfer_s,
-    )
+
+
+def lower_plan_specs(specs: Sequence[PlanSpec]) -> LoweredPlans:
+    """Price resolved specs through ONE roofline array program.
+
+    The single per-op gather of the engine: every spec's MACs, weight
+    traffic, activation I/O, kernel efficiency and device constants are
+    concatenated into parallel float64 arrays, priced in one
+    :func:`lower_rooflines_s` call, and split back into one
+    :class:`ExecutionPlan` per spec.  The program is elementwise, so a
+    plan comes out the same whichever other specs share the call.
+
+    Returns:
+        The plans in spec order, the number of ops priced, and the MACs
+        and (weight + activation) bytes summed over them.
+    """
+    per_spec = [_op_columns(spec) for spec in specs]
+    columns = ([np.concatenate(column) for column in zip(*per_spec)] if per_spec
+               else [np.zeros(0)] * 9)
+    macs, efficiency, _peak, weight_bytes, io_bytes = columns[:5]
+    if macs.size and np.any(efficiency <= 0):
+        worst = float(efficiency.min())
+        raise ValueError(f"efficiency must be positive, got {worst}")
+    compute_s, memory_s, dispatch_s = lower_rooflines_s(*columns)
+
+    compute_list = compute_s.tolist()
+    memory_list = memory_s.tolist()
+    dispatch_list = dispatch_s.tolist()
+    plans = []
+    offset = 0
+    for spec in specs:
+        end = offset + len(spec.ops)
+        timings = [
+            OpTiming(op=op, compute_s=c, memory_s=m, dispatch_s=d)
+            for op, c, m, d in zip(spec.ops, compute_list[offset:end],
+                                   memory_list[offset:end],
+                                   dispatch_list[offset:end])
+        ]
+        offset = end
+        plans.append(ExecutionPlan(
+            timings=timings,
+            session_overhead_s=spec.session_overhead_s,
+            input_transfer_s=spec.input_transfer_s,
+        ))
+    return LoweredPlans(plans=plans, ops=int(macs.size),
+                        macs=float(macs.sum()),
+                        traffic_bytes=float(weight_bytes.sum() + io_bytes.sum()))
 
 
 def plan_utilization(plan: ExecutionPlan) -> float:
@@ -314,9 +378,6 @@ class InferenceSession:
         self.plan = self._build_plan()
 
     # -- plan construction -------------------------------------------------
-    def _roofline_inputs(self) -> RooflineInputs:
-        return resolve_roofline_inputs(self.deployed)
-
     def _build_plan(self) -> ExecutionPlan:
         from repro.engine import cache as engine_cache
 
@@ -326,8 +387,8 @@ class InferenceSession:
         return engine_cache.PLAN_CACHE.get_or_build(key, self._compute_plan)
 
     def _compute_plan(self) -> ExecutionPlan:
-        return plan_from_spec(
-            resolve_plan_spec(self.deployed, self.config, self.efficiency_scale))
+        spec = resolve_plan_spec(self.deployed, self.config, self.efficiency_scale)
+        return lower_plan_specs([spec]).plans[0]
 
     # -- user-facing quantities ---------------------------------------------
     @property

@@ -13,14 +13,17 @@ Each op's latency is ``max(compute term, memory term) + dispatch``:
 This is intentionally a first-order model: it reproduces which of the
 paper's workloads are compute- versus memory-bound, which is what drives
 every cross-platform shape in the evaluation (Section VI-C).
+
+The formula is written once, as the array program
+:func:`lower_rooflines_s`.  Its one caller,
+:func:`repro.engine.executor.lower_plan_specs`, gathers the per-op
+quantities of one plan or of a whole scenario grid into parallel arrays
+and prices them in a single call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from repro.graphs.ops import Op
 
@@ -68,52 +71,6 @@ class OpTiming:
         return "compute" if self.compute_s >= self.memory_s else "memory"
 
 
-def time_op(
-    op: Op,
-    inputs: RooflineInputs,
-    efficiency: float,
-    exploit_sparsity: bool = False,
-    per_op_overhead_s: float = 0.0,
-    batch_size: int = 1,
-    include_memory_term: bool = True,
-) -> OpTiming:
-    """Time one op under the roofline model, PER INFERENCE.
-
-    Args:
-        op: the graph op (fused-away ops should be filtered by the caller).
-        inputs: resolved device constants.
-        efficiency: fraction of peak the kernel achieves (framework
-            kernel quality x calibration x batch-fill), must be positive.
-        exploit_sparsity: whether pruned weights skip compute/traffic.
-        per_op_overhead_s: framework dispatch cost above the kernel launch.
-        batch_size: weights are read once per *batch* and the kernel is
-            launched once per batch, so both amortize across the batch;
-            compute and activation traffic scale with it and cancel out.
-        include_memory_term: ablation switch for the pure-FLOP model.
-    """
-    if efficiency <= 0:
-        raise ValueError(f"efficiency must be positive, got {efficiency}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    macs = op.effective_macs(exploit_sparsity)
-    compute_s = macs / (inputs.peak_macs_per_s * efficiency) if macs else 0.0
-
-    if include_memory_term:
-        weight_bytes = op.traffic_weight_bytes(exploit_sparsity)
-        io_bytes = op.input_bytes() + op.output_bytes()
-        # Absorbed followers' outputs are produced in-register by the fused
-        # kernel, but the final output of the chain still hits memory once;
-        # the anchor op's own output_bytes already covers that.
-        memory_s = (
-            weight_bytes / batch_size / inputs.weight_bandwidth_bytes_per_s
-            + io_bytes / inputs.memory_bandwidth_bytes_per_s
-        )
-    else:
-        memory_s = 0.0
-    dispatch_s = (inputs.dispatch_overhead_s + per_op_overhead_s) / batch_size
-    return OpTiming(op=op, compute_s=compute_s, memory_s=memory_s, dispatch_s=dispatch_s)
-
-
 def lower_rooflines_s(
     macs,
     efficiency,
@@ -127,25 +84,28 @@ def lower_rooflines_s(
 ):
     """The roofline array program: elementwise timing over parallel arrays.
 
-    Every argument broadcasts, so the same program prices one plan (scalar
-    device constants against per-op arrays) or a whole scenario grid
-    (per-op arrays for every quantity, concatenated across plans).  Each
-    element goes through the identical IEEE-754 double operations as
-    :func:`time_op`, in the same order, so results are bit-identical to
-    the scalar path no matter how ops are batched.
+    Every argument broadcasts, so one program prices every op of every plan
+    in a grid at once (per-op arrays for every quantity, concatenated
+    across plans).  The program is elementwise, so an op's timing does not
+    depend on which other ops share the call.
 
     Args:
-        macs / efficiency / weight_bytes / io_bytes: per-op gathers.
-            Callers ablating the memory term pass zero byte arrays — the
-            quotient is then exactly ``0.0``, matching the scalar branch.
+        macs / efficiency / weight_bytes / io_bytes: per-op gathers; MACs
+            and bytes already account for exploited sparsity.  An op with
+            no MACs gets exactly ``0.0`` compute time.  Callers ablating the
+            memory term pass zero byte arrays, so the quotient is exactly
+            ``0.0``.
         peak_macs_per_s / batch_size / weight_bandwidth_bytes_per_s /
             memory_bandwidth_bytes_per_s / overhead_s: device/plan
             constants, scalar or expanded per op.  ``overhead_s`` is the
-            dispatch overhead plus the framework's per-op overhead.
+            dispatch overhead plus the framework's per-op overhead.  Weights
+            are read and the kernel launched once per *batch*, so both
+            amortize across it; compute and activation traffic scale with
+            the batch and cancel out.
 
     Returns:
-        ``(compute_s, memory_s, dispatch_s)`` with the argument broadcast
-        shape.
+        ``(compute_s, memory_s, dispatch_s)`` per inference, with the
+        argument broadcast shape.
     """
     compute_s = macs / (peak_macs_per_s * efficiency)
     memory_s = (
@@ -154,67 +114,3 @@ def lower_rooflines_s(
     )
     dispatch_s = overhead_s / batch_size
     return compute_s, memory_s, dispatch_s
-
-
-def time_ops(
-    ops: Sequence[Op],
-    inputs: RooflineInputs,
-    efficiencies: Sequence[float],
-    exploit_sparsity: bool = False,
-    per_op_overhead_s: float = 0.0,
-    batch_size: int = 1,
-    include_memory_term: bool = True,
-) -> list[OpTiming]:
-    """Vectorized :func:`time_op`: the whole plan's roofline in one pass.
-
-    Gathers (MACs, weight bytes, activation bytes, efficiency) into numpy
-    arrays and evaluates the per-op formula elementwise instead of once per
-    op in Python.  Every intermediate uses the same IEEE-754 double
-    operations in the same order as the scalar path, so the returned
-    timings agree with ``time_op`` **exactly** (bit-identical), which the
-    property suite asserts.
-
-    Args:
-        ops: schedulable ops in plan order.
-        efficiencies: per-op positive efficiency, aligned with ``ops``.
-        (remaining arguments as in :func:`time_op`)
-    """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if len(efficiencies) != len(ops):
-        raise ValueError(
-            f"got {len(efficiencies)} efficiencies for {len(ops)} ops"
-        )
-    if not ops:
-        return []
-    efficiency = np.asarray(efficiencies, dtype=np.float64)
-    if np.any(efficiency <= 0):
-        worst = float(efficiency.min())
-        raise ValueError(f"efficiency must be positive, got {worst}")
-    macs = np.array([op.effective_macs(exploit_sparsity) for op in ops],
-                    dtype=np.float64)
-    if include_memory_term:
-        weight_bytes = np.array(
-            [op.traffic_weight_bytes(exploit_sparsity) for op in ops],
-            dtype=np.float64)
-        io_bytes = np.array([op.input_bytes() + op.output_bytes() for op in ops],
-                            dtype=np.float64)
-    else:
-        # Zero traffic makes the quotient exactly 0.0 — the scalar branch.
-        weight_bytes = io_bytes = np.zeros(len(ops))
-    # 0 MACs / positive peak is exactly 0.0, matching the scalar short-circuit.
-    compute_s, memory_s, dispatch_s = lower_rooflines_s(
-        macs,
-        efficiency,
-        inputs.peak_macs_per_s,
-        weight_bytes,
-        io_bytes,
-        batch_size,
-        inputs.weight_bandwidth_bytes_per_s,
-        inputs.memory_bandwidth_bytes_per_s,
-        inputs.dispatch_overhead_s + per_op_overhead_s,
-    )
-    return [
-        OpTiming(op=op, compute_s=c, memory_s=m, dispatch_s=dispatch_s)
-        for op, c, m in zip(ops, compute_s.tolist(), memory_s.tolist())
-    ]

@@ -9,59 +9,19 @@ from __future__ import annotations
 
 from repro.core.errors import ReproError
 from repro.core.result import ResultTable, geometric_mean
-from repro.engine import InferenceSession
 from repro.harness import paper_data as paper
 from repro.harness.report import ratio_or_none
 from repro.hardware import load_device
-from repro.measurement import EnergyMeter, InferenceTimer, ThermalCamera
+from repro.measurement import EnergyMeter, ThermalCamera
 from repro.models import load_model
 from repro.profiling import profile_stack
 from repro.runtime import BEST_FRAMEWORK_CANDIDATES, Scenario, default_runner
 
 __all__ = [
     "BEST_FRAMEWORK_CANDIDATES",  # re-exported from repro.runtime
-    "best_framework_latency",
-    "build_session",
-    "cell_timer",
-    "measure_latency_s",
-    "measurement_seed",
 ]
 
 _RUNNER = default_runner()
-
-
-# -- deprecated thin wrappers over repro.runtime -------------------------
-# Every generator below routes through the Runner; these helpers remain
-# only so external callers and older tests keep working.
-def measurement_seed(model_name: str, device_name: str, framework_name: str) -> int:
-    """Deprecated: use ``Scenario(...).seed`` (bit-identical)."""
-    return Scenario(model_name, device_name, framework_name).seed
-
-
-def cell_timer(model_name: str, device_name: str, framework_name: str) -> InferenceTimer:
-    """Deprecated: use ``Runner.timer(scenario)``."""
-    return _RUNNER.timer(Scenario(model_name, device_name, framework_name))
-
-
-def measure_latency_s(model_name: str, device_name: str, framework_name: str,
-                      use_timer: bool = True) -> float:
-    """Deprecated: use ``Runner.measure(scenario)`` / ``Runner.run(scenario)``."""
-    return _RUNNER.measure(Scenario(model_name, device_name, framework_name),
-                           use_timer=use_timer)
-
-
-def build_session(model_name: str, device_name: str, framework_name: str) -> InferenceSession:
-    """Deprecated: use ``Runner.session(scenario)``."""
-    return _RUNNER.session(Scenario(model_name, device_name, framework_name))
-
-
-def best_framework_latency(model_name: str, device_name: str) -> tuple[str, float] | None:
-    """(framework, seconds) of the fastest deployable framework, or None.
-
-    Unknown devices raise a structured :class:`~repro.core.errors.ReproError`
-    (an ``UnknownEntryError``) rather than a bare ``KeyError``.
-    """
-    return _RUNNER.best_latency(model_name, device_name)
 
 
 # ------------------------------------------------------------------ Fig 1

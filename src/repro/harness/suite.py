@@ -97,10 +97,14 @@ def save_results(path: str | Path, experiment_ids: list[str] | None = None,
 
 
 def load_results(path: str | Path) -> dict[str, Any]:
-    payload = json.loads(Path(path).read_text())
-    version = payload.get("snapshot_version")
+    """Read a snapshot; ``ValueError`` if it is not valid snapshot JSON."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as error:
+        raise ValueError(f"{path}: not valid JSON ({error})") from error
+    version = payload.get("snapshot_version") if isinstance(payload, dict) else None
     if version != SNAPSHOT_VERSION:
-        raise ValueError(f"unsupported snapshot version {version!r}")
+        raise ValueError(f"{path}: unsupported snapshot version {version!r}")
     return payload
 
 

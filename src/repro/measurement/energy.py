@@ -33,11 +33,21 @@ class EnergyMeter:
     def measure(self, session: InferenceSession, loop_seconds: float = 30.0) -> Measurement:
         """Energy per inference (joules) over a recorded power trace."""
         device = session.deployed.device
-        true_power = device.power.power(session.utilization)
-        meter = self.instrument_for(device.name)
-        samples = meter.record(lambda _t: true_power, loop_seconds)
+        return self.measure_draw(device.name, device.power.power(session.utilization),
+                                 session.latency_s, loop_seconds)
+
+    def measure_draw(self, device_name: str, power_w: float, latency_s: float,
+                     loop_seconds: float = 30.0) -> Measurement:
+        """Energy per inference from a known true draw and latency.
+
+        The compiled-grid path: a ``RunRecord`` already carries the draw
+        (``power_w``) and per-inference latency (``model_latency_s``) a
+        session would report, so no session is needed.
+        """
+        meter = self.instrument_for(device_name)
+        samples = meter.record(lambda _t: power_w, loop_seconds)
         mean_power = average_power_w(samples)
-        inferences = loop_seconds / session.latency_s
+        inferences = loop_seconds / latency_s
         energy_per_inference = mean_power * loop_seconds / inferences
         return Measurement(
             value=energy_per_inference,

@@ -9,15 +9,15 @@ the run itself the object:
 * :class:`Scenario` — a frozen description of one experiment cell (model,
   device, framework, plus dtype, batch size, power mode and container
   flag).  Its canonical key is the single source of truth for deploy-cache
-  keys and measurement seeds, subsuming ``engine.cache.deploy_key`` and
-  ``harness.figures.measurement_seed`` (both remain as thin wrappers).
+  keys and measurement seeds.
 * :class:`RunRecord` — the structured result of running one scenario:
   latency statistics, plan aggregates, power/energy, cache provenance, and
   a failure taxonomy that turns Table V incompatibilities into data
   instead of control flow.  JSON round-trips losslessly.
-* :class:`Runner` — the one audited measurement path: deploy through the
-  memo cache, build the session, attach the paper-methodology timer, and
-  fan batches of cells across a worker pool via :meth:`Runner.run_cells`.
+* :class:`Runner` — the one audited measurement path: every cell, alone
+  or in a grid, compiles through the sweep compiler, then gets the
+  paper-methodology timer; :meth:`Runner.run_cells` fans batches of cells
+  across a worker pool.
 
 Example::
 

@@ -197,8 +197,7 @@ class RunRecord:
 
     Attributes:
         latency_s: the headline seconds-per-inference — the timing loop's
-            median when timed, else the noise-free plan latency.  Equals
-            the float the old ``measure_latency_s`` helper returned.
+            median when timed, else the noise-free plan latency.
         model_latency_s: the noise-free plan latency (always available).
         stats: timing-loop statistics when the loop ran.
         init_time_s: one-time setup cost (outside the timed loop).

@@ -2,24 +2,25 @@
 
 Every figure, validation claim, sweep and CLI verb used to hand-roll the
 same pipeline — deploy, build a session, seed a timer, catch ReproError —
-each with its own string-triple plumbing.  The Runner owns that pipeline:
+each with its own string-triple plumbing.  The Runner owns that pipeline,
+and it has exactly one route: :meth:`Runner.run` is a one-cell
+:meth:`Runner.run_grid`, which hands its scenarios to the sweep compiler
+(:mod:`repro.engine.compile`):
 
-* deployments go through the engine memo cache whenever the scenario is
-  cacheable (and record whether they hit);
-* sessions honour the scenario's batch size, power mode and container flag;
-* the paper-methodology timer is seeded from the scenario's canonical key,
-  reproducing the exact per-cell noise streams the harness has always had;
+* deployments are deduplicated across the grid and go through the engine
+  memo cache whenever the scenario is cacheable (recording whether they
+  hit); an explicit graph or a non-default power mode deploys directly;
+* every plan of the grid is priced by one roofline array program;
+* container taxes, the cell-seeded paper-methodology timer and an optional
+  energy meter are applied on top of the compiled latencies, so each cell
+  gets the exact noise stream the harness has always had;
 * failures come back as :class:`RunRecord` data, classified by the Table V
   taxonomy, instead of propagating control flow.
 
-``run_grid`` hands a whole batch of scenarios to the sweep compiler
-(:mod:`repro.engine.compile`): deployments and plans are deduplicated
-across the grid, the rooflines are lowered into one array program, and the
-results are scattered back into per-cell records that are bit-identical to
-running each cell alone.  Finished records land in the engine's record
-cache, so re-running a grid (or any overlapping figure) is a lookup.
-``run_cells`` routes serial batches through ``run_grid`` and fans larger
-ones across a thread or process pool with order-preserving results.
+Finished records land in the engine's record cache, so re-running a grid
+(or any overlapping figure) is a lookup.  ``run_cells`` routes serial
+batches through ``run_grid`` and fans larger ones across a thread or
+process pool with order-preserving results.
 """
 
 from __future__ import annotations
@@ -29,17 +30,13 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Sequence
 
+import repro.engine.compile as sweep_compile
 from repro.core.errors import ReproError, UnknownEntryError
 from repro.core.quantity import Seconds
 from repro.core.registry import canonical_name
-from repro.engine.cache import (
-    DEPLOY_CACHE,
-    RECORD_CACHE,
-    cached_deploy,
-    caching_enabled,
-)
+from repro.engine.cache import RECORD_CACHE, caching_enabled
 from repro.engine.executor import EngineConfig, InferenceSession
-from repro.measurement.energy import EnergyMeter, active_power_w
+from repro.measurement.energy import EnergyMeter
 from repro.measurement.timer import InferenceTimer
 from repro.runtime.record import (
     FailureRecord,
@@ -84,44 +81,21 @@ class Runner:
     def deploy(self, scenario: Scenario, graph: Any = None) -> tuple[Any, str]:
         """Deploy the scenario; returns (deployed, cache outcome).
 
-        Cacheable scenarios (stock power mode, no explicit graph) go
-        through :func:`repro.engine.cache.cached_deploy`; everything else
-        deploys directly and reports ``"bypass"``.
+        The sweep compiler's deploy rule (:func:`repro.engine.compile.deploy`):
+        cacheable scenarios go through the memo cache, an explicit graph or
+        a non-default power mode deploys directly and reports ``"bypass"``.
         """
-        from repro.frameworks import load_framework
-        from repro.hardware import apply_operating_point, load_device
-
-        if graph is None and scenario.is_default_runtime:
-            if caching_enabled():
-                outcome = "hit" if DEPLOY_CACHE.contains(scenario.deploy_key) else "miss"
-            else:
-                outcome = "bypass"
-            return cached_deploy(scenario.model, scenario.device,
-                                 scenario.framework, dtype=scenario.dtype), outcome
-
-        device = load_device(scenario.device)
-        if not scenario.is_default_runtime:
-            device = apply_operating_point(device, scenario.power_mode)
-        if graph is None:
-            from repro.models import load_model
-
-            graph = load_model(scenario.model)
-        deployed = load_framework(scenario.framework).deploy(
-            graph, device, dtype=scenario.dtype)
-        return deployed, "bypass"
+        outcome = sweep_compile.deploy_outcome(scenario, graph)
+        return sweep_compile.deploy(scenario, graph), outcome
 
     def session(self, scenario: Scenario, graph: Any = None):
         """Deploy and build the (possibly containerized) session."""
-        session, _ = self._session(scenario, graph)
-        return session
-
-    def _session(self, scenario: Scenario, graph: Any = None):
-        deployed, cache_outcome = self.deploy(scenario, graph)
-        config = EngineConfig(batch_size=scenario.batch_size)
-        session = InferenceSession(deployed, config=config)
+        deployed, _ = self.deploy(scenario, graph)
+        session = InferenceSession(
+            deployed, config=EngineConfig(batch_size=scenario.batch_size))
         if scenario.containerized:
             session = self.container.wrap(session)
-        return session, cache_outcome
+        return session
 
     def timer(self, scenario: Scenario) -> InferenceTimer:
         """The paper-methodology timer seeded for this cell."""
@@ -132,97 +106,33 @@ class Runner:
                 graph: Any = None) -> Seconds:
         """Seconds per inference; raises :class:`ReproError` on failure.
 
-        The exact semantics of the old ``measure_latency_s`` helper: with
-        ``use_timer`` the paper's timing loop runs on the cell-seeded
-        timer, without it the noise-free plan latency is returned.
+        The latency of :meth:`run`'s record.  For a failed record the
+        session is rebuilt, which raises the deployment's own typed error
+        (``IncompatibleModelError``, ``OutOfMemoryError``, ...): failures
+        are deterministic, and memoized when caching is on.
         """
-        if graph is None and caching_enabled():
-            found, record = RECORD_CACHE.cached_value(
-                self._record_key(scenario, use_timer, None))
-            if found and record.ok:
-                return Seconds(record.latency_s)
-            # Cached failures fall through so the original error type
-            # propagates from the deploy pipeline, exactly as before.
-        session = self.session(scenario, graph)
-        if use_timer:
-            return Seconds(self.timer(scenario).measure(session))
-        return Seconds(session.latency_s)
+        record = self.run(scenario, use_timer=use_timer, graph=graph)
+        if record.failed:
+            self.session(scenario, graph)
+        return record.latency()
 
     def run(self, scenario: Scenario, *, use_timer: bool = True,
             graph: Any = None, energy_meter: EnergyMeter | None = None,
             n_runs: int | None = None) -> RunRecord:
-        """Run one scenario into a :class:`RunRecord`; never raises for
-        harness failures — they come back as failure records.
+        """Run one scenario into a :class:`RunRecord`: a one-cell
+        :meth:`run_grid`.  Never raises for harness failures — they come
+        back as failure records.
 
         Args:
             use_timer: run the Section V timing loop (seeded per cell);
                 otherwise record the noise-free plan latency.
-            graph: explicit (e.g. pruned) graph; bypasses the memo cache.
+            graph: explicit (e.g. pruned) graph; bypasses the deploy and
+                record caches.
             energy_meter: when given, also measure energy per inference.
             n_runs: timing-loop length override (default: paper policy).
         """
-        cacheable = graph is None and energy_meter is None and caching_enabled()
-        if cacheable:
-            key = self._record_key(scenario, use_timer, n_runs)
-            found, cached = RECORD_CACHE.cached_value(key)
-            if found:
-                return self._refresh_provenance(cached)
-        record = self._run_uncached(scenario, use_timer=use_timer, graph=graph,
-                                    energy_meter=energy_meter, n_runs=n_runs)
-        if cacheable:
-            record = RECORD_CACHE.store(key, record)
-        return record
-
-    def _run_uncached(self, scenario: Scenario, *, use_timer: bool,
-                      graph: Any, energy_meter: EnergyMeter | None,
-                      n_runs: int | None) -> RunRecord:
-        """The scalar measurement pipeline behind :meth:`run`."""
-        config = EngineConfig(batch_size=scenario.batch_size)
-        try:
-            session, cache_outcome = self._session(scenario, graph)
-            stats = None
-            if use_timer:
-                measurement = self.timer(scenario).measure(session, n_runs)
-                stats = LatencyStats.from_measurement(measurement)
-                latency_s = measurement.value
-            else:
-                latency_s = session.latency_s
-            plan = session.plan
-            deployed = session.deployed
-            overhead = session.overhead_fraction if scenario.containerized else None
-            energy_j = None
-            if energy_meter is not None:
-                energy_j = float(energy_meter.measure(session))
-        except ReproError as error:
-            return RunRecord(
-                scenario=scenario,
-                status="failed",
-                provenance=Provenance.build(scenario, "none", use_timer, config),
-                failure=FailureRecord.from_error(error),
-            )
-        return RunRecord(
-            scenario=scenario,
-            status="ok",
-            provenance=Provenance.build(scenario, cache_outcome, use_timer, config),
-            latency_s=latency_s,
-            model_latency_s=session.latency_s,
-            stats=stats,
-            init_time_s=session.init_time_s,
-            utilization=session.utilization,
-            power_w=active_power_w(session),
-            energy_j=energy_j,
-            container_overhead=overhead,
-            plan=PlanBreakdown(
-                compute_s=plan.compute_s,
-                memory_s=plan.memory_s,
-                dispatch_s=plan.dispatch_s,
-                roofline_s=plan.roofline_s,
-                session_overhead_s=plan.session_overhead_s,
-                input_transfer_s=plan.input_transfer_s,
-                op_count=len(plan.timings),
-                weight_bytes=deployed.weight_bytes(),
-            ),
-        )
+        return self.run_grid([scenario], use_timer=use_timer, graph=graph,
+                             energy_meter=energy_meter, n_runs=n_runs)[0]
 
     # -- record caching ----------------------------------------------------
     @staticmethod
@@ -235,10 +145,10 @@ class Runner:
     def _refresh_provenance(record: RunRecord) -> RunRecord:
         """Re-derive the deploy-cache outcome for a cached record.
 
-        A record stored on a cold run says ``"miss"``; replaying the same
-        cell scalar-style would now find the deployment cached and say
-        ``"hit"``, so hits are refreshed to match.  Failures (``"none"``)
-        and uncacheable runtimes (``"bypass"``) replay unchanged.
+        A record stored on a cold run says ``"miss"``; by the time it is
+        replayed the deployment is cached, so hits are refreshed to match.
+        Failures (``"none"``) and uncacheable runtimes (``"bypass"``)
+        replay unchanged.
         """
         if record.failed or not record.scenario.is_default_runtime:
             return record
@@ -268,30 +178,34 @@ class Runner:
             return list(pool.map(_run_cell, payloads))
 
     def run_grid(self, scenarios: Iterable[Scenario], *,
-                 use_timer: bool = True) -> list[RunRecord]:
-        """Run a whole scenario grid through the sweep compiler.
+                 use_timer: bool = True, graph: Any = None,
+                 energy_meter: EnergyMeter | None = None,
+                 n_runs: int | None = None) -> list[RunRecord]:
+        """Run a scenario grid through the sweep compiler.
 
-        Bit-identical to calling :meth:`run` on each cell in order, but the
-        grid is compiled as one unit: deployments and plans are shared
+        The grid is compiled as one unit: deployments and plans are shared
         across cells, the rooflines are lowered into a single array
         program, and already-finished cells come straight out of the
         record cache.  Per-phase wall times land in the process-wide
         compiler stats (``repro.engine.compile.compile_stats``).
-        """
-        from repro.engine import compile as sweep_compile
 
+        The keywords mean what they mean on :meth:`run`, for every cell:
+        ``graph`` replaces the zoo model (bypassing the deploy and record
+        caches), ``energy_meter`` adds energy per inference (bypassing the
+        record cache), and ``n_runs`` overrides the timing-loop length.
+        """
         cells = list(scenarios)
-        use_cache = caching_enabled()
+        use_cache = graph is None and energy_meter is None and caching_enabled()
         records: list[RunRecord | None] = [None] * len(cells)
         pending: list[int] = []
         pending_keys: set = set()
         duplicates: list[tuple[int, tuple]] = []
         for index, scenario in enumerate(cells):
             if use_cache:
-                key = self._record_key(scenario, use_timer, None)
+                key = self._record_key(scenario, use_timer, n_runs)
                 if key in pending_keys:
                     # In-grid duplicate of a cell being compiled: resolve it
-                    # from the record cache afterwards, like a scalar replay.
+                    # from the record cache afterwards, like a replay.
                     duplicates.append((index, key))
                     continue
                 found, cached = RECORD_CACHE.cached_value(key)
@@ -302,17 +216,19 @@ class Runner:
             pending.append(index)
         if pending:
             start = time.perf_counter()
-            program = sweep_compile.gather([cells[i] for i in pending])
+            program = sweep_compile.gather([cells[i] for i in pending], graph)
             gathered = time.perf_counter()
             sweep_compile.lower(program)
             lowered = time.perf_counter()
             compiled = sweep_compile.scatter(program)
             scattered = time.perf_counter()
             for index, cell in zip(pending, compiled):
-                record = self._record_from_cell(cell, use_timer)
+                record = self._record_from_cell(cell, use_timer, energy_meter,
+                                                n_runs)
                 if use_cache:
                     record = RECORD_CACHE.store(
-                        self._record_key(cell.scenario, use_timer, None), record)
+                        self._record_key(cell.scenario, use_timer, n_runs),
+                        record)
                 records[index] = record
             stats = program.stats
             stats.gather_s = gathered - start
@@ -326,13 +242,15 @@ class Runner:
             records[index] = self._refresh_provenance(cached)
         return records  # type: ignore[return-value]  # every slot is filled
 
-    def _record_from_cell(self, cell: Any, use_timer: bool) -> RunRecord:
-        """Assemble one :class:`RunRecord` from a compiled cell.
+    def _record_from_cell(self, cell: Any, use_timer: bool,
+                          energy_meter: EnergyMeter | None,
+                          n_runs: int | None) -> RunRecord:
+        """Assemble the :class:`RunRecord` of one compiled cell.
 
-        Field for field the same arithmetic as the scalar :meth:`run`
-        pipeline — container taxes via :meth:`Container.taxed_latency_s`, the
-        cell-seeded timing loop via ``measure_latency`` — so records match
-        the scalar path bitwise.
+        The only place a record is built: container taxes via
+        :meth:`Container.taxed_latency_s`, the cell-seeded timing loop via
+        ``measure_latency``, and energy via :meth:`EnergyMeter.measure_draw`
+        on the record's own draw and per-inference latency.
         """
         scenario = cell.scenario
         config = EngineConfig(batch_size=scenario.batch_size)
@@ -344,8 +262,10 @@ class Runner:
                 failure=FailureRecord.from_error(cell.error),
             )
         bare_s = cell.latency_s
+        deployed = cell.deployed
         if scenario.containerized:
-            model_latency_s = self.container.taxed_latency_s(bare_s, cell.cpu_scale)
+            model_latency_s = self.container.taxed_latency_s(bare_s,
+                                                             deployed.cpu_scale)
             overhead = (model_latency_s - bare_s) / bare_s
             init_time_s = cell.init_time_s + 2.0
         else:
@@ -354,11 +274,16 @@ class Runner:
             init_time_s = cell.init_time_s
         stats = None
         if use_timer:
-            measurement = self.timer(scenario).measure_latency(model_latency_s)
+            measurement = self.timer(scenario).measure_latency(model_latency_s,
+                                                               n_runs)
             stats = LatencyStats.from_measurement(measurement)
             latency_s = measurement.value
         else:
             latency_s = model_latency_s
+        energy_j = None
+        if energy_meter is not None:
+            energy_j = float(energy_meter.measure_draw(
+                deployed.device.name, cell.power_w, model_latency_s))
         plan = cell.plan
         return RunRecord(
             scenario=scenario,
@@ -371,7 +296,7 @@ class Runner:
             init_time_s=init_time_s,
             utilization=cell.utilization,
             power_w=cell.power_w,
-            energy_j=None,
+            energy_j=energy_j,
             container_overhead=overhead,
             plan=PlanBreakdown(
                 compute_s=plan.compute_s,

@@ -5,10 +5,8 @@ device and framework triple the paper sweeps, plus the deployment datatype,
 batch size, DVFS power mode and whether the session runs inside a
 container.  Its canonical key is the single source of truth for
 
-* the deploy-cache key (``Scenario.deploy_key`` subsumes
-  :func:`repro.engine.cache.deploy_key`), and
-* the per-cell measurement seed (``Scenario.seed`` subsumes
-  :func:`repro.harness.figures.measurement_seed`).
+* the deploy-cache key (``Scenario.deploy_key``), and
+* the per-cell measurement seed (``Scenario.seed``).
 
 Both derive from :func:`repro.core.registry.canonical_name`, so aliases
 ("resnet18", "ResNet_18") describe the same cell and reproduce the exact
@@ -94,7 +92,7 @@ class Scenario:
 
     @property
     def deploy_key(self) -> tuple:
-        """Deploy-cache key; reproduces ``engine.cache.deploy_key`` exactly."""
+        """Deploy-cache key: the canonical triple plus the datatype."""
         return (*self.cell, self.dtype)
 
     @property

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis import energy_delay_metrics, energy_delay_table
-from repro.harness.figures import build_session
 from repro.measurement.energy import active_power_w
 
 
@@ -34,7 +33,7 @@ class TestTable:
 
     @pytest.fixture(scope="class")
     def table(self):
-        return energy_delay_table("MobileNet-v2", self.PAIRS, build_session)
+        return energy_delay_table("MobileNet-v2", self.PAIRS)
 
     def test_sorted_by_edp(self, table):
         edps = table.column("edp_mj_ms")
@@ -49,5 +48,5 @@ class TestTable:
 
     def test_failures_skipped(self):
         pairs = (("EdgeTPU", "TFLite"), ("EdgeTPU", "PyTorch"))  # second fails
-        table = energy_delay_table("MobileNet-v2", pairs, build_session)
+        table = energy_delay_table("MobileNet-v2", pairs)
         assert len(table) == 1

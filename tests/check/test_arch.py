@@ -66,32 +66,6 @@ class TestArch001SessionConstruction:
         assert rules_of(lint(snippet)) == {"ARCH001"}
 
 
-class TestArch002DeprecatedWrappers:
-    def test_wrapper_call_is_flagged(self):
-        snippet = """
-        from repro.harness.figures import measurement_seed
-
-        seed = measurement_seed("ResNet-18", "Jetson Nano", "TensorRT")
-        """
-        assert rules_of(lint(snippet)) == {"ARCH002"}
-
-    def test_deploy_key_call_is_flagged_even_as_attribute(self):
-        snippet = """
-        from repro.engine import cache
-
-        key = cache.deploy_key("m", "d", "f")
-        """
-        assert rules_of(lint(snippet)) == {"ARCH002"}
-
-    def test_scenario_deploy_key_property_is_fine(self):
-        snippet = """
-        from repro.runtime import Scenario
-
-        key = Scenario("m", "d", "f").deploy_key
-        """
-        assert lint(snippet) == []
-
-
 class TestArch003FloatEquality:
     def test_float_literal_equality_is_flagged(self):
         assert rules_of(lint("ok = x == 0.5\n")) == {"ARCH003"}

@@ -19,13 +19,13 @@ from repro.engine.cache import (
     caching_disabled,
     caching_enabled,
     clear_caches,
-    deploy_key,
     plan_key,
     set_caching,
 )
 from repro.frameworks import load_framework
 from repro.hardware import load_device
 from repro.models import load_model
+from repro.runtime import Scenario
 
 
 @pytest.fixture(autouse=True)
@@ -143,7 +143,7 @@ class TestCachedDeploy:
         first = cached_deploy("ResNet-18", "Jetson TX2", "PyTorch")
         second = cached_deploy("ResNet-18", "Jetson TX2", "PyTorch")
         assert first is second
-        assert first.cache_key == deploy_key("ResNet-18", "Jetson TX2", "PyTorch")
+        assert first.cache_key == Scenario("ResNet-18", "Jetson TX2", "PyTorch").deploy_key
         assert DEPLOY_CACHE.stats.hits == 1
 
     def test_matches_direct_deploy(self):

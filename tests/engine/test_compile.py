@@ -1,13 +1,12 @@
-"""Sweep compiler: compiled grids are bit-identical to the scalar path.
+"""Sweep compiler: the one execution path, checked at zero tolerance.
 
-Three layers of the same claim, at zero tolerance everywhere:
-
-* op level — ``time_op`` (scalar), ``time_ops`` (one-plan vectorization)
-  and the grid lowering (all plans in one array program) price every op of
-  every zoo model to the same IEEE-754 doubles;
-* record level — ``Runner.run_grid`` returns the same ``RunRecord`` values
-  as ``Runner.run`` cell by cell, including failures, batch sizes, dtypes,
-  containerized cells and non-default power modes;
+* op level — the grid lowering (all plans in one array program) prices
+  every op of every zoo model to the same IEEE-754 doubles as the scalar
+  reference formula in ``tests/engine/reference``;
+* record level — a whole ``Runner.run_grid`` returns the same
+  ``RunRecord`` values as one-cell ``Runner.run`` calls, including
+  failures, batch sizes, dtypes, containerized cells and non-default
+  power modes;
 * composition level (hypothesis) — which other cells share the batch, and
   in what order, never changes any cell's record.
 """
@@ -20,10 +19,10 @@ from hypothesis import strategies as st
 
 from repro.engine import compile as sweep_compile
 from repro.engine.cache import clear_caches, set_caching
-from repro.engine.executor import EngineConfig, plan_from_spec, resolve_plan_spec
-from repro.engine.roofline import time_op
+from repro.engine.executor import EngineConfig, resolve_plan_spec
 from repro.models.zoo import list_models
 from repro.runtime import Runner, Scenario
+from tests.engine.reference import time_op
 
 pytestmark = pytest.mark.usefixtures("fresh_caches")
 
@@ -57,13 +56,20 @@ MIXED_CELLS = [
 ]
 
 
+def compile_grid(scenarios):
+    """Gather, lower and scatter one grid; returns (cells, stats)."""
+    program = sweep_compile.gather(list(scenarios))
+    sweep_compile.lower(program)
+    return sweep_compile.scatter(program), program.stats
+
+
 class TestThreeWayOpEquivalence:
-    """time_op == time_ops == compiled grid, over the whole model zoo."""
+    """The scalar reference formula == the compiled grid, over the whole zoo."""
 
     def test_full_zoo_lowered_bit_identical(self):
         scenarios = [Scenario(model, "Jetson TX2", "PyTorch")
                      for model in list_models()]
-        cells, _ = sweep_compile.compile_cells(scenarios)
+        cells, _ = compile_grid(scenarios)
         compiled = {cell.scenario.key: cell for cell in cells}
         checked = 0
         for scenario in scenarios:
@@ -71,25 +77,23 @@ class TestThreeWayOpEquivalence:
             if not cell.ok:
                 continue
             deployed, _ = Runner().deploy(scenario)
-            # Recompute the scalar plan outside every cache.
             spec = resolve_plan_spec(deployed, EngineConfig(), _scale(deployed))
-            scalar_plan = plan_from_spec(spec)
-            assert len(cell.plan.timings) == len(scalar_plan.timings)
-            for lowered, one_plan, (op, efficiency) in zip(
-                    cell.plan.timings, scalar_plan.timings,
-                    zip(spec.ops, spec.efficiencies)):
+            assert len(cell.plan.timings) == len(spec.ops)
+            for lowered, op, efficiency in zip(
+                    cell.plan.timings, spec.ops, spec.efficiencies):
                 reference = time_op(
                     op, spec.inputs, efficiency,
                     exploit_sparsity=spec.exploit_sparsity,
                     per_op_overhead_s=spec.per_op_overhead_s,
                     batch_size=spec.batch_size,
                     include_memory_term=spec.include_memory_term)
-                # Exact equality: all three paths must run the same float64
-                # operations in the same order.
-                assert lowered.compute_s == reference.compute_s == one_plan.compute_s
-                assert lowered.memory_s == reference.memory_s == one_plan.memory_s
-                assert lowered.dispatch_s == reference.dispatch_s == one_plan.dispatch_s
-                assert lowered.bound == reference.bound == one_plan.bound
+                # Exact equality: both must run the same float64 operations
+                # in the same order.
+                assert lowered.op is op
+                assert lowered.compute_s == reference.compute_s
+                assert lowered.memory_s == reference.memory_s
+                assert lowered.dispatch_s == reference.dispatch_s
+                assert lowered.bound == reference.bound
                 checked += 1
         assert checked > 100  # the zoo is not trivially skipped
 
@@ -168,7 +172,7 @@ class TestCompositionIndependence:
 class TestCompileStats:
     def test_counters_shape(self):
         grid = MIXED_CELLS
-        cells, program_stats = sweep_compile.compile_cells(grid)
+        cells, program_stats = compile_grid(grid)
         assert len(cells) == len(grid)
         assert program_stats.cells == len(grid)
         assert 0 < program_stats.unique_plans <= program_stats.cells

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine import InferenceSession
+from repro.engine.executor import resolve_roofline_inputs
 from repro.frameworks import load_framework
 from repro.hardware import load_device
 from repro.models import load_model
@@ -81,8 +82,8 @@ class TestStorageModes:
         assert small.deployed.graph.weight_bytes() <= small.deployed.unit.on_chip_buffer_bytes
         assert large.deployed.graph.weight_bytes() > large.deployed.unit.on_chip_buffer_bytes
         # The roofline resolves a faster weight path for the on-chip model.
-        assert (small._roofline_inputs().weight_bandwidth_bytes_per_s
-                > large._roofline_inputs().weight_bandwidth_bytes_per_s)
+        assert (resolve_roofline_inputs(small.deployed).weight_bandwidth_bytes_per_s
+                > resolve_roofline_inputs(large.deployed).weight_bandwidth_bytes_per_s)
 
 
 class TestSessionQuantities:

@@ -68,6 +68,14 @@ class TestFleetVerb:
         assert main(["fleet", "--requests", "10", "--horizon", "5"]) == 2
         assert main(["fleet"]) == 2
 
+    def test_missing_placement_file_is_a_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["fleet", "--requests", "10",
+                     "--placement", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "missing.json" in err
+
 
 @pytest.mark.parametrize("flags", [
     ["--rate", "-5"],

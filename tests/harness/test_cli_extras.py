@@ -76,6 +76,14 @@ class TestTimeScenarioFlags:
         assert "deployment failed" in err
         assert "[memory_error]" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--batch", "0"], ["--runs", "0"], ["--runs", "-1"],
+    ], ids=" ".join)
+    def test_nonpositive_counts_exit_2(self, flags, capsys):
+        assert main(["time", "ResNet-18", "Jetson Nano", "TensorRT", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flags[0]} must be >= 1")
+
 
 class TestExportParallel:
     def test_jobs_flag_produces_identical_snapshot(self, tmp_path, capsys):

@@ -7,20 +7,20 @@ tests/integration/test_paper_claims.py; these tests pin the mechanics.
 import pytest
 
 from repro.harness import run_experiment
-from repro.harness.figures import best_framework_latency
 from repro.harness.paper_data import FIG2_MODELS, FIG9_MODELS, FIG13_MAX_OVERHEAD
+from repro.runtime import default_runner
 
 
 class TestBestFramework:
     def test_edgetpu_only_offers_tflite(self):
-        best = best_framework_latency("MobileNet-v2", "EdgeTPU")
+        best = default_runner().best_latency("MobileNet-v2", "EdgeTPU")
         assert best is not None and best[0] == "TFLite"
 
     def test_incompatible_everywhere_returns_none(self):
-        assert best_framework_latency("ResNet-18", "EdgeTPU") is None
+        assert default_runner().best_latency("ResNet-18", "EdgeTPU") is None
 
     def test_nano_picks_tensorrt(self):
-        best = best_framework_latency("ResNet-18", "Jetson Nano")
+        best = default_runner().best_latency("ResNet-18", "Jetson Nano")
         assert best is not None and best[0] == "TensorRT"
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.harness.suite import (
+    SNAPSHOT_VERSION,
     compare_results,
     export_results,
     load_results,
@@ -117,3 +118,24 @@ class TestCliVerbs:
         capsys.readouterr()
         assert main(["diff", str(path_a), str(path_b)]) == 1
         assert "idle_surface_c" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("content", [
+    None,                                        # missing file
+    "not json at all",                           # malformed JSON
+    '{"snapshot_version": 1, "experiments": {',  # truncated JSON
+    '{"experiments": {}}',                       # no snapshot_version
+], ids=["missing", "malformed", "truncated", "unversioned"])
+def test_diff_of_an_unreadable_snapshot_exits_2(content, tmp_path, capsys):
+    """A usage error, never a traceback; exit 1 keeps meaning "differ"."""
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"snapshot_version": SNAPSHOT_VERSION,
+                                "experiments": {}}))
+    bad = tmp_path / "bad.json"
+    if content is not None:
+        bad.write_text(content)
+    assert main(["diff", str(good), str(bad)]) == 2
+    assert main(["diff", str(bad), str(good)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err

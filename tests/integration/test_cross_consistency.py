@@ -11,13 +11,16 @@ import pytest
 from repro import InferenceSession, load_device, load_framework, load_model
 from repro.frameworks.compat import compatibility_matrix
 from repro.harness import run_experiment
-from repro.harness.figures import (
-    BEST_FRAMEWORK_CANDIDATES,
-    best_framework_latency,
-    build_session,
-    cell_timer,
-)
 from repro.measurement.energy import active_power_w
+from repro.runtime import BEST_FRAMEWORK_CANDIDATES, Scenario, default_runner
+
+RUNNER = default_runner()
+
+
+def hand_measured_s(model: str, device: str, framework: str) -> float:
+    """A session built by hand, timed by the cell-seeded paper loop."""
+    scenario = Scenario(model, device, framework)
+    return float(RUNNER.timer(scenario).measure(RUNNER.session(scenario)))
 
 
 class TestFig2Consistency:
@@ -26,23 +29,18 @@ class TestFig2Consistency:
         for model, device in (("ResNet-50", "Raspberry Pi 3B"),
                               ("MobileNet-v2", "Jetson Nano"),
                               ("VGG16", "Jetson TX2")):
-            winner, latency = best_framework_latency(model, device)
+            winner, latency = RUNNER.best_latency(model, device)
             for candidate in BEST_FRAMEWORK_CANDIDATES[device]:
                 try:
-                    session = build_session(model, device, candidate)
+                    candidate_latency = hand_measured_s(model, device, candidate)
                 except Exception:
                     continue
-                candidate_latency = float(
-                    cell_timer(model, device, candidate).measure(session))
                 assert latency <= candidate_latency + 1e-12, (candidate, winner)
 
     def test_fig2_cells_match_direct_measurement(self):
         table = run_experiment("fig02")
         row = table.row("Jetson Nano / ResNet-50")
-        session = build_session("ResNet-50", "Jetson Nano", row["framework"])
-        direct = float(
-            cell_timer("ResNet-50", "Jetson Nano", row["framework"])
-            .measure(session)) * 1e3
+        direct = hand_measured_s("ResNet-50", "Jetson Nano", row["framework"]) * 1e3
         assert row["measured_ms"] == pytest.approx(direct, rel=1e-9)
 
 
@@ -50,7 +48,7 @@ class TestEnergyConsistency:
     def test_fig12_points_equal_power_times_utilization(self):
         table = run_experiment("fig12")
         row = table.row("Jetson TX2 / ResNet-50")
-        session = build_session("ResNet-50", "Jetson TX2", row["framework"])
+        session = RUNNER.session(Scenario("ResNet-50", "Jetson TX2", row["framework"]))
         assert row["power_w"] == pytest.approx(active_power_w(session), rel=1e-9)
         assert row["latency_ms"] == pytest.approx(session.latency_s * 1e3, rel=1e-9)
 
@@ -86,7 +84,7 @@ class TestProfileConsistency:
     def test_stack_run_bucket_equals_n_times_latency(self):
         from repro.profiling import profile_stack
 
-        session = build_session("ResNet-18", "Jetson TX2", "TensorFlow")
+        session = RUNNER.session(Scenario("ResNet-18", "Jetson TX2", "TensorFlow"))
         profile = profile_stack(session, 500)
         run_bucket = next(e for e in profile.entries
                           if e.function == "TF_SessionRunCallable")
@@ -96,7 +94,7 @@ class TestProfileConsistency:
     def test_pytorch_compute_buckets_sum_to_roofline(self):
         from repro.profiling import profile_stack
 
-        session = build_session("ResNet-18", "Jetson TX2", "PyTorch")
+        session = RUNNER.session(Scenario("ResNet-18", "Jetson TX2", "PyTorch"))
         profile = profile_stack(session, 100)
         per_inference = sum(
             e.total_s for e in profile.entries if e.group == "per-inference"

@@ -8,8 +8,15 @@ simulator, not the authors' testbed.  Each test quotes the claim it checks.
 
 from repro.core.result import geometric_mean
 from repro.harness import run_experiment
-from repro.harness.figures import best_framework_latency, measure_latency_s
 from repro.harness.paper_data import FIG9_MODELS
+from repro.runtime import Scenario, default_runner
+
+RUNNER = default_runner()
+
+
+def latency_s(model: str, device: str, framework: str) -> float:
+    """The cell's timed latency (the paper's loop, seeded per cell)."""
+    return RUNNER.measure(Scenario(model, device, framework))
 
 
 class TestSectionVIA:
@@ -20,10 +27,10 @@ class TestSectionVIA:
         best performance.'"""
         for model in ("ResNet-50", "MobileNet-v2", "Inception-v4", "VGG16"):
             winner = min(
-                (best_framework_latency(model, device) + (device,)
+                (RUNNER.best_latency(model, device) + (device,)
                  for device in ("Raspberry Pi 3B", "Jetson TX2", "Jetson Nano",
                                 "EdgeTPU", "Movidius NCS")
-                 if best_framework_latency(model, device) is not None),
+                 if RUNNER.best_latency(model, device) is not None),
                 key=lambda entry: entry[1],
             )
             assert winner[2] in ("Jetson TX2", "Jetson Nano", "EdgeTPU"), (model, winner)
@@ -31,17 +38,17 @@ class TestSectionVIA:
     def test_rpi_is_slowest_edge_device(self):
         """Figure 2: the RPi bars are orders of magnitude above the rest."""
         for model in ("ResNet-18", "ResNet-50", "Inception-v4"):
-            rpi = best_framework_latency(model, "Raspberry Pi 3B")[1]
+            rpi = RUNNER.best_latency(model, "Raspberry Pi 3B")[1]
             for device in ("Jetson TX2", "Jetson Nano", "Movidius NCS"):
-                assert rpi > 4 * best_framework_latency(model, device)[1], (model, device)
+                assert rpi > 4 * RUNNER.best_latency(model, device)[1], (model, device)
 
     def test_movidius_uneven_across_models(self):
         """Figure 2: against the Jetson TX2 baseline, Movidius is within a
         small factor for MobileNet-v2 (paper: 51 vs 40 ms) but several times
         off for Inception-v4 (paper: 633 vs 106 ms)."""
         def gap_vs_tx2(model):
-            movidius = best_framework_latency(model, "Movidius NCS")[1]
-            tx2 = best_framework_latency(model, "Jetson TX2")[1]
+            movidius = RUNNER.best_latency(model, "Movidius NCS")[1]
+            tx2 = RUNNER.best_latency(model, "Jetson TX2")[1]
             return movidius / tx2
 
         assert gap_vs_tx2("Inception-v4") > 2 * gap_vs_tx2("MobileNet-v2")
@@ -54,28 +61,28 @@ class TestSectionVIB:
         """'The results on RPi show that TensorFlow is the fastest among the
         frameworks' (general-purpose ones; TFLite is treated separately)."""
         for model in ("ResNet-18", "ResNet-50", "MobileNet-v2"):
-            tf = measure_latency_s(model, "Raspberry Pi 3B", "TensorFlow")
+            tf = latency_s(model, "Raspberry Pi 3B", "TensorFlow")
             for other in ("PyTorch", "Caffe"):
-                assert tf < measure_latency_s(model, "Raspberry Pi 3B", other), (model, other)
+                assert tf < latency_s(model, "Raspberry Pi 3B", other), (model, other)
 
     def test_pytorch_faster_than_tensorflow_on_gpu(self):
         """'On our GPU platform, Jetson TX2, PyTorch performs faster than
         TensorFlow' — and the same inversion holds on the HPC GPU (Fig. 6)."""
         for device in ("Jetson TX2", "GTX Titan X"):
             for model in ("ResNet-18", "ResNet-50", "VGG16"):
-                pt = measure_latency_s(model, device, "PyTorch")
-                tf = measure_latency_s(model, device, "TensorFlow")
+                pt = latency_s(model, device, "PyTorch")
+                tf = latency_s(model, device, "TensorFlow")
                 assert pt < tf, (device, model)
 
     def test_caffe_beats_tensorflow_on_tx2_except_mobilenet(self):
         """'The performance of Caffe is always better than that of
         TensorFlow, except for MobileNet-v2' (Figure 4)."""
         for model in ("ResNet-50", "ResNet-101", "Inception-v4", "AlexNet", "VGG16"):
-            caffe = measure_latency_s(model, "Jetson TX2", "Caffe")
-            tf = measure_latency_s(model, "Jetson TX2", "TensorFlow")
+            caffe = latency_s(model, "Jetson TX2", "Caffe")
+            tf = latency_s(model, "Jetson TX2", "TensorFlow")
             assert caffe < tf, model
-        assert (measure_latency_s("MobileNet-v2", "Jetson TX2", "Caffe")
-                > measure_latency_s("MobileNet-v2", "Jetson TX2", "TensorFlow"))
+        assert (latency_s("MobileNet-v2", "Jetson TX2", "Caffe")
+                > latency_s("MobileNet-v2", "Jetson TX2", "TensorFlow"))
 
     def test_tensorrt_speedup_band_on_nano(self):
         """Figure 7: 'an average of 4.1x speedup using TensorRT on Jetson
@@ -153,25 +160,25 @@ class TestSectionVIC:
         """'The average speedup over Jetson TX2 on all benchmarks is only 3x.'"""
         speedups = []
         for model in FIG9_MODELS:
-            tx2 = measure_latency_s(model, "Jetson TX2", "PyTorch")
+            tx2 = latency_s(model, "Jetson TX2", "PyTorch")
             for platform in ("Xeon E5-2696 v4", "GTX Titan X", "Titan Xp", "RTX 2080"):
-                speedups.append(tx2 / measure_latency_s(model, platform, "PyTorch"))
+                speedups.append(tx2 / latency_s(model, platform, "PyTorch"))
         assert 2.0 < geometric_mean(speedups) < 5.0
 
     def test_xeon_loses_on_compute_bound_models(self):
         """'On several benchmarks, the Xeon CPU performance is lower than
         that of all platforms' — the compute-bound ResNets."""
         for model in ("ResNet-18", "ResNet-50", "ResNet-101", "MobileNet-v2"):
-            xeon = measure_latency_s(model, "Xeon E5-2696 v4", "PyTorch")
-            assert xeon > measure_latency_s(model, "Jetson TX2", "PyTorch"), model
-            assert xeon > measure_latency_s(model, "GTX Titan X", "PyTorch"), model
+            xeon = latency_s(model, "Xeon E5-2696 v4", "PyTorch")
+            assert xeon > latency_s(model, "Jetson TX2", "PyTorch"), model
+            assert xeon > latency_s(model, "GTX Titan X", "PyTorch"), model
 
     def test_xeon_competitive_on_memory_bound_vgg(self):
         """'Only for memory-bounded benchmarks (e.g., VGG16 and VGG19) does
         Xeon CPU perform similarly to TX2.'"""
         for model in ("VGG16", "VGG19"):
-            xeon = measure_latency_s(model, "Xeon E5-2696 v4", "PyTorch")
-            tx2 = measure_latency_s(model, "Jetson TX2", "PyTorch")
+            xeon = latency_s(model, "Xeon E5-2696 v4", "PyTorch")
+            tx2 = latency_s(model, "Jetson TX2", "PyTorch")
             assert 0.3 < xeon / tx2 < 1.3, model
 
     def test_memory_heavy_models_gain_most_on_hpc_gpus(self):
@@ -179,8 +186,8 @@ class TestSectionVIC:
         C3D generally achieve higher speedups ... ResNet models benefit
         less from HPC GPUs.'"""
         def speedup(model):
-            return (measure_latency_s(model, "Jetson TX2", "PyTorch")
-                    / measure_latency_s(model, "RTX 2080", "PyTorch"))
+            return (latency_s(model, "Jetson TX2", "PyTorch")
+                    / latency_s(model, "RTX 2080", "PyTorch"))
 
         vgg = min(speedup("VGG16"), speedup("VGG19"), speedup("C3D"))
         resnet = max(speedup("ResNet-18"), speedup("ResNet-50"), speedup("ResNet-101"))

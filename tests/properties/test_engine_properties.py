@@ -1,11 +1,16 @@
-"""Property-based tests of the roofline engine (hypothesis)."""
+"""Property-based tests of the roofline engine (hypothesis).
+
+Op timings come from the production pricing path (``lower_plan_specs``),
+which must match the scalar reference formula bit for bit.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.roofline import RooflineInputs, time_op
+from repro.engine.roofline import RooflineInputs
 from repro.graphs import ops as O
 from repro.graphs.tensor import TensorShape
+from tests.engine.reference import price, time_one, time_op
 
 positive = st.floats(min_value=1e6, max_value=1e14, allow_nan=False)
 
@@ -18,6 +23,33 @@ def convs(draw):
     kernel = draw(st.sampled_from([1, 3, 5]))
     source = O.Input("in", TensorShape(channels, size, size))
     return O.Conv2D("c", [source], out_channels, kernel)
+
+
+@st.composite
+def any_op(draw):
+    channels = draw(st.integers(1, 16))
+    size = draw(st.sampled_from([1, 4, 7, 16]))
+    source = O.Input("in", TensorShape(channels, size, size))
+    kind = draw(st.sampled_from(["conv", "depthwise", "dense", "pool", "flatten",
+                                 "relu", "add"]))
+    if kind == "conv":
+        op = O.Conv2D("c", [source], draw(st.integers(1, 32)),
+                      draw(st.sampled_from([1, 3, 5])),
+                      use_bias=draw(st.booleans()))
+    elif kind == "depthwise":
+        op = O.DepthwiseConv2D("d", [source], draw(st.sampled_from([1, 3])))
+    elif kind == "dense":
+        op = O.Dense("fc", [O.Flatten("f", [source])], draw(st.integers(1, 64)))
+    elif kind == "pool":
+        op = O.Pool2D("p", [source], 1)
+    elif kind == "flatten":
+        op = O.Flatten("f", [source])
+    elif kind == "relu":
+        op = O.Activation("a", [source])
+    else:
+        op = O.Add("s", [source, O.Input("in2", TensorShape(channels, size, size))])
+    op.weight_sparsity = draw(st.sampled_from([0.0, 0.25, 0.5, 0.9]))
+    return op
 
 
 @st.composite
@@ -34,7 +66,7 @@ class TestRooflineProperties:
     @given(op=convs(), inputs=rooflines(), efficiency=st.floats(0.01, 1.0))
     @settings(max_examples=80, deadline=None)
     def test_latency_positive_and_decomposed(self, op, inputs, efficiency):
-        timing = time_op(op, inputs, efficiency)
+        timing = time_one(op, inputs, efficiency)
         assert timing.latency_s > 0
         assert timing.latency_s == max(timing.compute_s, timing.memory_s) + timing.dispatch_s
 
@@ -42,8 +74,8 @@ class TestRooflineProperties:
            lo=st.floats(0.01, 0.5), hi=st.floats(0.5, 1.0))
     @settings(max_examples=80, deadline=None)
     def test_monotone_in_efficiency(self, op, inputs, lo, hi):
-        slow = time_op(op, inputs, lo)
-        fast = time_op(op, inputs, hi)
+        slow = time_one(op, inputs, lo)
+        fast = time_one(op, inputs, hi)
         assert fast.latency_s <= slow.latency_s
 
     @given(op=convs(), inputs=rooflines(), efficiency=st.floats(0.01, 1.0),
@@ -51,18 +83,41 @@ class TestRooflineProperties:
     @settings(max_examples=80, deadline=None)
     def test_sparsity_never_hurts(self, op, inputs, efficiency, sparsity):
         op.weight_sparsity = sparsity
-        exploited = time_op(op, inputs, efficiency, exploit_sparsity=True)
-        ignored = time_op(op, inputs, efficiency, exploit_sparsity=False)
+        exploited = time_one(op, inputs, efficiency, exploit_sparsity=True)
+        ignored = time_one(op, inputs, efficiency, exploit_sparsity=False)
         assert exploited.latency_s <= ignored.latency_s
 
     @given(op=convs(), inputs=rooflines(), efficiency=st.floats(0.01, 1.0))
     @settings(max_examples=80, deadline=None)
     def test_bound_label_matches_terms(self, op, inputs, efficiency):
-        timing = time_op(op, inputs, efficiency)
+        timing = time_one(op, inputs, efficiency)
         if timing.bound == "compute":
             assert timing.compute_s >= timing.memory_s
         else:
             assert timing.memory_s > timing.compute_s
+
+    @given(ops=st.lists(any_op(), min_size=1, max_size=6), inputs=rooflines(),
+           data=st.data(), batch_size=st.integers(1, 64),
+           exploit_sparsity=st.booleans(), include_memory_term=st.booleans(),
+           per_op_overhead_s=st.floats(0, 1e-4))
+    @settings(max_examples=150, deadline=None)
+    def test_lowering_matches_scalar_reference_bit_for_bit(
+            self, ops, inputs, data, batch_size, exploit_sparsity,
+            include_memory_term, per_op_overhead_s):
+        efficiencies = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=len(ops),
+                                          max_size=len(ops)))
+        kwargs = dict(exploit_sparsity=exploit_sparsity,
+                      per_op_overhead_s=per_op_overhead_s, batch_size=batch_size,
+                      include_memory_term=include_memory_term)
+        lowered = price(ops, inputs, efficiencies, **kwargs)
+        for op, efficiency, timing in zip(ops, efficiencies, lowered):
+            reference = time_op(op, inputs, efficiency, **kwargs)
+            assert timing.op is op
+            # Exact equality: the same float64 operations in the same order.
+            assert timing.compute_s == reference.compute_s
+            assert timing.memory_s == reference.memory_s
+            assert timing.dispatch_s == reference.dispatch_s
+            assert timing.bound == reference.bound
 
 
 class TestThermalProperties:

@@ -2,11 +2,19 @@
 
 import pytest
 
-from repro.core.errors import ReproError, UnknownEntryError
-from repro.engine.cache import cached_deploy, clear_caches
+from repro.core.errors import (
+    IncompatibleModelError,
+    OutOfMemoryError,
+    ReproError,
+    UnknownEntryError,
+)
+from repro.engine.cache import RECORD_CACHE, cached_deploy, clear_caches
 from repro.engine.executor import InferenceSession
-from repro.harness.figures import measurement_seed
+from repro.graphs.transforms import prune_graph
+from repro.hardware import list_operating_points
+from repro.measurement.energy import EnergyMeter
 from repro.measurement.timer import InferenceTimer
+from repro.models import load_model
 from repro.runtime import Runner, Scenario, default_runner
 
 # Cells covering four devices and both timer regimes; VGG16-on-RPi-TF is the
@@ -21,10 +29,10 @@ SAMPLE_CELLS = (
 
 def legacy_latency_s(model: str, device: str, framework: str,
                      use_timer: bool = True) -> float:
-    """The pre-Runner measurement pipeline, inlined verbatim."""
+    """The pre-Runner measurement pipeline: a session and a cell-seeded timer."""
     session = InferenceSession(cached_deploy(model, device, framework))
     if use_timer:
-        timer = InferenceTimer(seed=measurement_seed(model, device, framework))
+        timer = InferenceTimer(seed=Scenario(model, device, framework).seed)
         return float(timer.measure(session))
     return session.latency_s
 
@@ -54,6 +62,59 @@ class TestOldPathEquivalence:
         assert cold.provenance.deploy_cache == "miss"
         assert warm.provenance.deploy_cache == "hit"
         assert cold.latency_s == warm.latency_s
+
+
+class TestMeasureRaisesTypedErrors:
+    """``measure`` reads the record, but a failure still raises the
+    deployment's own exception type, cold and warm."""
+
+    @pytest.mark.parametrize("scenario,error_type", [
+        (Scenario("SSD MobileNet-v1", "Raspberry Pi 3B", "TensorFlow"),
+         IncompatibleModelError),
+        (Scenario("Inception-v4", "Raspberry Pi 3B", "TFLite", batch_size=4096),
+         OutOfMemoryError),
+    ])
+    def test_cold_and_warm(self, scenario, error_type):
+        clear_caches()
+        runner = Runner()
+        with pytest.raises(error_type):
+            runner.measure(scenario)
+        assert runner.run(scenario).failed  # now a cached failure record
+        with pytest.raises(error_type):
+            runner.measure(scenario)
+
+
+class TestRunKeywords:
+    def test_energy_matches_the_session_meter_bitwise(self):
+        # ext_power_modes' cells, plus a containerized USB-powered cell.
+        cells = [Scenario("ResNet-50", device, framework, power_mode=point.name)
+                 for device, framework in (("Jetson TX2", "PyTorch"),
+                                           ("Jetson Nano", "TensorRT"))
+                 for point in list_operating_points(device)]
+        cells.append(Scenario("MobileNet-v2", "Raspberry Pi 3B", "TFLite",
+                              containerized=True))
+        runner = Runner()
+        for scenario in cells:
+            record = runner.run(scenario, use_timer=False,
+                                energy_meter=EnergyMeter())
+            expected = float(EnergyMeter().measure(runner.session(scenario)))
+            assert record.energy_j == expected, scenario.describe()
+
+    def test_explicit_graph_bypasses_deploy_and_record_caches(self):
+        clear_caches()
+        scenario = Scenario("ResNet-18", "Jetson TX2", "TensorFlow")
+        pruned = prune_graph(load_model("ResNet-18"), 0.75)
+        record = Runner().run(scenario, use_timer=False, graph=pruned)
+        assert record.ok
+        assert record.provenance.deploy_cache == "bypass"
+        assert len(RECORD_CACHE) == 0
+        # TensorFlow exploits sparsity, so the pruned graph really ran.
+        dense = Runner().run(scenario, use_timer=False)
+        assert record.model_latency_s < dense.model_latency_s
+
+    def test_n_runs_override_sets_the_loop_length(self):
+        record = Runner().run(Scenario(*SAMPLE_CELLS[0]), n_runs=7)
+        assert record.stats.samples == 7
 
 
 class TestBatchAPI:

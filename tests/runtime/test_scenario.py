@@ -1,10 +1,12 @@
 """Scenario canonical identity: golden keys, seed/deploy-key subsumption."""
 
+import hashlib
+
 import pytest
 
-from repro.engine.cache import deploy_key
+from repro.core.registry import canonical_name
+from repro.engine.cache import cached_deploy
 from repro.graphs.tensor import DType
-from repro.harness.figures import measurement_seed
 from repro.runtime import Scenario
 
 # Golden seeds: these values are the harness's historical per-cell noise
@@ -25,7 +27,11 @@ class TestCanonicalIdentity:
 
     @pytest.mark.parametrize("cell", sorted(GOLDEN_SEEDS))
     def test_seed_matches_legacy_measurement_seed(self, cell):
-        assert Scenario(*cell).seed == measurement_seed(*cell)
+        # The harness's original per-cell seed: blake2s of the canonical
+        # "model|device|framework" string, read big-endian.
+        cell_id = "|".join(canonical_name(name) for name in cell)
+        digest = hashlib.blake2s(cell_id.encode(), digest_size=4).digest()
+        assert Scenario(*cell).seed == int.from_bytes(digest, "big")
 
     def test_golden_key_string(self):
         scenario = Scenario("ResNet-18", "Jetson Nano", "TensorRT")
@@ -61,8 +67,9 @@ class TestCanonicalIdentity:
                             dtype=DType.FP16)
         assert scenario.deploy_key == ("resnet18", "jetsonnano", "tensorrt",
                                        DType.FP16)
-        assert scenario.deploy_key == deploy_key(
-            "ResNet-18", "Jetson Nano", "TensorRT", dtype=DType.FP16)
+        # ... and is the key the deploy cache tags its deployments with.
+        assert scenario.deploy_key == cached_deploy(
+            "ResNet-18", "Jetson Nano", "TensorRT", dtype=DType.FP16).cache_key
 
     def test_deploy_key_ignores_session_axes(self):
         plain = Scenario("ResNet-18", "Jetson Nano", "TensorRT")
