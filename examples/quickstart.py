@@ -49,7 +49,7 @@ def main(model_name: str = "ResNet-18", device_name: str = "Jetson Nano",
           f"({plan.bound_fraction('compute'):.0%} of roofline time compute-bound)")
     print(f"  memory   {plan.memory_s * 1e3:8.2f} ms")
     print(f"  dispatch {plan.dispatch_s * 1e3:8.2f} ms over "
-          f"{len(plan.timings)} kernels")
+          f"{len(plan.ops)} kernels")
 
 
 if __name__ == "__main__":

@@ -89,8 +89,8 @@ def _prefix_compute(deployed: DeployedModel,
     """Running sums of one deployment's per-op latencies, in op order."""
     # The planner prices caller-supplied deployments, outside the
     # Runner's scenario namespace.
-    session = InferenceSession(deployed)  # repro: allow[ARCH001]
-    timings = {t.op.name: t.latency_s for t in session.plan.timings}
+    plan = InferenceSession(deployed).plan  # repro: allow[ARCH001]
+    timings = dict(zip([op.name for op in plan.ops], plan.op_latency_s.tolist()))
     prefix = [0.0] * (len(schedulable) + 1)
     for i, name in enumerate(schedulable):
         prefix[i + 1] = prefix[i] + timings.get(name, 0.0)

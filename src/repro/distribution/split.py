@@ -100,10 +100,9 @@ class SplitPlanner:
     def _per_op_times(deployed: DeployedModel) -> dict[str, float]:
         # The planner prices caller-supplied deployments (remote platforms
         # outside the Runner's scenario namespace).
-        session = InferenceSession(deployed)  # repro: allow[ARCH001]
-        times = {t.op.name: t.latency_s for t in session.plan.timings}
-        times["__session__"] = (session.plan.session_overhead_s
-                                + session.plan.input_transfer_s)
+        plan = InferenceSession(deployed).plan  # repro: allow[ARCH001]
+        times = dict(zip([op.name for op in plan.ops], plan.op_latency_s.tolist()))
+        times["__session__"] = plan.session_overhead_s + plan.input_transfer_s
         return times
 
     def sweep(self) -> list[SplitPlan]:

@@ -1,15 +1,15 @@
 """Inference session: the engine's user-facing entry point.
 
-Builds an :class:`ExecutionPlan` (per-op roofline timings) for a deployed
-model and exposes the quantities the measurement layer consumes: steady
-per-inference latency, one-time initialization cost (excluded from the
-paper's timing loop, Section V), and compute utilization (which maps to
-power draw).
+Builds an :class:`ExecutionPlan` (per-op roofline timing columns) for a
+deployed model and exposes the quantities the measurement layer consumes:
+steady per-inference latency, one-time initialization cost (excluded from
+the paper's timing loop, Section V), and compute utilization (which maps
+to power draw).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -60,7 +60,7 @@ class EngineConfig:
 
 
 class _PlanTotals(NamedTuple):
-    """Aggregates over a plan's timings, computed in one pass."""
+    """Aggregates over a plan's timing columns, computed in one pass."""
 
     compute_s: float
     memory_s: float
@@ -70,31 +70,49 @@ class _PlanTotals(NamedTuple):
     bound_roofline_s: dict[str, float]
 
 
-@dataclass
+@dataclass(eq=False)
 class ExecutionPlan:
-    """Per-op timings plus aggregate decomposition for one inference.
+    """Per-op timing columns plus aggregate decomposition for one inference.
 
-    Aggregates are summed once on first access and cached; ``timings`` must
-    not be mutated after that (plans from the memoization layer are shared,
-    so treat them as immutable anyway).
+    ``op_compute_s``, ``op_memory_s`` and ``op_dispatch_s`` hold one entry
+    per op of ``ops`` (read-only slices of the array program's output).
+    Aggregates are summed once on first access and cached; plans from the
+    memoization layer are shared, so treat them as immutable.
     """
 
-    timings: list[OpTiming] = field(default_factory=list)
+    ops: tuple
+    op_compute_s: np.ndarray
+    op_memory_s: np.ndarray
+    op_dispatch_s: np.ndarray
     session_overhead_s: float = 0.0
     input_transfer_s: float = 0.0
+
+    @property
+    def timings(self) -> list[OpTiming]:
+        """One :class:`OpTiming` per op, built on each call (not stored)."""
+        return [OpTiming(op=op, compute_s=c, memory_s=m, dispatch_s=d)
+                for op, c, m, d in zip(self.ops, self.op_compute_s.tolist(),
+                                       self.op_memory_s.tolist(),
+                                       self.op_dispatch_s.tolist())]
+
+    @property
+    def op_latency_s(self) -> np.ndarray:
+        """Per-op latency: the roofline term plus dispatch."""
+        return np.maximum(self.op_compute_s, self.op_memory_s) + self.op_dispatch_s
 
     @cached_property
     def _totals(self) -> _PlanTotals:
         compute = memory = dispatch = roofline = op_latency = 0.0
         bound = {"compute": 0.0, "memory": 0.0}
-        for t in self.timings:
-            roof = t.roofline_s
-            compute += t.compute_s
-            memory += t.memory_s
-            dispatch += t.dispatch_s
+        for c, m, d in zip(self.op_compute_s.tolist(), self.op_memory_s.tolist(),
+                           self.op_dispatch_s.tolist()):
+            roof = max(c, m)
+            compute += c
+            memory += m
+            dispatch += d
             roofline += roof
-            op_latency += t.latency_s
-            bound[t.bound] += roof
+            op_latency += roof + d
+            bound["compute" if c >= m else "memory"] += roof
         return _PlanTotals(compute, memory, dispatch, roofline, op_latency, bound)
 
     @property
@@ -125,21 +143,29 @@ class ExecutionPlan:
         return totals.bound_roofline_s.get(bound, 0.0) / totals.roofline_s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlanSpec:
     """Everything needed to price one (deployment, config) pair.
 
-    The resolution work — op schedule, per-op kernel efficiencies, roofline
-    constants, framework overheads — is separated from the arithmetic so
-    :func:`lower_plan_specs` can price any number of specs through one
-    array program: one spec for a session, a whole grid for the sweep
-    compiler (:mod:`repro.engine.compile`).
+    The resolution work — op schedule, per-op accounting sliced from the
+    graph's :class:`~repro.graphs.table.OpTable`, kernel efficiencies,
+    roofline constants, framework overheads — is separated from the
+    arithmetic so :func:`lower_plan_specs` can price any number of specs
+    through one array program: one spec for a session, a whole grid for
+    the sweep compiler (:mod:`repro.engine.compile`).
+
+    ``macs``, ``weight_bytes`` and ``io_bytes`` are float64 arrays with
+    one entry per op of ``ops``: effective MACs and weight traffic (under
+    the deployment's exploited sparsity) and activation input + output
+    bytes.
     """
 
     ops: tuple
+    macs: np.ndarray
+    weight_bytes: np.ndarray
+    io_bytes: np.ndarray
     inputs: RooflineInputs
     efficiencies: tuple[float, ...]
-    exploit_sparsity: bool
     per_op_overhead_s: float
     batch_size: int
     include_memory_term: bool
@@ -204,42 +230,51 @@ def resolve_roofline_inputs(deployed: DeployedModel) -> RooflineInputs:
 def resolve_plan_spec(deployed: DeployedModel, config: EngineConfig,
                       efficiency_scale: float) -> PlanSpec:
     """Resolve the op schedule, efficiencies and overheads for one plan."""
-    from repro.graphs.ops import Input
-
     inputs = resolve_roofline_inputs(deployed)
     framework = deployed.framework
+    graph = deployed.graph
+    table = graph.table
+    columns = table.columns
     session_overhead = deployed.session_overhead_s / config.batch_size
     if not config.include_framework_overheads:
         session_overhead = 0.0
 
     input_transfer_s = 0.0
     if deployed.device.transfer is not None:
-        input_bytes = sum(op.output_bytes() for op in deployed.graph.inputs)
-        output_bytes = sum(op.output_bytes() for op in deployed.graph.outputs)
+        input_bytes = int(columns.out_bytes[table.is_input].sum())
+        output_bytes = int(columns.out_bytes[table.is_output].sum())
         input_transfer_s = deployed.device.transfer.transfer_time_s(
             input_bytes + output_bytes
         )
 
     if config.respect_fusion:
-        ops = deployed.graph.schedulable_ops()
+        positions = table.schedulable
     else:
-        ops = [op for op in deployed.graph.ops if not isinstance(op, Input)]
+        positions = np.flatnonzero(~table.is_input)
+    ops = tuple(graph.ops[i] for i in positions.tolist())
+    if deployed.exploit_sparsity:
+        macs, weight_bytes = columns.sparse_macs, columns.sparse_traffic_bytes
+    else:
+        macs, weight_bytes = columns.macs, columns.traffic_bytes
     per_op_overhead = deployed.per_op_overhead_s
     if not config.include_framework_overheads:
         per_op_overhead = 0.0
     spill_penalty = 0.5 if deployed.storage_mode == "fabric_spill" else 1.0
     efficiencies = tuple(
         framework.kernel_efficiency(
-            op, deployed.unit, deployed.weight_dtype, deployed.graph,
+            op, deployed.unit, deployed.weight_dtype, graph,
             batch_size=config.batch_size,
         ) * efficiency_scale * spill_penalty
         for op in ops
     )
     return PlanSpec(
-        ops=tuple(ops),
+        ops=ops,
+        macs=macs[positions],
+        weight_bytes=weight_bytes[positions].astype(np.float64),
+        io_bytes=(columns.in_bytes[positions]
+                  + columns.out_bytes[positions]).astype(np.float64),
         inputs=inputs,
         efficiencies=efficiencies,
-        exploit_sparsity=deployed.exploit_sparsity,
         per_op_overhead_s=per_op_overhead,
         batch_size=config.batch_size,
         include_memory_term=config.include_memory_term,
@@ -259,17 +294,14 @@ class LoweredPlans(NamedTuple):
 
 def _op_columns(spec: PlanSpec) -> tuple[np.ndarray, ...]:
     """One spec's per-op roofline inputs, in :func:`lower_rooflines_s` order."""
-    ops, n, sparsity, inputs = spec.ops, len(spec.ops), spec.exploit_sparsity, spec.inputs
+    n, inputs = len(spec.ops), spec.inputs
     if spec.include_memory_term:
-        weight_bytes = np.array([op.traffic_weight_bytes(sparsity) for op in ops],
-                                dtype=np.float64)
-        io_bytes = np.array([op.input_bytes() + op.output_bytes() for op in ops],
-                            dtype=np.float64)
+        weight_bytes, io_bytes = spec.weight_bytes, spec.io_bytes
     else:
         # Zero traffic makes the memory quotient exactly 0.0.
         weight_bytes = io_bytes = np.zeros(n)
     return (
-        np.array([op.effective_macs(sparsity) for op in ops], dtype=np.float64),
+        spec.macs,
         np.asarray(spec.efficiencies, dtype=np.float64),
         np.full(n, inputs.peak_macs_per_s),
         weight_bytes,
@@ -288,7 +320,8 @@ def lower_plan_specs(specs: Sequence[PlanSpec]) -> LoweredPlans:
     traffic, activation I/O, kernel efficiency and device constants are
     concatenated into parallel float64 arrays, priced in one
     :func:`lower_rooflines_s` call, and split back into one
-    :class:`ExecutionPlan` per spec.  The program is elementwise, so a
+    :class:`ExecutionPlan` per spec, whose timing columns are read-only
+    slices of the program's output.  The program is elementwise, so a
     plan comes out the same whichever other specs share the call.
 
     Returns:
@@ -302,27 +335,24 @@ def lower_plan_specs(specs: Sequence[PlanSpec]) -> LoweredPlans:
     if macs.size and np.any(efficiency <= 0):
         worst = float(efficiency.min())
         raise ValueError(f"efficiency must be positive, got {worst}")
-    compute_s, memory_s, dispatch_s = lower_rooflines_s(*columns)
+    seconds = lower_rooflines_s(*columns)
+    for column in seconds:
+        column.flags.writeable = False
+    compute_s, memory_s, dispatch_s = seconds
 
-    compute_list = compute_s.tolist()
-    memory_list = memory_s.tolist()
-    dispatch_list = dispatch_s.tolist()
     plans = []
     offset = 0
     for spec in specs:
         end = offset + len(spec.ops)
-        timings = [
-            OpTiming(op=op, compute_s=c, memory_s=m, dispatch_s=d)
-            for op, c, m, d in zip(spec.ops, compute_list[offset:end],
-                                   memory_list[offset:end],
-                                   dispatch_list[offset:end])
-        ]
-        offset = end
         plans.append(ExecutionPlan(
-            timings=timings,
+            ops=spec.ops,
+            op_compute_s=compute_s[offset:end],
+            op_memory_s=memory_s[offset:end],
+            op_dispatch_s=dispatch_s[offset:end],
             session_overhead_s=spec.session_overhead_s,
             input_transfer_s=spec.input_transfer_s,
         ))
+        offset = end
     return LoweredPlans(plans=plans, ops=int(macs.size),
                         macs=float(macs.sum()),
                         traffic_bytes=float(weight_bytes.sum() + io_bytes.sum()))
@@ -337,11 +367,9 @@ def plan_utilization(plan: ExecutionPlan) -> float:
     latency = plan.latency_s
     if latency == 0:
         return 0.0
-    busy = sum(
-        t.compute_s if t.bound == "compute" else 0.65 * t.roofline_s
-        for t in plan.timings
-    )
-    return min(1.0, busy / latency)
+    compute, memory = plan.op_compute_s, plan.op_memory_s
+    busy = np.where(compute >= memory, compute, 0.65 * memory)
+    return min(1.0, sum(busy.tolist()) / latency)
 
 
 def deployed_init_time_s(deployed: DeployedModel) -> float:

@@ -28,8 +28,9 @@ def layer_table(session: InferenceSession, top: int | None = None) -> ResultTabl
         ["type", "latency_us", "compute_us", "memory_us", "bound", "share"],
         caption="share = fraction of the summed per-op latency.",
     )
-    timings = sorted(session.plan.timings, key=lambda t: t.latency_s, reverse=True)
-    total = sum(t.latency_s for t in session.plan.timings) or 1.0
+    timings = session.plan.timings
+    total = sum(t.latency_s for t in timings) or 1.0
+    timings.sort(key=lambda t: t.latency_s, reverse=True)
     for timing in timings[: top or len(timings)]:
         table.add_row(
             timing.op.name,

@@ -100,28 +100,18 @@ class DeployedModel:
     #: built directly (and therefore free to be mutated) stay None and are
     #: never plan-cached.
     cache_key: tuple | None = None
-    # Lazy byte-count memos: the deployed graph is immutable once deploy()
-    # returns, so these integer walks are done once and shared by every
-    # consumer (roofline inputs, one-time costs, batch memory planning).
-    _weight_bytes: int | None = field(default=None, repr=False, compare=False)
-    _peak_activation_bytes: int | None = field(default=None, repr=False,
-                                               compare=False)
 
     @property
     def is_paged(self) -> bool:
         return self.storage_mode == "paged"
 
     def weight_bytes(self) -> int:
-        """Total weight bytes of the deployed graph, memoized."""
-        if self._weight_bytes is None:
-            self._weight_bytes = self.graph.weight_bytes()
-        return self._weight_bytes
+        """Total weight bytes of the deployed graph (from its op table)."""
+        return self.graph.weight_bytes()
 
     def peak_activation_bytes(self) -> int:
-        """Peak live activation bytes of the deployed graph, memoized."""
-        if self._peak_activation_bytes is None:
-            self._peak_activation_bytes = self.graph.peak_activation_bytes()
-        return self._peak_activation_bytes
+        """Peak live activation bytes of the deployed graph (from its op table)."""
+        return self.graph.peak_activation_bytes()
 
     def footprint_bytes(self) -> int:
         over = self.framework.overheads

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.graphs import ops as O
 from repro.graphs.graph import Graph
 
@@ -93,35 +95,11 @@ def liveness_timeline(graph: Graph) -> list[LivenessSample]:
     the timeline shows WHERE the peak sits (mid-network for DenseNet's
     dense concatenations, at the first convolutions for VGG).
     """
-    remaining_uses: dict[int, int] = {id(op): 0 for op in graph.ops}
-    anchor = graph._chain_anchor
-    for op in graph.ops:
-        consumer = anchor(op)
-        for parent in op.inputs:
-            producer = anchor(parent)
-            if producer is not consumer:
-                remaining_uses[id(producer)] += 1
-    for op in graph.outputs:
-        remaining_uses[id(anchor(op))] += 1
-
-    timeline: list[LivenessSample] = []
-    live = 0
-    alive: dict[int, int] = {}
-    for op in graph.ops:
-        if not op.is_fused_away:
-            produced = op.output_bytes()
-            alive[id(op)] = produced
-            live += produced
-            timeline.append(LivenessSample(op_name=op.name, live_bytes=live))
-        consumer = anchor(op)
-        for parent in op.inputs:
-            producer = anchor(parent)
-            if producer is consumer:
-                continue
-            remaining_uses[id(producer)] -= 1
-            if remaining_uses[id(producer)] == 0:
-                live -= alive.pop(id(producer), 0)
-    return timeline
+    table = graph.table
+    live = table.live_bytes().tolist()
+    ops = graph.ops
+    return [LivenessSample(op_name=ops[i].name, live_bytes=live[i])
+            for i in np.flatnonzero(~table.fused).tolist()]
 
 
 def peak_location(graph: Graph) -> tuple[str, int]:

@@ -4,7 +4,8 @@ A :class:`Graph` is an immutable-by-convention DAG of ops in topological
 order (the builder can only reference already-created ops, so construction
 order is a valid schedule).  It exposes the aggregate quantities Table I
 reports (MACs, parameters, compute intensity) plus the memory figures the
-execution engine needs (weight bytes, peak activation liveness).
+execution engine needs (weight bytes, peak activation liveness), read from
+its columnar :class:`~repro.graphs.table.OpTable`.
 """
 
 from __future__ import annotations
@@ -13,17 +14,34 @@ import copy
 from typing import Iterator
 
 from repro.graphs import ops as O
+from repro.graphs.table import OpTable
 from repro.graphs.tensor import DType, TensorShape
 
 
 class Graph:
-    """A topologically ordered op DAG for one DNN model."""
+    """A topologically ordered op DAG for one DNN model.
+
+    Per-op accounting comes from :attr:`table`, built from ``ops`` the first
+    time it is read and kept with the graph.  A graph's ops must not be
+    mutated (annotations, inputs or the op list itself) once its table has
+    been read: every transform in :mod:`repro.graphs.transforms` mutates a
+    :meth:`clone`, which starts without a table.
+    """
+
+    _table: OpTable | None = None
 
     def __init__(self, name: str, operations: list[O.Op], metadata: dict | None = None):
         self.name = name
         self.ops = list(operations)
         self.metadata = dict(metadata or {})
         self._validate()
+
+    @property
+    def table(self) -> OpTable:
+        """The graph's columnar per-op accounting, built on first read."""
+        if self._table is None:
+            self._table = OpTable(self.ops)
+        return self._table
 
     def _validate(self) -> None:
         seen: set[int] = set()
@@ -72,7 +90,8 @@ class Graph:
         immutable and safe to share.  Copying each op shallowly and remapping
         those three fields is equivalent to ``copy.deepcopy`` on a valid
         graph while skipping the per-attribute recursion that made cloning
-        the dominant cost of a deployment sweep.
+        the dominant cost of a deployment sweep.  The clone does not share
+        the table: it builds its own when first read.
         """
         mapping: dict[int, O.Op] = {}
         for op in self.ops:
@@ -114,62 +133,22 @@ class Graph:
     def weight_bytes(self, dtype: DType | None = None) -> int:
         """Total weight bytes; ``dtype`` overrides per-op annotations."""
         if dtype is None:
-            return sum(op.weight_bytes() for op in self.ops)
+            return int(self.table.columns.param_bytes.sum())
         total = 0.0
         for op in self.ops:
             total += op.params * dtype.bytes
         return int(total)
 
     # -- memory liveness ----------------------------------------------------
-    @staticmethod
-    def _chain_anchor(op: O.Op) -> O.Op:
-        """The op whose kernel materializes ``op``'s output buffer.
-
-        For a fused chain conv->bn->relu the conv's kernel writes the single
-        output buffer all chain-external consumers read.
-        """
-        while op.fused_into is not None:
-            op = op.fused_into
-        return op
-
     def peak_activation_bytes(self) -> int:
         """Peak live activation memory for a sequential single-batch run.
 
-        Computed by reference-counting each materialized buffer until its
-        last chain-external consumer has executed — the same liveness a
-        framework memory planner sees.  Fused-away ops share their anchor's
-        buffer instead of materializing an intermediate.
+        Each materialized buffer stays live until its last chain-external
+        consumer has executed — the same liveness a framework memory
+        planner sees.  Fused-away ops share their anchor's buffer instead
+        of materializing an intermediate (:meth:`OpTable.live_bytes`).
         """
-        remaining_uses = {id(op): 0 for op in self.ops}
-        for op in self.ops:
-            consumer_anchor = self._chain_anchor(op)
-            for parent in op.inputs:
-                producer_anchor = self._chain_anchor(parent)
-                if producer_anchor is consumer_anchor:
-                    continue  # edge internal to one fused kernel
-                remaining_uses[id(producer_anchor)] += 1
-        # Graph outputs stay live until the end of the inference.
-        for op in self.outputs:
-            remaining_uses[id(self._chain_anchor(op))] += 1
-
-        live_bytes = 0
-        peak = 0
-        alive: dict[int, int] = {}
-        for op in self.ops:
-            if not op.is_fused_away:
-                produced = op.output_bytes()
-                alive[id(op)] = produced
-                live_bytes += produced
-                peak = max(peak, live_bytes)
-            consumer_anchor = self._chain_anchor(op)
-            for parent in op.inputs:
-                producer_anchor = self._chain_anchor(parent)
-                if producer_anchor is consumer_anchor:
-                    continue
-                remaining_uses[id(producer_anchor)] -= 1
-                if remaining_uses[id(producer_anchor)] == 0:
-                    live_bytes -= alive.pop(id(producer_anchor), 0)
-        return peak
+        return self.table.peak_activation_bytes
 
     def inference_footprint_bytes(self) -> int:
         """Weights + peak activations: the deployment footprint the paper's
@@ -185,7 +164,8 @@ class Graph:
 
     def schedulable_ops(self) -> list[O.Op]:
         """Ops that still dispatch a kernel (not fused into a producer)."""
-        return [op for op in self.ops if not op.is_fused_away and not isinstance(op, O.Input)]
+        ops = self.ops
+        return [ops[i] for i in self.table.schedulable.tolist()]
 
     def summary(self, verbose: bool = False) -> str:
         """One-line totals; ``verbose`` adds a per-op table (Keras-style)."""

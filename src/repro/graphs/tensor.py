@@ -28,6 +28,12 @@ from repro.graphs.symbolic import (
 )
 
 
+#: Bits per element, keyed by :class:`DType` value.
+_BITS = {"fp32": 32, "fp16": 16, "int8": 8, "binary": 1}
+#: Bytes per element (``bits / 8``), keyed by :class:`DType` value.
+_BYTES = {value: bits / 8 for value, bits in _BITS.items()}
+
+
 class DType(enum.Enum):
     """Numeric datatypes the studied frameworks deploy with (Table II).
 
@@ -41,12 +47,12 @@ class DType(enum.Enum):
 
     @property
     def bits(self) -> int:
-        return {"fp32": 32, "fp16": 16, "int8": 8, "binary": 1}[self.value]
+        return _BITS[self._value_]
 
     @property
     def bytes(self) -> float:
         """Bytes per element; fractional for sub-byte types."""
-        return self.bits / 8
+        return _BYTES[self._value_]
 
 
 @dataclass(frozen=True)

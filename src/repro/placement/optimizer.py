@@ -299,9 +299,14 @@ def search_placements(model: str, *,
             feasible candidates when given.
         max_pipeline_depth: deepest homogeneous pipeline to consider.
         runner: scenario runner (defaults to the process-wide one).
+
+    Raises:
+        UnknownEntryError: ``model`` is not a zoo model.
     """
     from repro.distribution.network import resolve_link
+    from repro.models import MODEL_REGISTRY
 
+    MODEL_REGISTRY.display_name(model)  # unknown models fail fast
     if runner is None:
         runner = default_runner()
     if edge_devices is None:

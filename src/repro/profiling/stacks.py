@@ -75,7 +75,8 @@ def _pytorch_stack(session: InferenceSession, n: int) -> StackProfile:
 
     buckets: dict[str, float] = {}
     other = 0.0
-    for timing in session.plan.timings:
+    timings = session.plan.timings
+    for timing in timings:
         op = timing.op
         if isinstance(op, (Conv2D, DepthwiseConv2D, Conv3D)):
             buckets["conv2d"] = buckets.get("conv2d", 0.0) + timing.roofline_s
@@ -87,7 +88,7 @@ def _pytorch_stack(session: InferenceSession, n: int) -> StackProfile:
             buckets["activation"] = buckets.get("activation", 0.0) + timing.roofline_s
         else:
             other += timing.roofline_s
-    dispatch = sum(t.dispatch_s for t in session.plan.timings)
+    dispatch = sum(t.dispatch_s for t in timings)
     forward = other + dispatch + session.plan.session_overhead_s + session.plan.input_transfer_s
     for bucket, per_inference in buckets.items():
         profile.add(bucket, "per-inference", per_inference * n, calls=n)

@@ -305,7 +305,7 @@ class Runner:
                 roofline_s=plan.roofline_s,
                 session_overhead_s=plan.session_overhead_s,
                 input_transfer_s=plan.input_transfer_s,
-                op_count=len(plan.timings),
+                op_count=len(plan.ops),
                 weight_bytes=cell.weight_bytes,
             ),
         )

@@ -10,11 +10,12 @@ from __future__ import annotations
 from repro.distribution.partition import CutPoint
 from repro.graphs import ops as O
 from repro.graphs.graph import Graph
+from tests.graphs.reference import reference_schedulable
 
 
 def reference_cut_points(graph: Graph) -> list[CutPoint]:
     """Every cut, each rescanning every producer's consumer list."""
-    schedulable = graph.schedulable_ops()
+    schedulable = reference_schedulable(graph)
     order_index = {id(op): i for i, op in enumerate(schedulable)}
 
     def position(op: O.Op) -> int:

@@ -10,6 +10,8 @@ operations in the same order, op by op.  :func:`price` and
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.engine.executor import PlanSpec, lower_plan_specs
 from repro.engine.roofline import OpTiming, RooflineInputs
 from repro.graphs.ops import Op
@@ -43,15 +45,31 @@ def time_op(
                     dispatch_s=dispatch_s)
 
 
-def price(ops, inputs: RooflineInputs, efficiencies, exploit_sparsity: bool = False,
-          per_op_overhead_s: float = 0.0, batch_size: int = 1,
-          include_memory_term: bool = True) -> list[OpTiming]:
-    """Per-op timings of one plan, priced by the production path."""
-    spec = PlanSpec(
-        ops=tuple(ops), inputs=inputs, efficiencies=tuple(efficiencies),
-        exploit_sparsity=exploit_sparsity, per_op_overhead_s=per_op_overhead_s,
-        batch_size=batch_size, include_memory_term=include_memory_term,
+def spec_for(ops, inputs: RooflineInputs, efficiencies,
+             exploit_sparsity: bool = False, per_op_overhead_s: float = 0.0,
+             batch_size: int = 1, include_memory_term: bool = True) -> PlanSpec:
+    """A plan spec over ``ops`` whose accounting columns come from the
+    per-op methods (the values ``resolve_plan_spec`` slices from the
+    graph's op table)."""
+    ops = tuple(ops)
+    return PlanSpec(
+        ops=ops,
+        macs=np.array([op.effective_macs(exploit_sparsity) for op in ops],
+                      dtype=np.float64),
+        weight_bytes=np.array([op.traffic_weight_bytes(exploit_sparsity)
+                               for op in ops], dtype=np.float64),
+        io_bytes=np.array([op.input_bytes() + op.output_bytes() for op in ops],
+                          dtype=np.float64),
+        inputs=inputs, efficiencies=tuple(efficiencies),
+        per_op_overhead_s=per_op_overhead_s, batch_size=batch_size,
+        include_memory_term=include_memory_term,
         session_overhead_s=0.0, input_transfer_s=0.0)
+
+
+def price(ops, inputs: RooflineInputs, efficiencies, **kwargs) -> list[OpTiming]:
+    """Per-op timings of one plan, priced by the production path;
+    keywords as :func:`spec_for`."""
+    spec = spec_for(ops, inputs, efficiencies, **kwargs)
     return lower_plan_specs([spec]).plans[0].timings
 
 

@@ -83,7 +83,7 @@ class TestThreeWayOpEquivalence:
                     cell.plan.timings, spec.ops, spec.efficiencies):
                 reference = time_op(
                     op, spec.inputs, efficiency,
-                    exploit_sparsity=spec.exploit_sparsity,
+                    exploit_sparsity=deployed.exploit_sparsity,
                     per_op_overhead_s=spec.per_op_overhead_s,
                     batch_size=spec.batch_size,
                     include_memory_term=spec.include_memory_term)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import InferenceSession
 from repro.engine.executor import resolve_roofline_inputs
+from repro.engine.roofline import OpTiming
 from repro.frameworks import load_framework
 from repro.hardware import load_device
 from repro.models import load_model
@@ -26,6 +27,19 @@ class TestPlan:
     def test_plan_covers_schedulable_ops(self):
         session = _session(scale=1.0)
         assert len(session.plan.timings) == len(session.deployed.graph.schedulable_ops())
+
+    def test_plan_stores_timing_columns_not_op_timings(self):
+        plan = _session(scale=1.0).plan
+        assert plan.latency_s > 0  # totals are cached on the plan
+        assert not any(isinstance(value, (OpTiming, list))
+                       for value in vars(plan).values())
+        for column in (plan.op_compute_s, plan.op_memory_s, plan.op_dispatch_s):
+            assert column.shape == (len(plan.ops),)
+            assert not column.flags.writeable  # plans are shared via the cache
+        first, second = plan.timings, plan.timings
+        assert first is not second and first == second
+        assert [t.op for t in first] == list(plan.ops)
+        assert [t.latency_s for t in first] == plan.op_latency_s.tolist()
 
     def test_bound_fractions_sum_to_one(self):
         plan = _session(scale=1.0).plan

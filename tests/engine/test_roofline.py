@@ -5,15 +5,13 @@ The scalar formula survives only as the oracle in ``tests/engine/reference``;
 bit for bit.
 """
 
-from dataclasses import replace
-
 import pytest
 
-from repro.engine.executor import PlanSpec, lower_plan_specs
+from repro.engine.executor import lower_plan_specs
 from repro.engine.roofline import RooflineInputs
 from repro.graphs import ops as O
 from repro.graphs.tensor import TensorShape
-from tests.engine.reference import time_one
+from tests.engine.reference import spec_for, time_one
 
 
 def _conv() -> O.Conv2D:
@@ -107,13 +105,10 @@ class TestLowerPlanSpecs:
 
     def test_counters_cover_every_spec(self):
         conv, flat = _conv(), O.Flatten("f", [O.Input("in", TensorShape(4, 4, 4))])
-        spec = PlanSpec(ops=(conv,), inputs=_inputs(), efficiencies=(0.5,),
-                        exploit_sparsity=False, per_op_overhead_s=0.0, batch_size=1,
-                        include_memory_term=True, session_overhead_s=0.0,
-                        input_transfer_s=0.0)
-        ablated = replace(spec, ops=(flat,), include_memory_term=False)
+        spec = spec_for([conv], _inputs(), [0.5])
+        ablated = spec_for([flat], _inputs(), [0.5], include_memory_term=False)
         lowered = lower_plan_specs([spec, ablated])
-        assert [len(plan.timings) for plan in lowered.plans] == [1, 1]
+        assert [len(plan.ops) for plan in lowered.plans] == [1, 1]
         assert (lowered.ops, lowered.macs) == (2, conv.macs)
         # The ablated plan streams no bytes.
         assert lowered.traffic_bytes == (conv.traffic_weight_bytes(False)

@@ -11,7 +11,7 @@ from repro.graphs.analysis import (
     ridge_point,
 )
 from repro.graphs.transforms import fuse_graph
-from repro.models import load_model
+from repro.models import list_models, load_model
 
 
 class TestIntensity:
@@ -74,12 +74,14 @@ class TestRidge:
 
 
 class TestLiveness:
-    @pytest.mark.parametrize("model_name", ["ResNet-18", "VGG16", "DenseNet-121",
-                                            "MobileNet-v2", "C3D"])
+    @pytest.mark.parametrize("model_name", list_models())
     def test_timeline_max_equals_peak(self, model_name):
-        graph = load_model(model_name)
-        timeline = liveness_timeline(graph)
-        assert max(s.live_bytes for s in timeline) == graph.peak_activation_bytes()
+        """The docstring's contract, zoo-wide, as built and fused."""
+        base = load_model(model_name)
+        for graph in (base, fuse_graph(base)):
+            timeline = liveness_timeline(graph)
+            assert (max(s.live_bytes for s in timeline)
+                    == graph.peak_activation_bytes())
 
     def test_fused_timeline_consistent_too(self):
         graph = fuse_graph(load_model("ResNet-18"))

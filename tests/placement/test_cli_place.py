@@ -45,6 +45,12 @@ class TestPlaceVerb:
         assert main(["place", "MobileNet-v2", "--link", "carrier-pigeon"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_unknown_model_is_a_usage_error(self, capsys):
+        assert main(["place", "NoSuchModel"]) == 2
+        captured = capsys.readouterr()
+        assert "error: unknown model: 'NoSuchModel'" in captured.err
+        assert captured.out == ""
+
     def test_same_arguments_write_identical_bytes(self, tmp_path, capsys):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for path in paths:

@@ -22,6 +22,12 @@ class TestSearch:
         second = search_placements("MobileNet-v2", **kwargs)
         assert first.to_dict() == second.to_dict()
 
+    def test_unknown_model_rejected_before_the_sweep(self):
+        from repro.core.errors import UnknownEntryError
+
+        with pytest.raises(UnknownEntryError, match="NoSuchModel"):
+            search_placements("NoSuchModel")
+
     def test_candidates_cover_all_three_kinds(self):
         frontier = search_placements(
             "MobileNet-v2", edge_devices=(RPI,), link="lan",
