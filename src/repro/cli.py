@@ -90,6 +90,10 @@ def _cmd_time(args: argparse.Namespace) -> int:
     runner = default_runner()
     record = runner.run(scenario, use_timer=not args.no_timer, n_runs=args.runs)
     if record.failed:
+        if record.failure.kind == "unknown_entry":
+            # A misspelt name is a usage error, not a Table V outcome.
+            print(f"error: {record.failure.message}", file=sys.stderr)
+            return 2
         print(f"deployment failed: {record.failure.message} "
               f"[{record.failure.kind}]", file=sys.stderr)
         return 1

@@ -154,10 +154,10 @@ class PlanSpec:
     through one array program: one spec for a session, a whole grid for
     the sweep compiler (:mod:`repro.engine.compile`).
 
-    ``macs``, ``weight_bytes`` and ``io_bytes`` are float64 arrays with
-    one entry per op of ``ops``: effective MACs and weight traffic (under
-    the deployment's exploited sparsity) and activation input + output
-    bytes.
+    ``macs``, ``weight_bytes``, ``io_bytes`` and ``efficiencies`` are
+    float64 arrays with one entry per op of ``ops``: effective MACs and
+    weight traffic (under the deployment's exploited sparsity), activation
+    input + output bytes, and calibrated kernel efficiency.
     """
 
     ops: tuple
@@ -165,7 +165,7 @@ class PlanSpec:
     weight_bytes: np.ndarray
     io_bytes: np.ndarray
     inputs: RooflineInputs
-    efficiencies: tuple[float, ...]
+    efficiencies: np.ndarray
     per_op_overhead_s: float
     batch_size: int
     include_memory_term: bool
@@ -260,13 +260,9 @@ def resolve_plan_spec(deployed: DeployedModel, config: EngineConfig,
     if not config.include_framework_overheads:
         per_op_overhead = 0.0
     spill_penalty = 0.5 if deployed.storage_mode == "fabric_spill" else 1.0
-    efficiencies = tuple(
-        framework.kernel_efficiency(
-            op, deployed.unit, deployed.weight_dtype, graph,
-            batch_size=config.batch_size,
-        ) * efficiency_scale * spill_penalty
-        for op in ops
-    )
+    efficiencies = framework.kernel_efficiencies(
+        table, positions, deployed.unit, graph, config.batch_size,
+    ) * efficiency_scale * spill_penalty
     return PlanSpec(
         ops=ops,
         macs=macs[positions],
@@ -302,7 +298,7 @@ def _op_columns(spec: PlanSpec) -> tuple[np.ndarray, ...]:
         weight_bytes = io_bytes = np.zeros(n)
     return (
         spec.macs,
-        np.asarray(spec.efficiencies, dtype=np.float64),
+        spec.efficiencies,
         np.full(n, inputs.peak_macs_per_s),
         weight_bytes,
         io_bytes,

@@ -17,13 +17,19 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.errors import CompatibilityError, IncompatibleModelError, OutOfMemoryError
 from repro.core.quantity import MEBI
 from repro.graphs import Graph
-from repro.graphs.ops import Op, OpCategory
+from repro.graphs.graph import Recipe
+from repro.graphs.table import KERNEL_STREAMING, OpTable
 from repro.graphs.tensor import DType
+from repro.graphs.transforms import fuse_in_place, quantize_in_place
 from repro.hardware.compute import ComputeKind, ComputeUnit
 from repro.hardware.device import Device, DeviceCategory
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 # Single-core MAC/s of the reference desktop core the overhead constants
 # were expressed against (2.2 GHz x 16 MACs/cycle AVX2).
@@ -83,7 +89,12 @@ class FrameworkOverheads:
 
 @dataclass
 class DeployedModel:
-    """A model compiled/prepared for one (framework, device) pair."""
+    """A model compiled/prepared for one (framework, device) pair.
+
+    ``graph`` is shared: every deployment of one source graph through the
+    same transform recipe holds the same prepared graph (the source graph
+    itself for an empty recipe), so never mutate it.
+    """
 
     framework: "Framework"
     device: Device
@@ -191,7 +202,7 @@ class Framework(abc.ABC):
     #: datatypes the framework will deploy with, best first.
     deploy_dtypes: tuple[DType, ...] = (DType.FP32,)
     #: fraction of a unit's peak that this framework's kernels reach,
-    #: keyed by compute kind; refined per-op by :meth:`kernel_efficiency`.
+    #: keyed by compute kind; refined per op by :meth:`kernel_efficiencies`.
     kernel_quality: dict[ComputeKind, float] = {
         ComputeKind.CPU: 0.2,
         ComputeKind.GPU: 0.2,
@@ -237,11 +248,10 @@ class Framework(abc.ABC):
         self.check_model_support(graph, device, unit)
         weight_dtype = dtype or unit.best_dtype(self.deploy_dtypes)
         act_dtype = weight_dtype if weight_dtype is not DType.BINARY else DType.INT8
-        prepared = self.prepare_graph(graph, device, unit, weight_dtype)
         deployed = DeployedModel(
             framework=self,
             device=device,
-            graph=prepared,
+            graph=graph.transformed(self.graph_transforms(weight_dtype)),
             unit=unit,
             weight_dtype=weight_dtype,
             act_dtype=act_dtype,
@@ -273,15 +283,19 @@ class Framework(abc.ABC):
                 f"on {device.name} (Table V, code incompatibility)"
             )
 
-    def prepare_graph(self, graph: Graph, device: Device, unit: ComputeUnit,
-                      dtype: DType) -> Graph:
-        """Apply the optimizations this framework implements (Table II)."""
-        from repro.graphs.transforms import fuse_graph, quantize_graph
+    def graph_transforms(self, dtype: DType) -> Recipe:
+        """The optimizations this framework applies (Table II), in order.
 
-        prepared = quantize_graph(graph, dtype) if dtype is not DType.FP32 else graph.clone()
+        A recipe for :meth:`Graph.transformed`, so every deployment of one
+        graph through the same recipe shares one prepared graph: it depends
+        on the deployment datatype only, never on the device.
+        """
+        steps: Recipe = ()
+        if dtype is not DType.FP32:
+            steps += ((quantize_in_place, dtype),)
         if self.capabilities.fusion:
-            prepared = fuse_graph(prepared)
-        return prepared
+            steps += ((fuse_in_place,),)
+        return steps
 
     def plan_memory(self, deployed: DeployedModel) -> None:
         footprint = deployed.footprint_bytes()
@@ -304,47 +318,48 @@ class Framework(abc.ABC):
         )
 
     # -- engine hooks -----------------------------------------------------
-    def kernel_efficiency(self, op: Op, unit: ComputeUnit, dtype: DType,
-                          graph: Graph | None = None, batch_size: int = 1) -> float:
-        """Fraction of ``unit`` peak this framework reaches on ``op``.
+    def kernel_efficiencies(self, table: OpTable, positions: np.ndarray,
+                            unit: ComputeUnit, graph: Graph | None = None,
+                            batch_size: int = 1) -> np.ndarray:
+        """Fraction of ``unit`` peak this framework reaches on each op.
 
-        ``graph`` gives access to model-level metadata for frameworks whose
-        kernel quality depends on the model family (NCSDK hand-tuning);
-        ``batch_size`` enlarges the work per kernel and therefore the
-        unit-fill factor — the mechanism by which multi-batch inference
-        rescues wide platforms (Section VI-C).
+        One float64 entry per op of ``table`` at ``positions``.  Each op's
+        kernel quality is derated by a saturating size factor (small ops
+        cannot fill a parallel unit; ``batch_size`` enlarges the work per
+        kernel, which is how multi-batch inference rescues wide platforms,
+        Section VI-C) and by its kernel class's relative efficiency.
+        Recurrent layers pay a framework-level RNN maturity factor on top
+        of the size factor, whose ``parallel_macs`` already exposes one
+        timestep at a time; unfused batch-norm pays framework-quality costs
+        (the visible batch_norm slice of Figure 5a).  Streaming kernels
+        (activations, pooling, elementwise) are framework-independent and
+        bounded by memory in practice.  ``graph`` gives model-level
+        metadata to frameworks whose kernel quality depends on the model
+        family (NCSDK hand-tuning).
+
+        Every step is elementwise in the order of the per-op formula, so
+        the results are bit-identical to it; the power stays a Python
+        ``**`` per op, whose rounding NumPy's vector ``power`` need not
+        match.
         """
-        base = self.kernel_quality.get(unit.kind, 0.15) * self._size_factor(op, unit, batch_size)
-        if op.category is OpCategory.CONV:
-            from repro.graphs.ops import Conv3D, DepthwiseConv2D
-
-            if isinstance(op, DepthwiseConv2D) or getattr(op, "groups", 1) == op.output_shape.channels:
-                return base * self.depthwise_efficiency
-            if isinstance(op, Conv3D):
-                return base * self.conv3d_efficiency
-            return base
-        if op.category is OpCategory.DENSE:
-            return base
-        if op.category is OpCategory.RECURRENT:
-            # Sequential gate GEMMs: kernel quality applies, but the
-            # recurrence itself is penalized via parallel_macs in the
-            # size factor, plus a framework-level RNN maturity factor.
-            return base * self.recurrent_efficiency
-        if op.category is OpCategory.NORM:
-            # Unfused batch-norm pays framework-quality costs (the visible
-            # batch_norm slice of Figure 5a).
-            return base * self.norm_efficiency
-        # Activations, pooling and elementwise ops are simple streaming
-        # kernels: framework-independent, bounded by memory in practice.
-        return max(0.35 * self._size_factor(op, unit, batch_size), 1e-4)
-
-    def _size_factor(self, op: Op, unit: ComputeUnit, batch_size: int = 1) -> float:
-        """Saturating utilization factor: small ops cannot fill the unit."""
+        kernels = table.kernels
         half, exponent = self.size_saturation.get(unit.kind, (2e7, 0.5))
         if unit.kind is ComputeKind.CPU:
             half *= unit.cores
-        macs = max(1, op.parallel_macs * batch_size)
-        return (macs / (macs + half)) ** exponent
+        work = kernels.parallel_macs[positions]
+        if work.size and work.max() > _INT64_MAX // batch_size:
+            work = work.astype(object)  # keep the product exact past int64
+        work = np.maximum(work * batch_size, 1).astype(np.float64)
+        fill = work / (work + half)
+        size = np.array([share ** exponent for share in fill.tolist()],
+                        dtype=np.float64)
+        kind = kernels.kernel_class[positions]
+        # Indexed by kernel class, in the order of the KERNEL_* codes.
+        relative = np.array((1.0, self.depthwise_efficiency, self.conv3d_efficiency,
+                             self.recurrent_efficiency, self.norm_efficiency, 1.0))
+        base = self.kernel_quality.get(unit.kind, 0.15) * size * relative[kind]
+        streaming = np.maximum(0.35 * size, 1e-4)
+        return np.where(kind == KERNEL_STREAMING, streaming, base)
 
     def cpu_scale(self, device: Device) -> float:
         """How much slower framework bookkeeping runs on this device's CPU."""

@@ -8,6 +8,8 @@ than TensorFlow on the Jetson TX2 for everything except MobileNet-v2
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.quantity import MEBI
 from repro.frameworks.base import Framework, FrameworkCapabilities, FrameworkOverheads
 from repro.graphs.tensor import DType
@@ -61,13 +63,14 @@ class Caffe(Framework):
                 f"{graph.name}: stock Caffe deployments ship no recurrent layers"
             )
 
-    def kernel_efficiency(self, op, unit, dtype, graph=None, batch_size=1) -> float:
+    def kernel_efficiencies(self, table, positions, unit, graph=None, batch_size=1):
         """...but the CUDA grouped-convolution loop is the MobileNet sore
         spot the paper observes on the TX2 (Figure 4): depthwise efficiency
         collapses on the GPU only."""
-        from repro.graphs.ops import DepthwiseConv2D
-
-        efficiency = super().kernel_efficiency(op, unit, dtype, graph, batch_size)
-        if unit.kind is ComputeKind.GPU and isinstance(op, DepthwiseConv2D):
-            efficiency *= 0.03 / self.depthwise_efficiency
-        return efficiency
+        efficiencies = super().kernel_efficiencies(table, positions, unit, graph,
+                                                   batch_size)
+        if unit.kind is ComputeKind.GPU:
+            collapsed = efficiencies * (0.03 / self.depthwise_efficiency)
+            efficiencies = np.where(table.kernels.depthwise[positions], collapsed,
+                                    efficiencies)
+        return efficiencies

@@ -14,7 +14,7 @@ from repro.core.errors import ConversionError
 from repro.core.quantity import MEBI
 from repro.frameworks.base import Framework, FrameworkCapabilities, FrameworkOverheads
 from repro.graphs.tensor import DType
-from repro.graphs.transforms import fuse_graph, quantize_graph
+from repro.graphs.transforms import fuse_in_place, quantize_in_place
 from repro.hardware.compute import ComputeKind
 
 # Models with a tuned VTA port whose parameters match the hardware spec
@@ -61,9 +61,8 @@ class TVMVTA(Framework):
     kernel_quality = {ComputeKind.FPGA: 0.5}
     depthwise_efficiency = 0.2  # GEMM overlay maps depthwise poorly
 
-    def prepare_graph(self, graph, device, unit, dtype):
-        prepared = fuse_graph(graph)
-        return quantize_graph(prepared, dtype)
+    def graph_transforms(self, dtype):
+        return ((fuse_in_place,), (quantize_in_place, dtype))
 
     def deploy(self, graph, device, dtype=None):
         deployed = super().deploy(graph, device, dtype)
@@ -121,6 +120,5 @@ class FINN(Framework):
                 "which only exist for its published small models (Section VI-A)"
             )
 
-    def prepare_graph(self, graph, device, unit, dtype):
-        prepared = fuse_graph(graph)
-        return quantize_graph(prepared, DType.BINARY)
+    def graph_transforms(self, dtype):
+        return ((fuse_in_place,), (quantize_in_place, DType.BINARY))

@@ -13,9 +13,8 @@ from __future__ import annotations
 from repro.core.errors import IncompatibleModelError
 from repro.core.quantity import MEBI
 from repro.frameworks.base import Framework, FrameworkCapabilities, FrameworkOverheads
-from repro.graphs.ops import Op
 from repro.graphs.tensor import DType
-from repro.graphs.transforms import fuse_graph, quantize_graph
+from repro.graphs.transforms import fuse_in_place, quantize_in_place
 from repro.hardware.compute import ComputeKind
 
 # Hand-tuning quality per model family: 1.0 = fully tuned kernels.  The
@@ -85,12 +84,11 @@ class NCSDK(Framework):
                 f"{graph.name}: mvNCCompile has no recurrent-layer support"
             )
 
-    def prepare_graph(self, graph, device, unit, dtype):
-        prepared = fuse_graph(graph)
-        return quantize_graph(prepared, dtype)
+    def graph_transforms(self, dtype):
+        return ((fuse_in_place,), (quantize_in_place, dtype))
 
-    def kernel_efficiency(self, op: Op, unit, dtype, graph=None, batch_size=1) -> float:
-        base = super().kernel_efficiency(op, unit, dtype, graph, batch_size)
+    def kernel_efficiencies(self, table, positions, unit, graph=None, batch_size=1):
+        base = super().kernel_efficiencies(table, positions, unit, graph, batch_size)
         return base * self.tuning_quality(graph)
 
     @staticmethod

@@ -54,8 +54,8 @@ class TensorFlow(Framework):
     kernel_quality = {ComputeKind.CPU: 0.25, ComputeKind.GPU: 0.10}
     depthwise_efficiency = 0.12  # unoptimized CPU depthwise kernels
 
-    def prepare_graph(self, graph, device, unit, dtype):
+    def graph_transforms(self, dtype):
         """TensorFlow's fusion sits behind experimental flags (Table II's
         dagger mark); the out-of-the-box deployment the paper measured runs
         the plain static graph, so no transform is applied here."""
-        return graph.clone()
+        return ()

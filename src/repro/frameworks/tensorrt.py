@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.core.quantity import MEBI
 from repro.frameworks.base import Framework, FrameworkCapabilities, FrameworkOverheads
 from repro.graphs.tensor import DType
-from repro.graphs.transforms import fuse_graph, quantize_graph
+from repro.graphs.transforms import fuse_in_place, quantize_in_place
 from repro.hardware.compute import ComputeKind
 
 
@@ -55,7 +55,6 @@ class TensorRT(Framework):
     kernel_quality = {ComputeKind.GPU: 0.40}
     depthwise_efficiency = 0.5  # auto-tuned depthwise kernels
 
-    def prepare_graph(self, graph, device, unit, dtype):
+    def graph_transforms(self, dtype):
         """Engine build: fuse, then calibrate to mixed precision."""
-        prepared = fuse_graph(graph)
-        return quantize_graph(prepared, dtype)
+        return ((fuse_in_place,), (quantize_in_place, dtype))

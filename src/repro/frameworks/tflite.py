@@ -14,7 +14,7 @@ from repro.core.errors import ConversionError
 from repro.core.quantity import MEBI
 from repro.frameworks.base import Framework, FrameworkCapabilities, FrameworkOverheads
 from repro.graphs.tensor import DType
-from repro.graphs.transforms import freeze_graph, fuse_graph, quantize_graph
+from repro.graphs.transforms import freeze_in_place, fuse_in_place, quantize_in_place
 from repro.hardware.compute import ComputeKind
 
 
@@ -65,8 +65,6 @@ class TFLite(Framework):
                 "TFLite flatbuffer for this network (Table V, Section VI-A)"
             )
 
-    def prepare_graph(self, graph, device, unit, dtype):
+    def graph_transforms(self, dtype):
         """The full TFLite conversion pipeline: freeze, fuse, quantize."""
-        prepared = freeze_graph(graph)
-        prepared = fuse_graph(prepared)
-        return quantize_graph(prepared, dtype)
+        return ((freeze_in_place,), (fuse_in_place,), (quantize_in_place, dtype))

@@ -5,7 +5,8 @@ order (the builder can only reference already-created ops, so construction
 order is a valid schedule).  It exposes the aggregate quantities Table I
 reports (MACs, parameters, compute intensity) plus the memory figures the
 execution engine needs (weight bytes, peak activation liveness), read from
-its columnar :class:`~repro.graphs.table.OpTable`.
+its columnar :class:`~repro.graphs.table.OpTable`, and the prepared graphs
+the frameworks deploy (:meth:`Graph.transformed`).
 """
 
 from __future__ import annotations
@@ -18,17 +19,27 @@ from repro.graphs.table import OpTable
 from repro.graphs.tensor import DType, TensorShape
 
 
+#: in-place transform steps applied in order, each a step function and its
+#: arguments after the graph, e.g. ``((fuse_in_place,), (quantize_in_place,
+#: DType.INT8))`` (:meth:`Graph.transformed`).
+Recipe = tuple[tuple, ...]
+
+
 class Graph:
     """A topologically ordered op DAG for one DNN model.
 
     Per-op accounting comes from :attr:`table`, built from ``ops`` the first
-    time it is read and kept with the graph.  A graph's ops must not be
-    mutated (annotations, inputs or the op list itself) once its table has
-    been read: every transform in :mod:`repro.graphs.transforms` mutates a
-    :meth:`clone`, which starts without a table.
+    time it is read and kept with the graph.  The prepared graph for a
+    transform recipe comes from :meth:`transformed`, built on the first
+    request for that recipe and kept with the graph in the same way.  A
+    graph's ops must not be mutated (annotations, inputs or the op list
+    itself) once its table has been read or it has been shared: every
+    transform in :mod:`repro.graphs.transforms` mutates a :meth:`clone`,
+    which starts without a table and without prepared graphs.
     """
 
     _table: OpTable | None = None
+    _recipes: dict[Recipe, "Graph"] | None = None
 
     def __init__(self, name: str, operations: list[O.Op], metadata: dict | None = None):
         self.name = name
@@ -39,9 +50,37 @@ class Graph:
     @property
     def table(self) -> OpTable:
         """The graph's columnar per-op accounting, built on first read."""
-        if self._table is None:
-            self._table = OpTable(self.ops)
-        return self._table
+        table = self._table
+        if table is None:
+            # First build wins on a race, so every reader shares one table.
+            table = vars(self).setdefault("_table", OpTable(self.ops))
+        return table
+
+    def transformed(self, steps: Recipe) -> "Graph":
+        """This graph after ``steps``, built once per recipe and shared.
+
+        ``steps`` is a hashable recipe of in-place steps, each a tuple of a
+        step function and its arguments after the graph, applied in order
+        to one :meth:`clone`: TFLite's is ``((freeze_in_place,),
+        (fuse_in_place,), (quantize_in_place, DType.INT8))``.  The result is
+        memoized on this graph by recipe, so every deployment asking for
+        the same recipe shares one prepared graph and its table; it lives
+        as long as this graph does.  An empty recipe returns this graph.
+        The result is shared: never mutate it (transform a clone instead).
+        """
+        if not steps:
+            return self
+        recipes = self._recipes
+        if recipes is None:
+            recipes = vars(self).setdefault("_recipes", {})
+        prepared = recipes.get(steps)
+        if prepared is None:
+            prepared = self.clone()
+            for step, *args in steps:
+                step(prepared, *args)
+            # First build wins on a race, so every caller shares one graph.
+            prepared = recipes.setdefault(steps, prepared)
+        return prepared
 
     def _validate(self) -> None:
         seen: set[int] = set()
@@ -89,9 +128,9 @@ class Graph:
         ``absorbed``; everything else they hold (shapes, dtypes, scalars) is
         immutable and safe to share.  Copying each op shallowly and remapping
         those three fields is equivalent to ``copy.deepcopy`` on a valid
-        graph while skipping the per-attribute recursion that made cloning
-        the dominant cost of a deployment sweep.  The clone does not share
-        the table: it builds its own when first read.
+        graph while skipping its per-attribute recursion.  The clone shares
+        neither the table nor the prepared graphs of :meth:`transformed`: it
+        builds its own when first asked.
         """
         mapping: dict[int, O.Op] = {}
         for op in self.ops:

@@ -18,7 +18,8 @@ The table has two halves that are built separately:
   methods exactly (same IEEE-754 products, same ceilings), column-wise.
 
 Byte counts are exact ``int64``; MACs are ``float64``, the type the
-roofline prices them in.
+roofline prices them in.  The kernel facts the frameworks price
+efficiencies from (:attr:`OpTable.kernels`) are a third, lazily built part.
 """
 
 from __future__ import annotations
@@ -50,8 +51,56 @@ class OpColumns(NamedTuple):
     sparse_macs: np.ndarray
 
 
+#: kernel classes: the op groups a framework prices with distinct kernel
+#: efficiencies (:meth:`repro.frameworks.base.Framework.kernel_efficiencies`).
+KERNEL_GEMM = 0  # dense layers and ordinary convolutions
+KERNEL_DEPTHWISE = 1  # one filter per channel (groups == output channels)
+KERNEL_CONV3D = 2
+KERNEL_RECURRENT = 3
+KERNEL_NORM = 4
+KERNEL_STREAMING = 5  # activations, pooling, elementwise and shape ops
+
+_CATEGORY_KERNEL = {
+    O.OpCategory.DENSE: KERNEL_GEMM,
+    O.OpCategory.RECURRENT: KERNEL_RECURRENT,
+    O.OpCategory.NORM: KERNEL_NORM,
+}
+
+
+def _kernel_class(op: O.Op) -> int:
+    if op.category is not O.OpCategory.CONV:
+        return _CATEGORY_KERNEL.get(op.category, KERNEL_STREAMING)
+    # Any convolution whose group count equals its output channels runs a
+    # depthwise kernel, a one-channel Conv2D or Conv3D (groups 1) included.
+    if (isinstance(op, O.DepthwiseConv2D)
+            or getattr(op, "groups", 1) == op.output_shape.channels):
+        return KERNEL_DEPTHWISE
+    if isinstance(op, O.Conv3D):
+        return KERNEL_CONV3D
+    return KERNEL_GEMM
+
+
+class KernelFacts(NamedTuple):
+    """What kernel each op of one :class:`OpTable` dispatches."""
+
+    #: ``Op.parallel_macs``, exact: ``int64``, or Python ints when a value
+    #: does not fit.
+    parallel_macs: np.ndarray
+    #: ``KERNEL_*`` code per op.
+    kernel_class: np.ndarray
+    #: ops that are :class:`~repro.graphs.ops.DepthwiseConv2D` layers.
+    depthwise: np.ndarray
+
+
 def _ceil_int(values: np.ndarray) -> np.ndarray:
     return np.ceil(values).astype(np.int64)
+
+
+def _exact_ints(values: list[int]) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 class OpTable:
@@ -143,6 +192,17 @@ class OpTable:
             sparse_traffic_bytes=sparse_traffic,
             macs=macs,
             sparse_macs=sparse_macs,
+        )
+
+    @cached_property
+    def kernels(self) -> KernelFacts:
+        """Each op's parallel work and kernel class, built on first use."""
+        ops = self._ops
+        return KernelFacts(
+            parallel_macs=_exact_ints([op.parallel_macs for op in ops]),
+            kernel_class=np.array([_kernel_class(op) for op in ops], dtype=np.intp),
+            depthwise=np.array([isinstance(op, O.DepthwiseConv2D) for op in ops],
+                               dtype=bool),
         )
 
     # -- liveness ------------------------------------------------------------

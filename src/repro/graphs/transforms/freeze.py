@@ -12,13 +12,18 @@ from repro.graphs import ops as O
 from repro.graphs.graph import Graph
 
 
-def freeze_graph(graph: Graph) -> Graph:
-    """Return a frozen clone: training-only ops folded, variables constant."""
-    frozen = graph.clone()
-    for op in frozen.ops:
+def freeze_in_place(graph: Graph) -> None:
+    """Fold training-only ops and mark ``graph`` frozen (mutates it)."""
+    for op in graph.ops:
         if isinstance(op, O.Dropout) and not op.is_fused_away:
             producer = op.inputs[0]
             op.fused_into = producer
             producer.absorbed.append(op)
-    frozen.metadata["frozen"] = True
+    graph.metadata["frozen"] = True
+
+
+def freeze_graph(graph: Graph) -> Graph:
+    """Return a frozen clone: training-only ops folded, variables constant."""
+    frozen = graph.clone()
+    freeze_in_place(frozen)
     return frozen

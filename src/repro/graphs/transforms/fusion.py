@@ -25,11 +25,10 @@ def _consumer_map(graph: Graph) -> dict[int, list[O.Op]]:
     return consumers
 
 
-def fuse_graph(graph: Graph) -> Graph:
-    """Return a clone with conv→bn→activation chains fused."""
-    fused = graph.clone()
-    consumers = _consumer_map(fused)
-    for op in fused.ops:
+def fuse_in_place(graph: Graph) -> None:
+    """Fuse ``graph``'s conv→bn→activation chains (mutates it)."""
+    consumers = _consumer_map(graph)
+    for op in graph.ops:
         if not isinstance(op, FUSABLE_PRODUCERS) or op.is_fused_away:
             continue
         anchor = op
@@ -46,7 +45,13 @@ def fuse_graph(graph: Graph) -> Graph:
             follower.fused_into = anchor
             anchor.absorbed.append(follower)
             cursor = follower
-    fused.metadata["fused"] = True
+    graph.metadata["fused"] = True
+
+
+def fuse_graph(graph: Graph) -> Graph:
+    """Return a clone with conv→bn→activation chains fused."""
+    fused = graph.clone()
+    fuse_in_place(fused)
     return fused
 
 

@@ -14,6 +14,17 @@ from repro.graphs.graph import Graph
 PRUNABLE = (O.Conv2D, O.Conv3D, O.Dense)
 
 
+def prune_in_place(graph: Graph, sparsity: float, structured: bool = False) -> None:
+    """Zero ``sparsity`` of ``graph``'s conv/dense weights (mutates it)."""
+    if not 0.0 <= sparsity < 1.0:
+        raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
+    for op in graph.ops:
+        if isinstance(op, PRUNABLE):
+            op.weight_sparsity = sparsity
+    graph.metadata["weight_sparsity"] = sparsity
+    graph.metadata["structured_pruning"] = structured
+
+
 def prune_graph(graph: Graph, sparsity: float, structured: bool = False) -> Graph:
     """Return a clone with ``sparsity`` fraction of weights zeroed.
 
@@ -24,12 +35,6 @@ def prune_graph(graph: Graph, sparsity: float, structured: bool = False) -> Grap
             backend can exploit; it is recorded in metadata so frameworks
             without sparse kernels may still benefit.
     """
-    if not 0.0 <= sparsity < 1.0:
-        raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
     pruned = graph.clone()
-    for op in pruned.ops:
-        if isinstance(op, PRUNABLE):
-            op.weight_sparsity = sparsity
-    pruned.metadata["weight_sparsity"] = sparsity
-    pruned.metadata["structured_pruning"] = structured
+    prune_in_place(pruned, sparsity, structured)
     return pruned

@@ -12,6 +12,21 @@ from repro.graphs.graph import Graph
 from repro.graphs.tensor import DType
 
 
+def quantize_in_place(graph: Graph, weight_dtype: DType,
+                      act_dtype: DType | None = None) -> None:
+    """Give every op of ``graph`` the requested datatypes (mutates it).
+
+    ``act_dtype`` defaults as in :func:`quantize_graph`.
+    """
+    if act_dtype is None:
+        act_dtype = DType.INT8 if weight_dtype is DType.BINARY else weight_dtype
+    for op in graph.ops:
+        op.weight_dtype = weight_dtype
+        op.act_dtype = act_dtype
+    graph.metadata["weight_dtype"] = weight_dtype.value
+    graph.metadata["act_dtype"] = act_dtype.value
+
+
 def quantize_graph(graph: Graph, weight_dtype: DType, act_dtype: DType | None = None) -> Graph:
     """Return a clone whose ops carry the requested datatypes.
 
@@ -21,12 +36,6 @@ def quantize_graph(graph: Graph, weight_dtype: DType, act_dtype: DType | None = 
         act_dtype: activation type; defaults to ``weight_dtype`` except for
             binary weights, where activations stay INT8 (FINN-style).
     """
-    if act_dtype is None:
-        act_dtype = DType.INT8 if weight_dtype is DType.BINARY else weight_dtype
     quantized = graph.clone()
-    for op in quantized.ops:
-        op.weight_dtype = weight_dtype
-        op.act_dtype = act_dtype
-    quantized.metadata["weight_dtype"] = weight_dtype.value
-    quantized.metadata["act_dtype"] = act_dtype.value
+    quantize_in_place(quantized, weight_dtype, act_dtype)
     return quantized

@@ -1,4 +1,4 @@
-"""Test-only reference for the roofline.
+"""Test-only reference for the roofline and the kernel efficiencies.
 
 The engine prices every op through one array program
 (``executor.lower_plan_specs`` -> ``roofline.lower_rooflines_s``).
@@ -6,6 +6,10 @@ The engine prices every op through one array program
 oracle the array program must match bit for bit: the same IEEE-754 double
 operations in the same order, op by op.  :func:`price` and
 :func:`time_one` call the production path with the oracle's arguments.
+
+Likewise ``Framework.kernel_efficiencies`` prices a whole spec's kernel
+efficiencies column-wise; :func:`kernel_efficiency` is the per-op method
+(with the Caffe and NCSDK overrides) it replaced.
 """
 
 from __future__ import annotations
@@ -14,7 +18,54 @@ import numpy as np
 
 from repro.engine.executor import PlanSpec, lower_plan_specs
 from repro.engine.roofline import OpTiming, RooflineInputs
-from repro.graphs.ops import Op
+from repro.frameworks.base import Framework
+from repro.frameworks.caffe import Caffe
+from repro.frameworks.ncsdk import NCSDK
+from repro.graphs.graph import Graph
+from repro.graphs.ops import Conv3D, DepthwiseConv2D, Op, OpCategory
+from repro.hardware.compute import ComputeKind, ComputeUnit
+
+
+def size_factor(framework: Framework, op: Op, unit: ComputeUnit,
+                batch_size: int = 1) -> float:
+    """Saturating utilization factor: small ops cannot fill the unit."""
+    half, exponent = framework.size_saturation.get(unit.kind, (2e7, 0.5))
+    if unit.kind is ComputeKind.CPU:
+        half *= unit.cores
+    macs = max(1, op.parallel_macs * batch_size)
+    return (macs / (macs + half)) ** exponent
+
+
+def _base_efficiency(framework: Framework, op: Op, unit: ComputeUnit,
+                     batch_size: int) -> float:
+    base = (framework.kernel_quality.get(unit.kind, 0.15)
+            * size_factor(framework, op, unit, batch_size))
+    if op.category is OpCategory.CONV:
+        if (isinstance(op, DepthwiseConv2D)
+                or getattr(op, "groups", 1) == op.output_shape.channels):
+            return base * framework.depthwise_efficiency
+        if isinstance(op, Conv3D):
+            return base * framework.conv3d_efficiency
+        return base
+    if op.category is OpCategory.DENSE:
+        return base
+    if op.category is OpCategory.RECURRENT:
+        return base * framework.recurrent_efficiency
+    if op.category is OpCategory.NORM:
+        return base * framework.norm_efficiency
+    return max(0.35 * size_factor(framework, op, unit, batch_size), 1e-4)
+
+
+def kernel_efficiency(framework: Framework, op: Op, unit: ComputeUnit,
+                      graph: Graph | None = None, batch_size: int = 1) -> float:
+    """Fraction of ``unit`` peak ``framework`` reaches on ``op``."""
+    efficiency = _base_efficiency(framework, op, unit, batch_size)
+    if isinstance(framework, Caffe):
+        if unit.kind is ComputeKind.GPU and isinstance(op, DepthwiseConv2D):
+            efficiency *= 0.03 / framework.depthwise_efficiency
+    elif isinstance(framework, NCSDK):
+        efficiency = efficiency * framework.tuning_quality(graph)
+    return efficiency
 
 
 def time_op(
@@ -60,7 +111,7 @@ def spec_for(ops, inputs: RooflineInputs, efficiencies,
                                for op in ops], dtype=np.float64),
         io_bytes=np.array([op.input_bytes() + op.output_bytes() for op in ops],
                           dtype=np.float64),
-        inputs=inputs, efficiencies=tuple(efficiencies),
+        inputs=inputs, efficiencies=np.array(efficiencies, dtype=np.float64),
         per_op_overhead_s=per_op_overhead_s, batch_size=batch_size,
         include_memory_term=include_memory_term,
         session_overhead_s=0.0, input_transfer_s=0.0)

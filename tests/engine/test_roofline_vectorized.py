@@ -16,7 +16,7 @@ from repro.graphs import ops as O
 from repro.graphs.tensor import TensorShape
 from repro.hardware import load_device
 from repro.models import load_model
-from tests.engine.reference import price, time_op
+from tests.engine.reference import kernel_efficiency, price, time_op
 
 
 def _inputs(**overrides) -> RooflineInputs:
@@ -58,8 +58,7 @@ class TestAgreementOnModels:
             load_model(model_name), load_device(device_name))
         ops = deployed.graph.schedulable_ops()
         efficiencies = [
-            deployed.framework.kernel_efficiency(
-                op, deployed.unit, deployed.weight_dtype, deployed.graph)
+            kernel_efficiency(deployed.framework, op, deployed.unit, deployed.graph)
             for op in ops
         ]
         _assert_bit_identical(ops, _inputs(), efficiencies,

@@ -7,11 +7,16 @@ from repro.core.errors import (
     ConversionError,
     IncompatibleModelError,
     OutOfMemoryError,
+    ReproError,
 )
-from repro.frameworks import load_framework
+from repro.frameworks import list_frameworks, load_framework
+from repro.frameworks.base import Framework, FrameworkCapabilities
+from repro.graphs.graph import Graph
 from repro.graphs.tensor import DType
-from repro.hardware import ComputeKind, load_device
+from repro.graphs.transforms import freeze_graph, fuse_graph, quantize_graph
+from repro.hardware import ComputeKind, list_devices, load_device
 from repro.models import load_model
+from tests.graphs.reference import annotations
 
 
 class TestUnitSelection:
@@ -79,6 +84,94 @@ class TestGraphPreparation:
         graph = load_model("ResNet-18")
         load_framework("TFLite").deploy(graph, rpi)
         assert graph.op("conv_1").weight_dtype is DType.FP32
+
+
+def _chain_fuse_quantize(graph, dtype):
+    return quantize_graph(fuse_graph(graph), dtype)
+
+
+def _chain_base(graph, dtype):
+    return graph if dtype is DType.FP32 else quantize_graph(graph, dtype)
+
+
+#: each framework's preparation as a chain of the public transforms.
+PREPARATION_CHAINS = {
+    "TFLite": lambda graph, dtype: quantize_graph(
+        fuse_graph(freeze_graph(graph)), dtype),
+    "TensorRT": _chain_fuse_quantize,
+    "NCSDK": _chain_fuse_quantize,
+    "TVM VTA": _chain_fuse_quantize,
+    "FINN": lambda graph, dtype: _chain_fuse_quantize(graph, DType.BINARY),
+    "PyTorch": _chain_base,
+    "Caffe": _chain_base,
+    "DarkNet": _chain_base,
+    "TensorFlow": lambda graph, dtype: graph,
+    "Keras": lambda graph, dtype: graph,
+}
+
+
+class _FusingFramework(Framework):
+    """The base recipe with fusion on: quantize first, then fuse."""
+
+    name = "fusing"
+    capabilities = FrameworkCapabilities(fusion=True)
+
+
+class TestSharedPreparedGraphs:
+    def test_chains_cover_every_framework(self):
+        assert set(PREPARATION_CHAINS) == set(list_frameworks())
+
+    @pytest.mark.parametrize("framework_name", sorted(PREPARATION_CHAINS))
+    @pytest.mark.parametrize("dtype", [DType.FP32, DType.FP16, DType.INT8])
+    def test_recipe_equals_chained_public_transforms(self, framework_name, dtype):
+        graph = load_model("MobileNet-v2")
+        recipe = load_framework(framework_name).graph_transforms(dtype)
+        expected = PREPARATION_CHAINS[framework_name](graph, dtype)
+        assert annotations(graph.transformed(recipe)) == annotations(expected)
+
+    def test_base_recipe_quantizes_before_fusing(self):
+        graph = load_model("MobileNet-v2")
+        recipe = _FusingFramework().graph_transforms(DType.INT8)
+        expected = fuse_graph(quantize_graph(graph, DType.INT8))
+        assert annotations(graph.transformed(recipe)) == annotations(expected)
+
+    def test_one_clone_per_recipe_across_devices(self, monkeypatch):
+        graph = load_model("ResNet-18")
+        cloned = []
+        clone = Graph.clone
+
+        def counting_clone(self):
+            cloned.append(self)
+            return clone(self)
+
+        monkeypatch.setattr(Graph, "clone", counting_clone)
+        tensorrt = load_framework("TensorRT")
+        deployments = []
+        for device_name in list_devices():
+            try:
+                deployments.append(tensorrt.deploy(graph, load_device(device_name),
+                                                   dtype=DType.FP16))
+            except ReproError:
+                continue
+        assert len(deployments) >= 3
+        assert cloned == [graph]
+        assert all(deployed.graph is deployments[0].graph for deployed in deployments)
+        assert all(deployed.graph.table is deployments[0].graph.table
+                   for deployed in deployments)
+
+    def test_frameworks_with_one_recipe_share_the_graph(self, nano, movidius, pynq):
+        graph = load_model("ResNet-18")
+        tensorrt, ncsdk = load_framework("TensorRT"), load_framework("NCSDK")
+        assert (tensorrt.deploy(graph, nano, dtype=DType.FP16).graph
+                is ncsdk.deploy(graph, movidius).graph)
+        assert (tensorrt.deploy(graph, nano, dtype=DType.INT8).graph
+                is load_framework("TVM VTA").deploy(graph, pynq).graph)
+
+    @pytest.mark.parametrize("framework_name",
+                             ["PyTorch", "Caffe", "DarkNet", "TensorFlow"])
+    def test_empty_recipe_deploys_the_zoo_graph(self, tx2, framework_name):
+        graph = load_model("ResNet-18")
+        assert load_framework(framework_name).deploy(graph, tx2).graph is graph
 
 
 class TestMemoryPlanning:

@@ -128,3 +128,16 @@ def reference_cut_bytes(graph: Graph) -> list[int]:
         crossing += delta[k]
         crossings.append(crossing if k < count else output_bytes)
     return crossings
+
+
+def annotations(graph):
+    """Everything a transform may change, op for op, plus the metadata
+    items in insertion order."""
+    def name(op):
+        return None if op is None else op.name
+
+    ops = [(op.name, type(op).__name__, op.weight_dtype, op.act_dtype,
+            op.weight_sparsity, name(op.fused_into),
+            [name(a) for a in op.absorbed], [name(p) for p in op.inputs])
+           for op in graph.ops]
+    return ops, list(graph.metadata.items())

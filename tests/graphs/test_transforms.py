@@ -7,11 +7,16 @@ from repro.graphs import ops as O
 from repro.graphs.tensor import DType
 from repro.graphs.transforms import (
     freeze_graph,
+    freeze_in_place,
     fuse_graph,
+    fuse_in_place,
     fusion_ratio,
     prune_graph,
+    prune_in_place,
     quantize_graph,
+    quantize_in_place,
 )
+from tests.graphs.reference import annotations
 
 
 def _conv_bn_relu_graph():
@@ -157,3 +162,126 @@ class TestFreeze:
         schedulable = graph.schedulable_ops()
         # Only the conv and nothing else dispatches.
         assert [type(op) for op in schedulable] == [O.Conv2D]
+
+
+# -- clone, then step; the recipe memo ----------------------------------------
+
+
+def _deployable_graph():
+    """Fusable chains, a dense head and a Dropout, so every step acts."""
+    b = GraphBuilder("deployable", metadata={"family": "test"})
+    x = b.input((3, 16, 16))
+    x = b.conv_bn_act(x, 8, 3)
+    x = b.conv_bn_act(x, 8, 3)
+    x = b.global_avg_pool(x)
+    x = b.dense(x, 10)
+    b.dropout(x)
+    return b.build()
+
+
+PUBLIC_TRANSFORMS = {
+    "fuse": fuse_graph,
+    "freeze": freeze_graph,
+    "int8": lambda graph: quantize_graph(graph, DType.INT8),
+    "binary": lambda graph: quantize_graph(graph, DType.BINARY),
+    "prune": lambda graph: prune_graph(graph, 0.5, structured=True),
+    "freeze+fuse+int8": lambda graph: quantize_graph(
+        fuse_graph(freeze_graph(graph)), DType.INT8),
+}
+
+
+class TestPublicTransformsCloneFirst:
+    @pytest.mark.parametrize("label", list(PUBLIC_TRANSFORMS))
+    def test_input_untouched_and_nothing_shared(self, label):
+        graph = _deployable_graph()
+        before = annotations(graph)
+        output = PUBLIC_TRANSFORMS[label](graph)
+        assert annotations(graph) == before
+        assert annotations(output) != before
+        assert output is not graph and output.metadata is not graph.metadata
+        source_objects = {id(op) for op in graph.ops}
+        source_objects |= {id(op.inputs) for op in graph.ops}
+        source_objects |= {id(op.absorbed) for op in graph.ops}
+        for op in output.ops:
+            assert id(op) not in source_objects, op.name
+            assert id(op.inputs) not in source_objects, op.name
+            assert id(op.absorbed) not in source_objects, op.name
+
+    def test_step_applied_to_a_clone_is_the_public_transform(self):
+        steps = {
+            "fuse": (fuse_in_place, fuse_graph),
+            "freeze": (freeze_in_place, freeze_graph),
+        }
+        for label, (step, transform) in steps.items():
+            graph = _deployable_graph()
+            clone = graph.clone()
+            step(clone)
+            assert annotations(clone) == annotations(transform(graph)), label
+
+    def test_prune_step_validates_sparsity(self):
+        with pytest.raises(ValueError):
+            prune_in_place(_deployable_graph(), 1.0)
+
+
+class TestTransformedMemo:
+    def test_equal_recipes_share_one_graph(self):
+        graph = _deployable_graph()
+        first = graph.transformed(((fuse_in_place,), (quantize_in_place, DType.FP16)))
+        again = graph.transformed(((fuse_in_place,), (quantize_in_place, DType.FP16)))
+        assert first is again
+        assert first.table is again.table
+
+    def test_different_recipes_differ(self):
+        graph = _deployable_graph()
+        outputs = [
+            graph.transformed(((fuse_in_place,),)),
+            graph.transformed(((fuse_in_place,), (quantize_in_place, DType.FP16))),
+            graph.transformed(((fuse_in_place,), (quantize_in_place, DType.INT8))),
+            graph.transformed(((quantize_in_place, DType.INT8), (fuse_in_place,))),
+        ]
+        assert len({id(output) for output in outputs}) == len(outputs)
+        assert graph not in outputs
+
+    def test_empty_recipe_is_the_graph_itself(self):
+        graph = _deployable_graph()
+        assert graph.transformed(()) is graph
+        assert graph._recipes is None
+
+    def test_source_untouched(self):
+        graph = _deployable_graph()
+        before = annotations(graph)
+        graph.transformed(((freeze_in_place,), (fuse_in_place,),
+                           (quantize_in_place, DType.INT8)))
+        assert annotations(graph) == before
+
+    def test_clone_starts_without_a_memo(self):
+        graph = _deployable_graph()
+        recipe = ((fuse_in_place,),)
+        prepared = graph.transformed(recipe)
+        clone = graph.clone()
+        assert clone._recipes is None
+        assert clone.transformed(recipe) is not prepared
+
+    @pytest.mark.parametrize("recipe,chain", [
+        (((freeze_in_place,), (fuse_in_place,), (quantize_in_place, DType.INT8)),
+         lambda g: quantize_graph(fuse_graph(freeze_graph(g)), DType.INT8)),
+        (((fuse_in_place,), (quantize_in_place, DType.FP16)),
+         lambda g: quantize_graph(fuse_graph(g), DType.FP16)),
+        (((quantize_in_place, DType.FP16), (fuse_in_place,)),
+         lambda g: fuse_graph(quantize_graph(g, DType.FP16))),
+        (((fuse_in_place,), (quantize_in_place, DType.BINARY)),
+         lambda g: quantize_graph(fuse_graph(g), DType.BINARY)),
+        (((prune_in_place, 0.5, True),),
+         lambda g: prune_graph(g, 0.5, structured=True)),
+    ], ids=["tflite", "fuse-fp16", "fp16-fuse", "finn", "prune"])
+    def test_recipe_equals_chained_public_transforms(self, recipe, chain):
+        graph = _deployable_graph()
+        assert annotations(graph.transformed(recipe)) == annotations(chain(graph))
+
+    def test_step_order_shows_in_the_metadata_order(self):
+        graph = _deployable_graph()
+        fuse_first = graph.transformed(((fuse_in_place,), (quantize_in_place, DType.FP16)))
+        quantize_first = graph.transformed(((quantize_in_place, DType.FP16),
+                                            (fuse_in_place,)))
+        assert list(fuse_first.metadata)[-3:] == ["fused", "weight_dtype", "act_dtype"]
+        assert list(quantize_first.metadata)[-3:] == ["weight_dtype", "act_dtype", "fused"]

@@ -47,6 +47,20 @@ class TestTime:
     def test_accepts_paper_aliases(self, capsys):
         assert main(["time", "resnet18", "Nano", "T-RT"]) == 0
 
+    @pytest.mark.parametrize("argv,message", [
+        (["NoModel", "Jetson TX2", "PyTorch"], "unknown model: 'NoModel'"),
+        (["ResNet-18", "NoDevice", "PyTorch"], "unknown device: 'NoDevice'"),
+        (["ResNet-18", "Jetson TX2", "NoFramework"],
+         "unknown framework: 'NoFramework'"),
+        (["ResNet-18", "Jetson TX2", "PyTorch", "--power-mode", "NoMode"],
+         "unknown operating point 'NoMode'"),
+    ], ids=["model", "device", "framework", "power-mode"])
+    def test_unknown_names_are_usage_errors(self, capsys, argv, message):
+        assert main(["time", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "deployment failed" not in err
+
 
 class TestCompat:
     def test_prints_table_v(self, capsys):
