@@ -3,9 +3,11 @@
 Not a paper artifact: this guards the two perf contracts of the
 Deployment refactor.  First, `search_placements` prices every shape —
 single nodes via one ``run_grid`` sweep; every split cut of a device pair
-via one prefix-sum sweep over a linear-time cut analysis, lowering only
-the best and the all-remote cut; pipelines via the partitioning DP,
-evaluated as blocked NumPy tables — so searching the ENTIRE model zoo
+as float64 columns (``cut_columns``: an edge prefix, a link transfer and
+a remote suffix per cut, read from each device's one runner session and
+the graph's crossing sizes), lowering only the best and the all-remote
+cut; pipelines via the partitioning DP, evaluated as blocked NumPy
+tables — so searching the ENTIRE model zoo
 against the full edge fleet plus a cloud GPU must stay interactive
 (seconds, not minutes).  Second, pipelined
 deployment pools are served by chained per-stage Lindley scans, the same

@@ -33,6 +33,19 @@ from repro import (
 from repro.runtime import Scenario, default_runner
 
 
+def _write_output(path: str, text: str) -> bool:
+    """Write a verb's ``--output`` file; False after printing the error."""
+    from pathlib import Path
+
+    try:
+        Path(path).write_text(text)
+    except OSError as error:
+        print(f"error: cannot write {path}: {error.strerror or error}",
+              file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_list(_args: argparse.Namespace) -> int:
     print("Experiments:")
     for experiment_id in list_experiments():
@@ -179,7 +192,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_suite(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from repro.engine.cache import cache_stats, set_caching
     from repro.harness.sweep_runner import run_sweep
@@ -223,14 +235,14 @@ def _cmd_suite(args: argparse.Namespace) -> int:
               f"scatter={compiled['scatter_s'] * 1e3:.1f}ms "
               f"timer={compiled['timer_s'] * 1e3:.1f}ms")
     if args.output:
-        Path(args.output).write_text(json.dumps(result.snapshot, indent=1))
+        if not _write_output(args.output, json.dumps(result.snapshot, indent=1)):
+            return 2
         print(f"\nwrote {args.output}")
     return 0
 
 
 def _cmd_place(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from repro.placement import SLO, search_placements
 
@@ -257,7 +269,8 @@ def _cmd_place(args: argparse.Namespace) -> int:
     text = (json.dumps(frontier.to_dict(), indent=1)
             if args.format == "json" else frontier.describe())
     if args.output:
-        Path(args.output).write_text(text + "\n")
+        if not _write_output(args.output, text + "\n"):
+            return 2
         print(f"wrote {args.output}")
     else:
         print(text)
@@ -322,7 +335,6 @@ def _placement_pool(path: str, replicas: int) -> "PoolSpec":
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from repro.fleet import AdmissionControl, Autoscaler, FleetSimulation
     from repro.workloads.arrivals import (
@@ -390,7 +402,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     text = (json.dumps(stats.to_dict(), indent=1) if args.format == "json"
             else stats.describe())
     if args.output:
-        Path(args.output).write_text(text + "\n")
+        if not _write_output(args.output, text + "\n"):
+            return 2
         print(f"wrote {args.output}")
     else:
         print(text)

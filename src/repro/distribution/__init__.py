@@ -31,14 +31,17 @@ from repro.distribution.pipeline import (
     partition_pipeline_heterogeneous,
 )
 from repro.distribution.split import (
+    CutColumns,
     SplitPlan,
     SplitPlanner,
     as_split_plan,
+    cut_columns,
     lower_split,
     split_deployments,
 )
 
 __all__ = [
+    "CutColumns",
     "CutPoint",
     "LINK_PRESETS",
     "NetworkLink",
@@ -49,6 +52,7 @@ __all__ = [
     "SplitPlanner",
     "as_pipeline_plan",
     "as_split_plan",
+    "cut_columns",
     "cut_points",
     "load_link",
     "lower_pipeline",

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.errors import UnknownEntryError
 from repro.core.quantity import MEBI
 
@@ -38,9 +40,12 @@ class NetworkLink:
         if not 0 < self.reliability <= 1:
             raise ValueError("reliability must be in (0, 1]")
 
-    def transfer_time_s(self, num_bytes: float) -> float:
-        """Expected time to deliver ``num_bytes`` (retries amortized)."""
-        if num_bytes < 0:
+    def transfer_time_s(self, num_bytes: float | np.ndarray) -> float | np.ndarray:
+        """Expected time to deliver ``num_bytes`` (retries amortized).
+
+        Element-wise over an array of payload sizes (a float64 column,
+        each entry bit-identical to the scalar form)."""
+        if (np.asarray(num_bytes) < 0).any():
             raise ValueError("cannot transfer a negative payload")
         raw = self.latency_s + num_bytes / self.bandwidth_bytes_per_s
         return raw / self.reliability

@@ -21,14 +21,17 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.distribution.network import NetworkLink, resolve_link
-from repro.distribution.partition import cut_points
-from repro.engine.executor import InferenceSession
+from repro.distribution.split import _open_side, _prefix_latency, _session_plan
 from repro.frameworks.base import DeployedModel
 from repro.placement.deployment import Deployment, StageSpec
 
 if TYPE_CHECKING:
     from collections.abc import Sequence
 
+    from numpy.typing import ArrayLike
+
+    from repro.engine.executor import ExecutionPlan
+    from repro.graphs.graph import Graph
     from repro.runtime.runner import Runner
     from repro.runtime.scenario import Scenario
 
@@ -84,22 +87,9 @@ class PipelinePlan:
         return "\n".join(lines)
 
 
-def _prefix_compute(deployed: DeployedModel,
-                    schedulable: list[str]) -> list[float]:
-    """Running sums of one deployment's per-op latencies, in op order."""
-    # The planner prices caller-supplied deployments, outside the
-    # Runner's scenario namespace.
-    plan = InferenceSession(deployed).plan  # repro: allow[ARCH001]
-    timings = dict(zip([op.name for op in plan.ops], plan.op_latency_s.tolist()))
-    prefix = [0.0] * (len(schedulable) + 1)
-    for i, name in enumerate(schedulable):
-        prefix[i + 1] = prefix[i] + timings.get(name, 0.0)
-    return prefix
-
-
-def _partition(schedulable: list[str], prefixes: list[list[float]],
-               transfer_at: list[float]) -> PipelinePlan:
-    """The chain-partitioning DP behind both entry points.
+def _partition(schedulable: list[str], prefixes: "Sequence[ArrayLike]",
+               transfer_at: ArrayLike) -> PipelinePlan:
+    """The chain-partitioning DP behind every entry point.
 
     Device ``d`` prices its ops with ``prefixes[d]``; ``transfer_at[k]``
     ships the cut after ``k`` ops.  Per device, each candidate
@@ -110,13 +100,13 @@ def _partition(schedulable: list[str], prefixes: list[list[float]],
     n = len(schedulable)
     num_devices = len(prefixes)
     # Only the last stage ends at n, and it returns nothing.
-    outgoing = np.array(transfer_at[:n] + [0.0])
+    outgoing = np.append(transfer_at[:n], 0.0)
     invalid = np.tri(_BLOCK, dtype=bool)  # start >= end inside a block
     best = np.full(n + 1, np.inf)  # best[k]: minimal bottleneck over k ops
     best[0] = 0.0
     choices = []
     for d, prefix in enumerate(prefixes, start=1):
-        prefix = np.array(prefix)
+        prefix = np.asarray(prefix)
         # Every device takes at least one op: device d starts at d - 1 or
         # later and leaves one op to each device after it.
         row, last_end = d - 1, n - (num_devices - d)
@@ -146,10 +136,37 @@ def _partition(schedulable: list[str], prefixes: list[list[float]],
         PipelineStage(
             device_index=d,
             op_names=tuple(schedulable[boundaries[d]:boundaries[d + 1]]),
-            compute_s=prefix[boundaries[d + 1]] - prefix[boundaries[d]],
+            compute_s=float(prefix[boundaries[d + 1]] - prefix[boundaries[d]]),
             outgoing_transfer_s=(0.0 if d == num_devices - 1
-                                 else transfer_at[boundaries[d + 1]]))
+                                 else float(transfer_at[boundaries[d + 1]])))
         for d, prefix in enumerate(prefixes)))
+
+
+def _chain_schedule(graphs: "Sequence[Graph]") -> list[str]:
+    """The op schedule every deployed graph of one pipeline chain shares."""
+    names = {graph.name for graph in graphs}
+    if len(names) != 1:
+        raise ValueError(f"all deployments must share one model, got {sorted(names)}")
+    schedulable = [op.name for op in graphs[0].schedulable_ops()]
+    for graph in graphs[1:]:
+        other = [op.name for op in graph.schedulable_ops()]
+        if other != schedulable:
+            raise ValueError(
+                "deployments disagree on the op schedule (mixed frameworks "
+                "with different fusion are not pipeline-compatible)")
+    return schedulable
+
+
+def _pipeline(schedulable: list[str], plans: "Sequence[ExecutionPlan]",
+              cut_bytes: np.ndarray, link: NetworkLink) -> PipelinePlan:
+    """Partition one schedule over the devices whose plans are given:
+    each device's prefix is one ``cumsum`` of its plan's latencies, each
+    cut's transfer is priced from the graph's crossing sizes."""
+    n = len(schedulable)
+    if len(plans) > n:
+        raise ValueError(f"cannot spread {n} ops over {len(plans)} devices")
+    return _partition(schedulable, [_prefix_latency(plan) for plan in plans],
+                      link.transfer_time_s(cut_bytes))
 
 
 def partition_pipeline_heterogeneous(deployments: list[DeployedModel],
@@ -163,26 +180,9 @@ def partition_pipeline_heterogeneous(deployments: list[DeployedModel],
     """
     if not deployments:
         raise ValueError("need at least one deployment")
-    names = {d.graph.name for d in deployments}
-    if len(names) != 1:
-        raise ValueError(f"all deployments must share one model, got {sorted(names)}")
-    num_devices = len(deployments)
-    schedulable = [op.name for op in deployments[0].graph.schedulable_ops()]
-    for deployed in deployments[1:]:
-        other = [op.name for op in deployed.graph.schedulable_ops()]
-        if other != schedulable:
-            raise ValueError(
-                "deployments disagree on the op schedule (mixed frameworks "
-                "with different fusion are not pipeline-compatible)")
-    n = len(schedulable)
-    if num_devices > n:
-        raise ValueError(f"cannot spread {n} ops over {num_devices} devices")
-
-    cuts = cut_points(deployments[0].graph)
-    transfer_at = [link.transfer_time_s(c.transfer_bytes) for c in cuts]
-    prefixes = [_prefix_compute(deployed, schedulable)
-                for deployed in deployments]
-    return _partition(schedulable, prefixes, transfer_at)
+    return _pipeline(_chain_schedule([d.graph for d in deployments]),
+                     [_session_plan(d) for d in deployments],
+                     deployments[0].graph.table.cut_bytes, link)
 
 
 def partition_pipeline(deployed: DeployedModel, num_devices: int,
@@ -196,13 +196,8 @@ def partition_pipeline(deployed: DeployedModel, num_devices: int,
     if num_devices < 1:
         raise ValueError(f"need at least one device, got {num_devices}")
     schedulable = [op.name for op in deployed.graph.schedulable_ops()]
-    prefix = _prefix_compute(deployed, schedulable)
-    n = len(schedulable)
-    if num_devices > n:
-        raise ValueError(f"cannot spread {n} ops over {num_devices} devices")
-    cuts = cut_points(deployed.graph)  # index k -> crossing bytes after k ops
-    transfer_at = [link.transfer_time_s(c.transfer_bytes) for c in cuts]
-    return _partition(schedulable, [prefix] * num_devices, transfer_at)
+    return _pipeline(schedulable, [_session_plan(deployed)] * num_devices,
+                     deployed.graph.table.cut_bytes, link)
 
 
 # -- lowering to Deployments -------------------------------------------------
@@ -211,15 +206,14 @@ def lower_pipeline(scenarios: "Sequence[Scenario]", link: NetworkLink | str, *,
                    runner: "Runner | None" = None) -> Deployment:
     """Lower an ordered chain of scenarios to a pipelined Deployment.
 
-    Runs :func:`partition_pipeline_heterogeneous` over the scenarios'
-    engine sessions (one per device position, so heterogeneous chains are
-    fine) and attaches the per-device pricing — active power, idle power,
-    session init — a served stage needs.  The
-    :func:`as_pipeline_plan` projection of the result equals the
-    partitioner's plan exactly.
+    Partitions the chain over the plans of the scenarios' own runner
+    sessions (one per device position, so heterogeneous chains are fine)
+    and attaches the per-device pricing — active power, idle power,
+    session init — a served stage needs.  The :func:`as_pipeline_plan`
+    projection of the result equals
+    :func:`partition_pipeline_heterogeneous` over the same deployments
+    exactly.
     """
-    from repro.distribution.split import _lowered_side
-
     link = resolve_link(link)
     scenarios = list(scenarios)
     if len(scenarios) < 2:
@@ -227,24 +221,22 @@ def lower_pipeline(scenarios: "Sequence[Scenario]", link: NetworkLink | str, *,
     if runner is None:
         from repro.runtime.runner import default_runner
         runner = default_runner()
-    sessions = [runner.session(scenario) for scenario in scenarios]
-    plan = partition_pipeline_heterogeneous(
-        [session.deployed for session in sessions], link)
-    bytes_at = [cut.transfer_bytes
-                for cut in cut_points(sessions[0].deployed.graph)]
+    sides = [_open_side(scenario, runner) for scenario in scenarios]
+    bytes_at = sides[0].graph.table.cut_bytes
+    plan = _pipeline(_chain_schedule([side.graph for side in sides]),
+                     [side.plan for side in sides], bytes_at, link)
     stages = []
     consumed = 0
     last = len(scenarios) - 1
-    for position, (scenario, session, stage) in enumerate(
-            zip(scenarios, sessions, plan.stages)):
+    for position, (side, stage) in enumerate(zip(sides, plan.stages)):
         consumed += len(stage.op_names)
         stages.append(StageSpec(
-            scenario=scenario,
+            scenario=side.scenario,
             op_names=stage.op_names,
             compute_s=stage.compute_s,
             transfer_s=stage.outgoing_transfer_s,
-            transfer_bytes=0 if position == last else bytes_at[consumed],
-            **_lowered_side(scenario, session),
+            transfer_bytes=0 if position == last else int(bytes_at[consumed]),
+            **side.pricing,
         ))
     return Deployment(kind="pipeline", link=link.name, stages=tuple(stages))
 

@@ -1,10 +1,12 @@
 """Neurosurgeon-style cloud-edge split planning, lowered to Deployments.
 
 For every cut point: run the prefix on the edge device, ship the crossing
-activations over the link, run the suffix on the remote platform.  The
-planner evaluates all cuts with the engine's per-op timings and returns the
-latency-optimal plan, together with the all-edge and all-remote baselines
-the paper's offloading discussion contrasts (Section I: privacy, connectivity
+activations over the link, run the suffix on the remote platform.
+:func:`cut_columns` prices all N + 1 cuts at once, as float64 columns read
+from both sides' execution plans and the edge graph's crossing sizes;
+callers build :class:`SplitPlan` objects only for the cuts they return —
+the latency-optimal one, and the all-edge and all-remote baselines the
+paper's offloading discussion contrasts (Section I: privacy, connectivity
 and timing constraints are what rule the all-remote point out in practice).
 
 Since the :class:`~repro.placement.deployment.Deployment` refactor this
@@ -17,19 +19,28 @@ points remain as the per-cut projection of those deployments
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
+
+import numpy as np
 
 from repro.distribution.network import NetworkLink, resolve_link
-from repro.distribution.partition import CutPoint, cut_points
+from repro.distribution.partition import CutPoint
 from repro.engine.executor import InferenceSession
 from repro.frameworks.base import DeployedModel
 from repro.placement.deployment import Deployment, StageSpec
 
 if TYPE_CHECKING:
+    from repro.engine.executor import ExecutionPlan
+    from repro.graphs.graph import Graph
     from repro.runtime.runner import Runner
     from repro.runtime.scenario import Scenario
+
+#: Suffixes per block of the remote column's triangle: each block holds at
+#: most N x 64 floats, however many ops the graph schedules.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -58,6 +69,122 @@ class SplitPlan:
         )
 
 
+# -- the cut columns ---------------------------------------------------------
+
+def _session_plan(deployed: DeployedModel) -> ExecutionPlan:
+    """The execution plan of a caller-supplied deployment."""
+    # The planners price deployments outside the Runner's scenario
+    # namespace (remote platforms, hand-built chains).
+    return InferenceSession(deployed).plan  # repro: allow[ARCH001]
+
+
+def _prefix_latency(plan: ExecutionPlan) -> np.ndarray:
+    """Running sums of a plan's per-op latencies from 0.0, in op order:
+    entry ``k`` is the time of the first ``k`` ops."""
+    prefix = np.zeros(len(plan.ops) + 1)
+    np.cumsum(plan.op_latency_s, out=prefix[1:])
+    return prefix
+
+
+def _latency_along(plan: ExecutionPlan, ops: tuple) -> np.ndarray:
+    """``plan``'s per-op latencies along another schedule of the same
+    model; 0.0 for the ops ``plan`` does not schedule (fused away)."""
+    if plan.ops == ops:
+        return plan.op_latency_s
+    position = {op.name: i for i, op in enumerate(plan.ops)}
+    padded = np.append(plan.op_latency_s, 0.0)
+    return padded[[position.get(op.name, -1) for op in ops]]
+
+
+def _suffix_sums(values: np.ndarray) -> np.ndarray:
+    """``sum(values[k:])`` for every ``k``, each summed left to right.
+
+    Column ``k`` of a block holds ``values`` from index ``k`` on below
+    zeros, so its running sum down the rows reaches ``values[k]`` exactly
+    and then adds in ``sum()``'s order (a reversed ``cumsum`` or a pairwise
+    ``np.sum`` would not); one ``cumsum`` runs a block's columns together.
+    """
+    n = len(values)
+    sums = np.empty(n)
+    above = ~np.tri(_BLOCK, dtype=bool)  # row < column
+    for lo in range(0, n, _BLOCK):
+        width = min(_BLOCK, n - lo)
+        block = np.empty((n - lo, width))
+        block[:] = values[lo:, None]
+        block[:width][above[:width, :width]] = 0.0
+        sums[lo:lo + width] = np.cumsum(block, axis=0, out=block)[-1]
+    return sums
+
+
+@dataclass(frozen=True, eq=False)
+class CutColumns:
+    """Every cut of one split as float64 columns.
+
+    Row ``k`` is the cut after ``k`` of the edge schedule's N ops: 0 ships
+    the raw input (all remote), N keeps everything on the edge.
+    """
+
+    ops: tuple
+    cut_bytes: np.ndarray
+    edge_s: np.ndarray
+    transfer_s: np.ndarray
+    remote_s: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.edge_s)
+
+    @property
+    def total_s(self) -> np.ndarray:
+        """Per-cut latency, added in :attr:`SplitPlan.total_s`'s order."""
+        return (self.edge_s + self.transfer_s) + self.remote_s
+
+    def best_index(self) -> int:
+        """The latency-optimal cut; the first among ties, as ``min()``."""
+        return int(np.argmin(self.total_s))
+
+    def plan(self, index: int) -> SplitPlan:
+        """The :class:`SplitPlan` at one cut, in Python scalars."""
+        return SplitPlan(
+            cut=CutPoint(index=index,
+                         after_op=self.ops[index - 1].name if index else "",
+                         transfer_bytes=int(self.cut_bytes[index])),
+            edge_s=float(self.edge_s[index]),
+            transfer_s=float(self.transfer_s[index]),
+            remote_s=float(self.remote_s[index]))
+
+
+def cut_columns(edge: ExecutionPlan, remote: ExecutionPlan,
+                cut_bytes: np.ndarray, link: NetworkLink) -> CutColumns:
+    """Price all N + 1 cuts of one split.
+
+    ``edge`` and ``remote`` are the two sides' plans of one model and
+    ``cut_bytes`` the edge graph's crossing sizes
+    (:attr:`~repro.graphs.table.OpTable.cut_bytes`).  Each non-empty side
+    also pays its plan's session overhead and input transfer; nothing
+    crosses the link once the edge keeps every op.  Every entry equals the
+    per-cut scalar sum bit for bit: the edge prefix is one sequential
+    ``cumsum`` and each remote suffix sums left to right.
+    """
+    count = len(edge.ops)
+    edge_s = _prefix_latency(edge)
+    edge_s[1:] += edge.session_overhead_s + edge.input_transfer_s
+    transfer_s = np.zeros(count + 1)
+    transfer_s[:count] = link.transfer_time_s(cut_bytes[:count])
+    remote_s = np.zeros(count + 1)
+    remote_s[:count] = (_suffix_sums(_latency_along(remote, edge.ops))
+                        + (remote.session_overhead_s + remote.input_transfer_s))
+    return CutColumns(ops=edge.ops, cut_bytes=cut_bytes, edge_s=edge_s,
+                      transfer_s=transfer_s, remote_s=remote_s)
+
+
+def _check_one_model(edge: Graph, remote: Graph) -> None:
+    if edge.name != remote.name:
+        raise ValueError(
+            f"split requires one model on both sides, got "
+            f"{edge.name!r} vs {remote.name!r}"
+        )
+
+
 class SplitPlanner:
     """Evaluates every cut of a model between two deployments.
 
@@ -67,89 +194,39 @@ class SplitPlanner:
     """
 
     def __init__(self, edge: DeployedModel, remote: DeployedModel, link: NetworkLink):
-        if edge.graph.name != remote.graph.name:
-            raise ValueError(
-                f"split requires one model on both sides, got "
-                f"{edge.graph.name!r} vs {remote.graph.name!r}"
-            )
+        _check_one_model(edge.graph, remote.graph)
         self.edge = edge
         self.remote = remote
+        self._plans = (_session_plan(edge), _session_plan(remote))
         self.link = link
-        self._edge_times = self._per_op_times(edge)
-        self._remote_times = self._per_op_times(remote)
-        self._cuts = cut_points(edge.graph)
-        self._plans: list[SplitPlan] | None = None
+        self.columns = cut_columns(*self._plans, edge.graph.table.cut_bytes, link)
 
     def with_link(self, link: NetworkLink) -> SplitPlanner:
         """A planner for the same deployments priced over a different link.
 
-        Shares the per-op timing tables and cut list (the expensive part —
-        two engine sessions per planner); only transfer pricing changes.
+        Shares both sides' plans (the expensive part — two engine sessions
+        per planner); only the cut columns are repriced.
         """
-        other = SplitPlanner.__new__(SplitPlanner)
-        other.edge = self.edge
-        other.remote = self.remote
+        other = copy.copy(self)
         other.link = link
-        other._edge_times = self._edge_times
-        other._remote_times = self._remote_times
-        other._cuts = self._cuts
-        other._plans = None
+        other.columns = cut_columns(*self._plans,
+                                    self.edge.graph.table.cut_bytes, link)
         return other
 
-    @staticmethod
-    def _per_op_times(deployed: DeployedModel) -> dict[str, float]:
-        # The planner prices caller-supplied deployments (remote platforms
-        # outside the Runner's scenario namespace).
-        plan = InferenceSession(deployed).plan  # repro: allow[ARCH001]
-        times = dict(zip([op.name for op in plan.ops], plan.op_latency_s.tolist()))
-        times["__session__"] = plan.session_overhead_s + plan.input_transfer_s
-        return times
-
     def sweep(self) -> list[SplitPlan]:
-        """Evaluate every cut point, input-side first.  Plans are memoized;
-        repeated calls (``best``/``all_edge``/``all_remote``) reuse them."""
-        if self._plans is None:
-            self._plans = self._sweep()
-        return list(self._plans)
-
-    def _sweep(self) -> list[SplitPlan]:
-        schedulable = [op.name for op in self.edge.graph.schedulable_ops()]
-        edge_values = [self._edge_times.get(name, 0.0) for name in schedulable]
-        remote_values = [self._remote_times.get(name, 0.0) for name in schedulable]
-        count = len(schedulable)
-        # Running prefix sums accumulate left-to-right — the same float-op
-        # order as summing each prefix from scratch, so cuts price
-        # bit-identically to the quadratic form this replaces.
-        edge_prefix = [0.0]
-        acc = 0.0
-        for value in edge_values:
-            acc += value
-            edge_prefix.append(acc)
-        plans = []
-        for cut in self._cuts:
-            index = cut.index
-            if count == 0 or index == count:
-                # Fully local: the result still returns to the caller on-device.
-                transfer = 0.0
-            else:
-                transfer = self.link.transfer_time_s(cut.transfer_bytes)
-            edge_s = (0.0 if index == 0
-                      else edge_prefix[index] + self._edge_times["__session__"])
-            remote_s = (0.0 if index == count
-                        else sum(remote_values[index:])
-                        + self._remote_times["__session__"])
-            plans.append(SplitPlan(
-                cut=cut, edge_s=edge_s, transfer_s=transfer, remote_s=remote_s))
-        return plans
+        """Every cut as a :class:`SplitPlan`, input-side first."""
+        columns = self.columns
+        return [columns.plan(index) for index in range(len(columns))]
 
     def best(self) -> SplitPlan:
-        return min(self.sweep(), key=lambda plan: plan.total_s)
+        columns = self.columns
+        return columns.plan(columns.best_index())
 
     def all_edge(self) -> SplitPlan:
-        return self.sweep()[-1]
+        return self.columns.plan(len(self.columns) - 1)
 
     def all_remote(self) -> SplitPlan:
-        return self.sweep()[0]
+        return self.columns.plan(0)
 
     def offload_speedup(self) -> float:
         """Best split latency improvement over staying fully on the edge."""
@@ -158,48 +235,56 @@ class SplitPlanner:
 
 # -- lowering to Deployments -------------------------------------------------
 
-def _lowered_side(scenario: Scenario, session) -> dict[str, float]:
-    """Per-device pricing a served stage needs beyond its compute time."""
+class _Side(NamedTuple):
+    """One scenario's runner session, read once for every stage it serves."""
+
+    scenario: Scenario
+    graph: Graph
+    plan: ExecutionPlan
+    pricing: dict[str, float]
+
+
+def _open_side(scenario: Scenario, runner: Runner) -> _Side:
+    """The scenario's graph and plan, and the per-device pricing a served
+    stage needs beyond its compute time."""
     from repro.hardware.catalog import load_device
     from repro.measurement.energy import active_power_w
 
-    return {
+    session = runner.session(scenario)
+    return _Side(scenario, session.deployed.graph, session.plan, {
         "power_w": active_power_w(session),
         "idle_w": load_device(scenario.device).power.idle_w,
         "init_time_s": session.init_time_s,
-    }
+    })
 
 
 def _split_context(edge: Scenario, remote: Scenario, link: NetworkLink,
                    runner: "Runner | None"):
-    """Sessions, sweep and per-side pricing shared by the split lowerings."""
+    """Both sides and their cut columns, shared by the split lowerings."""
     if runner is None:
         from repro.runtime.runner import default_runner
         runner = default_runner()
-    edge_session = runner.session(edge)
-    remote_session = runner.session(remote)
-    planner = SplitPlanner(edge_session.deployed, remote_session.deployed, link)
-    schedulable = tuple(
-        op.name for op in edge_session.deployed.graph.schedulable_ops())
-    return (planner.sweep(), schedulable,
-            _lowered_side(edge, edge_session),
-            _lowered_side(remote, remote_session))
+    edge_side = _open_side(edge, runner)
+    remote_side = _open_side(remote, runner)
+    _check_one_model(edge_side.graph, remote_side.graph)
+    return edge_side, remote_side, cut_columns(
+        edge_side.plan, remote_side.plan, edge_side.graph.table.cut_bytes, link)
 
 
-def _deployment_from_split(plan: SplitPlan, edge: Scenario, remote: Scenario,
-                           schedulable: tuple[str, ...], link: NetworkLink,
-                           edge_side: dict[str, float],
-                           remote_side: dict[str, float]) -> Deployment:
-    index = plan.cut.index
-    if index == len(schedulable):
+def _deployment_from_split(columns: CutColumns, index: int, edge: _Side,
+                           remote: _Side, link: NetworkLink) -> Deployment:
+    plan = columns.plan(index)
+    if index == len(columns) - 1:
         # All-edge: nothing crosses the link, so this IS a single-node
         # deployment — normalize so the fleet serves it on the legacy path.
-        return Deployment.single(edge, compute_s=plan.edge_s, **edge_side)
-    head = StageSpec(scenario=edge, op_names=schedulable[:index],
+        return Deployment.single(edge.scenario, compute_s=plan.edge_s,
+                                 **edge.pricing)
+    names = tuple(op.name for op in columns.ops)
+    head = StageSpec(scenario=edge.scenario, op_names=names[:index],
                      compute_s=plan.edge_s, transfer_s=plan.transfer_s,
-                     transfer_bytes=plan.cut.transfer_bytes, **edge_side)
-    tail = StageSpec(scenario=remote, op_names=schedulable[index:],
-                     compute_s=plan.remote_s, **remote_side)
+                     transfer_bytes=plan.cut.transfer_bytes, **edge.pricing)
+    tail = StageSpec(scenario=remote.scenario, op_names=names[index:],
+                     compute_s=plan.remote_s, **remote.pricing)
     return Deployment(kind="split", link=link.name, stages=(head, tail))
 
 
@@ -213,19 +298,18 @@ def lower_split(edge: Scenario, remote: Scenario, link: NetworkLink | str, *,
     chosen (exactly :meth:`SplitPlanner.best`).  The all-edge cut
     normalizes to a single-node deployment; every other cut becomes a
     two-stage ``"split"`` deployment whose :func:`as_split_plan`
-    projection equals the planner's plan exactly.
+    projection equals the planner's plan exactly.  Each side is priced
+    with its scenario's runner session.
     """
     link = resolve_link(link)
-    plans, schedulable, edge_side, remote_side = _split_context(
-        edge, remote, link, runner)
+    edge_side, remote_side, columns = _split_context(edge, remote, link, runner)
     if cut_index is None:
-        cut_index = min(range(len(plans)), key=lambda i: plans[i].total_s)
-    elif not 0 <= cut_index < len(plans):
-        raise ValueError(f"cut_index must be in [0, {len(schedulable)}], "
+        cut_index = columns.best_index()
+    elif not 0 <= cut_index < len(columns):
+        raise ValueError(f"cut_index must be in [0, {len(columns) - 1}], "
                          f"the schedulable op count; got {cut_index}")
-    plan = plans[cut_index]
-    return _deployment_from_split(
-        plan, edge, remote, schedulable, link, edge_side, remote_side)
+    return _deployment_from_split(columns, cut_index, edge_side, remote_side,
+                                  link)
 
 
 def split_deployments(edge: Scenario, remote: Scenario,
@@ -233,17 +317,15 @@ def split_deployments(edge: Scenario, remote: Scenario,
                       runner: "Runner | None" = None) -> list[Deployment]:
     """Lower the FULL cut sweep, input-side cut first.
 
-    One engine session per side prices every cut (the planner's prefix-sum
-    sweep), but each cut is then lowered to its own :class:`Deployment`,
-    an O(N) op-name slice per cut.  Callers that keep only a few cuts
-    should pick them on the :class:`SplitPlan` sweep and lower just those.
+    One runner session per side and one :func:`cut_columns` call price
+    every cut, but each cut is then lowered to its own
+    :class:`Deployment`, an O(N) op-name slice per cut.  Callers that keep
+    only a few cuts should pick them on the columns and lower just those.
     """
     link = resolve_link(link)
-    plans, schedulable, edge_side, remote_side = _split_context(
-        edge, remote, link, runner)
-    return [_deployment_from_split(plan, edge, remote, schedulable, link,
-                                   edge_side, remote_side)
-            for plan in plans]
+    edge_side, remote_side, columns = _split_context(edge, remote, link, runner)
+    return [_deployment_from_split(columns, index, edge_side, remote_side, link)
+            for index in range(len(columns))]
 
 
 def as_split_plan(deployment: Deployment) -> SplitPlan:

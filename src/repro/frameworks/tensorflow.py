@@ -12,6 +12,7 @@ from __future__ import annotations
 from repro.core.quantity import MEBI
 from repro.frameworks.base import Framework, FrameworkCapabilities, FrameworkOverheads
 from repro.graphs.tensor import DType
+from repro.graphs.transforms import quantize_in_place
 from repro.hardware.compute import ComputeKind
 
 
@@ -57,5 +58,6 @@ class TensorFlow(Framework):
     def graph_transforms(self, dtype):
         """TensorFlow's fusion sits behind experimental flags (Table II's
         dagger mark); the out-of-the-box deployment the paper measured runs
-        the plain static graph, so no transform is applied here."""
-        return ()
+        the plain static graph, so the only transform is quantization to a
+        non-FP32 deployment datatype."""
+        return () if dtype is DType.FP32 else ((quantize_in_place, dtype),)

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from repro.core.errors import ReproError
 from repro.core.result import ResultTable, geometric_mean
+from repro.engine.cache import cached_graph
 from repro.harness import paper_data as paper
 from repro.harness.report import ratio_or_none
 from repro.hardware import load_device
 from repro.measurement import EnergyMeter, ThermalCamera
-from repro.models import load_model
 from repro.profiling import profile_stack
 from repro.runtime import BEST_FRAMEWORK_CANDIDATES, Scenario, default_runner
 
@@ -34,7 +34,7 @@ def fig01_flop_per_param() -> ResultTable:
     )
     rows = []
     for model_name in paper.TABLE1_MODELS:
-        graph = load_model(model_name)
+        graph = cached_graph(model_name)
         _input, gflop, params_m = paper.TABLE1_MODELS[model_name]
         rows.append((graph.flop_per_param, model_name, graph, gflop, params_m))
     for flop_per_param, model_name, graph, gflop, params_m in sorted(rows):

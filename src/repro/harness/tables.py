@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from repro.core.result import ResultTable
+from repro.engine.cache import cached_graph
 from repro.frameworks import load_framework
 from repro.frameworks.compat import TABLE_V_FRAMEWORKS, compatibility_matrix
 from repro.harness import paper_data as paper
 from repro.hardware import list_devices, load_device
 from repro.measurement.power_meter import PowerAnalyzer, USBMultimeter, average_power_w
-from repro.models import load_model
 
 # Frameworks in Table II's column order.
 TABLE2_FRAMEWORKS = ("TensorFlow", "TFLite", "Caffe", "NCSDK", "PyTorch",
@@ -23,7 +23,7 @@ def table1_models() -> ResultTable:
         "follow DarkNet's 2-ops convention (see EXPERIMENTS.md).",
     )
     for model_name, (input_size, gflop, params_m) in paper.TABLE1_MODELS.items():
-        graph = load_model(model_name)
+        graph = cached_graph(model_name)
         table.add_row(
             model_name,
             input="x".join(str(d) for d in graph.inputs[0].output_shape.dims[1:]),

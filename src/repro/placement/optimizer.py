@@ -8,9 +8,10 @@ price each as a :class:`~repro.placement.deployment.Deployment`.
 
 Pricing reuses the serving stack's own machinery: single-node candidates
 go through ONE :meth:`Runner.run_grid` sweep (deployments, plans and
-rooflines dedup across cells), and each split pair is priced by one
-prefix-sum sweep of the cut space, of which only the two kept cuts are
-lowered to deployments.
+rooflines dedup across cells).  Each device opens one runner session
+for its splits, each split pair prices all its cuts as columns
+(:func:`~repro.distribution.split.cut_columns`), and only the two kept
+cuts are lowered to deployments.
 
 The result is the Pareto frontier of (latency, energy, cost): latency is
 the deployment's end-to-end seconds, energy its active joules per
@@ -225,35 +226,39 @@ def _split_deployments(model: str, edge_devices: Sequence[str],
     """Best-cut and all-remote splits for every ordered device pair.
 
     Each side runs its single-node-best framework (already picked by the
-    grid sweep).  A pair costs one prefix-sum sweep of the cut space; cuts
-    are picked on ``SplitPlan.total_s`` (the lowered ``latency_s`` bit for
-    bit) and only the kept ones are lowered.
+    grid sweep), and each device's runner session is opened once per
+    search.  A pair costs one :func:`~repro.distribution.split.cut_columns`
+    call; the best cut is the ``argmin`` of its total column (the lowered
+    ``latency_s`` bit for bit), and only the kept cuts are lowered.
     """
     from repro.distribution.network import resolve_link
-    from repro.distribution.split import _deployment_from_split, _split_context
+    from repro.distribution.split import (
+        _deployment_from_split,
+        _open_side,
+        cut_columns,
+    )
 
     resolved = resolve_link(link)
     best_scenario = {d.devices[0]: d.stages[0].scenario for d in singles}
+    edges = [device for device in edge_devices if device in best_scenario]
+    devices = [device for device in all_devices if device in best_scenario]
+    if not edges or len(devices) < 2:
+        return []  # no pair: open no session
+    sides = {device: _open_side(best_scenario[device], runner)
+             for device in devices}
     deployments: list[Deployment] = []
-    for edge_device in edge_devices:
-        edge_scenario = best_scenario.get(edge_device)
-        if edge_scenario is None:
-            continue
-        for remote_device in all_devices:
+    for edge_device in edges:
+        edge = sides[edge_device]
+        for remote_device in devices:
             if remote_device == edge_device:
                 continue
-            remote_scenario = best_scenario.get(remote_device)
-            if remote_scenario is None:
-                continue
-            plans, schedulable, edge_side, remote_side = _split_context(
-                edge_scenario, remote_scenario, resolved, runner)
-            best = min(plans, key=lambda plan: plan.total_s)
-            kept = (best,) if best is plans[0] else (best, plans[0])
+            remote = sides[remote_device]
+            columns = cut_columns(edge.plan, remote.plan,
+                                  edge.graph.table.cut_bytes, resolved)
+            best = columns.best_index()
             deployments.extend(
-                _deployment_from_split(plan, edge_scenario, remote_scenario,
-                                       schedulable, resolved, edge_side,
-                                       remote_side)
-                for plan in kept)
+                _deployment_from_split(columns, index, edge, remote, resolved)
+                for index in ((best,) if best == 0 else (best, 0)))
     return deployments
 
 

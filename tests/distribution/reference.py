@@ -1,16 +1,74 @@
 """Test-only scalar references for the distribution algorithms.
 
-``cut_points`` and the pipeline DP run as a linear sweep and as blocked
-NumPy tables; these are the direct quadratic formulations they replaced,
-kept as the oracle the fast forms must match exactly.
+``cut_points``, the split cuts and the pipeline DP run as a linear sweep,
+as float64 columns and as blocked NumPy tables; these are the direct
+formulations they replaced, kept as the oracle the fast forms must match
+exactly.
 """
 
 from __future__ import annotations
 
-from repro.distribution.partition import CutPoint
+from repro.distribution.network import NetworkLink
+from repro.distribution.partition import CutPoint, cut_points
+from repro.distribution.split import SplitPlan
+from repro.engine.executor import InferenceSession
+from repro.frameworks.base import DeployedModel
 from repro.graphs import ops as O
 from repro.graphs.graph import Graph
 from tests.graphs.reference import reference_schedulable
+
+
+def reference_per_op_times(deployed: DeployedModel) -> dict[str, float]:
+    """Per-op latency by op name, plus the plan's fixed per-inference
+    terms under ``"__session__"``."""
+    plan = InferenceSession(deployed).plan
+    times = dict(zip([op.name for op in plan.ops], plan.op_latency_s.tolist()))
+    times["__session__"] = plan.session_overhead_s + plan.input_transfer_s
+    return times
+
+
+def reference_split_sweep(edge: DeployedModel, remote: DeployedModel,
+                          link: NetworkLink) -> list[SplitPlan]:
+    """Every cut priced one at a time, input-side first: a running edge
+    prefix and one ``sum()`` per remote suffix, each op looked up by name
+    (ops the remote side fused away cost 0.0 there)."""
+    edge_times = reference_per_op_times(edge)
+    remote_times = reference_per_op_times(remote)
+    schedulable = [op.name for op in edge.graph.schedulable_ops()]
+    edge_values = [edge_times.get(name, 0.0) for name in schedulable]
+    remote_values = [remote_times.get(name, 0.0) for name in schedulable]
+    count = len(schedulable)
+    edge_prefix = [0.0]
+    acc = 0.0
+    for value in edge_values:
+        acc += value
+        edge_prefix.append(acc)
+    plans = []
+    for cut in cut_points(edge.graph):
+        index = cut.index
+        if count == 0 or index == count:
+            # Fully local: the result still returns to the caller on-device.
+            transfer = 0.0
+        else:
+            transfer = link.transfer_time_s(cut.transfer_bytes)
+        edge_s = (0.0 if index == 0
+                  else edge_prefix[index] + edge_times["__session__"])
+        remote_s = (0.0 if index == count
+                    else sum(remote_values[index:]) + remote_times["__session__"])
+        plans.append(SplitPlan(
+            cut=cut, edge_s=edge_s, transfer_s=transfer, remote_s=remote_s))
+    return plans
+
+
+def reference_prefix_compute(deployed: DeployedModel,
+                             schedulable: list[str]) -> list[float]:
+    """Running sums of one deployment's per-op latencies along
+    ``schedulable``, one op at a time."""
+    timings = reference_per_op_times(deployed)
+    prefix = [0.0] * (len(schedulable) + 1)
+    for i, name in enumerate(schedulable):
+        prefix[i + 1] = prefix[i] + timings.get(name, 0.0)
+    return prefix
 
 
 def reference_cut_points(graph: Graph) -> list[CutPoint]:

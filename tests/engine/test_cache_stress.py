@@ -106,6 +106,23 @@ def test_get_or_build_converges_on_one_object_per_key():
         assert cache.stats.lookups == lookups
 
 
+def test_first_build_wins_when_every_thread_misses_one_key():
+    """The builder holds each thread at a barrier until all 16 are
+    building, so all of them miss the key and each stores its own value:
+    only the first stored value may come back, to every caller."""
+    cache = MemoCache("race")
+    barrier = threading.Barrier(THREADS, timeout=60)
+
+    def build():
+        barrier.wait()
+        return object()
+
+    results = _run_threads(lambda _tid: cache.get_or_build("key", build))
+    assert cache.stats.misses == THREADS
+    assert len({id(value) for value in results}) == 1
+    assert cache.get_or_build("key", object) is results[0]
+
+
 def test_interleaved_get_invalidate_snapshot_stays_consistent():
     """Mixed traffic: builds, invalidations and snapshots race freely; the
     counters must never tear (hits+misses == counted lookups exactly) and

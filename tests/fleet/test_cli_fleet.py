@@ -68,6 +68,13 @@ class TestFleetVerb:
         assert main(["fleet", "--requests", "10", "--horizon", "5"]) == 2
         assert main(["fleet"]) == 2
 
+    def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "report.json"
+        assert main(["fleet", "--requests", "200", "--output", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path}")
+        assert "Traceback" not in err
+
     def test_missing_placement_file_is_a_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         assert main(["fleet", "--requests", "10",

@@ -76,6 +76,20 @@ class TestGraphPreparation:
         deployed = load_framework("TensorFlow").deploy(load_model("ResNet-18"), rpi)
         assert not deployed.graph.metadata.get("fused")
 
+    @pytest.mark.parametrize("framework_name", ["TensorFlow", "Keras"])
+    def test_tensorflow_quantizes_below_fp32_without_fusing(self, tx2,
+                                                            framework_name):
+        graph = load_model("ResNet-18")
+        framework = load_framework(framework_name)
+        fp32 = framework.deploy(graph, tx2)
+        fp16 = framework.deploy(graph, tx2, dtype=DType.FP16)
+        assert fp32.weight_bytes() == 46_758_048
+        assert fp16.weight_bytes() == 23_379_024
+        assert fp16.weight_bytes() == load_framework("PyTorch").deploy(
+            graph, tx2, dtype=DType.FP16).weight_bytes()
+        assert fp32.graph is graph
+        assert not fp16.graph.metadata.get("fused")
+
     def test_tensorrt_fuses(self, nano):
         deployed = load_framework("TensorRT").deploy(load_model("ResNet-18"), nano)
         assert deployed.graph.metadata.get("fused")
@@ -105,8 +119,8 @@ PREPARATION_CHAINS = {
     "PyTorch": _chain_base,
     "Caffe": _chain_base,
     "DarkNet": _chain_base,
-    "TensorFlow": lambda graph, dtype: graph,
-    "Keras": lambda graph, dtype: graph,
+    "TensorFlow": _chain_base,
+    "Keras": _chain_base,
 }
 
 

@@ -119,6 +119,14 @@ class TestSuiteCliVerb:
         assert main(["diff", str(suite_path), str(export_path),
                      "--tolerance", "0.0"]) == 0
 
+    def test_suite_verb_unwritable_output_is_a_usage_error(self, tmp_path,
+                                                           capsys):
+        path = tmp_path / "missing" / "suite.json"
+        assert main(["suite", "table6", "--output", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path}")
+        assert "Traceback" not in err
+
     def test_suite_verb_no_cache(self, capsys):
         from repro.engine.cache import cache_stats, caching_enabled
 

@@ -27,6 +27,14 @@ class TestPlaceVerb:
         assert payload["frontier"], "SLO is satisfiable, frontier non-empty"
         assert payload["frontier"][0]["deployment"]["kind"] == "pipeline"
 
+    def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "frontier.json"
+        assert main(["place", "ResNet-18", "--format", "json",
+                     "--output", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path}")
+        assert "Traceback" not in err
+
     def test_unsatisfiable_slo_exits_nonzero(self, capsys):
         argv = ["place", "MobileNet-v2", "--device", "Raspberry Pi 3B",
                 "--link", "lan", "--deadline-ms", "0.001", "--max-depth", "2"]
