@@ -13,9 +13,9 @@ from typing import Sequence
 
 from repro.core.quantity import MEBI
 from repro.core.result import ResultTable
+from repro.engine.cache import cached_graph
 from repro.graphs.tensor import DType
 from repro.graphs.transforms import prune_graph
-from repro.models import load_model
 from repro.runtime import Scenario, default_runner
 
 DEFAULT_BATCHES = (1, 2, 4, 8, 16, 32, 64)
@@ -73,7 +73,7 @@ def sparsity_sweep(
     )
     # prune_graph and deploy both clone their input, so one source graph and
     # one pruned graph per sparsity can be shared across every framework.
-    source = load_model(model_name)
+    source = cached_graph(model_name)
     pruned = {sparsity: prune_graph(source, sparsity) for sparsity in sparsities}
     for framework_name in framework_names:
         cells = {}

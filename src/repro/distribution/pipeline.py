@@ -221,7 +221,11 @@ def lower_pipeline(scenarios: "Sequence[Scenario]", link: NetworkLink | str, *,
     if runner is None:
         from repro.runtime.runner import default_runner
         runner = default_runner()
-    sides = [_open_side(scenario, runner) for scenario in scenarios]
+    # A chain often repeats a scenario (n identical devices): one session
+    # per distinct scenario prices every position that runs it.
+    opened = {scenario: _open_side(scenario, runner)
+              for scenario in dict.fromkeys(scenarios)}
+    sides = [opened[scenario] for scenario in scenarios]
     bytes_at = sides[0].graph.table.cut_bytes
     plan = _pipeline(_chain_schedule([side.graph for side in sides]),
                      [side.plan for side in sides], bytes_at, link)

@@ -171,13 +171,13 @@ def deploy(scenario: Scenario, graph: Any = None):
             dtype=scenario.dtype)
     from repro.hardware import apply_operating_point, load_device
     from repro.frameworks import load_framework
-    from repro.models import load_model
 
     device = load_device(scenario.device)
     if not scenario.is_default_runtime:
         device = apply_operating_point(device, scenario.power_mode)
     if graph is None:
-        graph = load_model(scenario.model)
+        # deploy() clones its input, so the shared zoo graph is safe here.
+        graph = engine_cache.cached_graph(scenario.model)
     return load_framework(scenario.framework).deploy(
         graph, device, dtype=scenario.dtype)
 

@@ -9,14 +9,14 @@ This package simulates that:
 * :mod:`~repro.fleet.cluster` — pools of identical replicas, each pool one
   :class:`~repro.runtime.scenario.Scenario` whose per-batch service times
   are resolved **once** through ``Runner.run_grid`` (cached, bit-identical
-  to the paper's engine path), plus per-node mutable serving state;
+  to the paper's engine path), plus the fleet's serving state as arrays;
 * :mod:`~repro.fleet.router` — pluggable epoch routing policies
   (round-robin, least-outstanding, energy-aware);
 * :mod:`~repro.fleet.autoscale` — queue-depth autoscaling and admission
   control;
-* :mod:`~repro.fleet.simulate` — the event loop: vectorized Lindley scans
-  per node between routing epochs (a million requests in seconds, not a
-  per-request Python heap);
+* :mod:`~repro.fleet.simulate` — the event loop: padded Lindley kernels
+  over every batch-1 node between routing epochs (a million requests in
+  seconds, not a per-request Python heap);
 * :mod:`~repro.fleet.report` — :class:`~repro.fleet.report.FleetStats`:
   p50/p99/p999 sojourn, throughput, energy per request, thermal events,
   per-pool utilization and drop fractions, JSON round-trippable.
@@ -28,7 +28,6 @@ produce byte-identical reports.
 from repro.fleet.autoscale import AdmissionControl, Autoscaler
 from repro.fleet.cluster import (
     Cluster,
-    NodeState,
     PoolSpec,
     ServiceProfile,
     StageProfile,
@@ -54,7 +53,6 @@ __all__ = [
     "FleetSimulation",
     "FleetStats",
     "LeastOutstandingRouter",
-    "NodeState",
     "PoolSpec",
     "PoolStats",
     "ROUTER_POLICIES",

@@ -20,9 +20,12 @@ honest cost of keeping hardware racked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from repro.fleet.cluster import NodeState
+import numpy as np
+
+from repro.fleet.cluster import Cluster
 
 
 @dataclass(frozen=True)
@@ -35,11 +38,12 @@ class AdmissionControl:
         if self.max_queue_per_node is not None and self.max_queue_per_node < 1:
             raise ValueError("max_queue_per_node must be >= 1")
 
-    def headroom(self, outstanding: int) -> float:
-        """New requests a node may accept this epoch (inf = unbounded)."""
+    def headroom(self, outstanding):
+        """New requests a node may accept this epoch (inf = unbounded);
+        elementwise for an array of outstanding counts."""
         if self.max_queue_per_node is None:
-            return float("inf")
-        return float(max(0, self.max_queue_per_node - outstanding))
+            return math.inf
+        return np.maximum(self.max_queue_per_node - outstanding, 0.0)
 
 
 @dataclass
@@ -72,8 +76,7 @@ class Autoscaler:
     def reset(self) -> None:
         self._cooldowns.clear()
 
-    def scale(self, pool_name: str, nodes: list[NodeState],
-              now_s: float) -> int:
+    def scale(self, pool_name: str, cluster: Cluster, now_s: float) -> int:
         """Apply one epoch's decision to a pool's nodes.
 
         Returns -1, 0 or +1 (the action taken).  Scale-up activates the
@@ -85,27 +88,31 @@ class Autoscaler:
         if remaining > 0:
             self._cooldowns[pool_name] = remaining - 1
             return 0
-        serving = [node for node in nodes if node.active and not node.shutdown]
-        standby = [node for node in nodes if not node.active and not node.shutdown]
-        if not serving:
-            if not standby:
+        nodes = cluster.pool_slice(pool_name)
+        up = ~cluster.shutdown[nodes]
+        serving = np.flatnonzero(cluster.active[nodes] & up) + nodes.start
+        standby = np.flatnonzero(~cluster.active[nodes] & up) + nodes.start
+        if not serving.size:
+            if not standby.size:
                 return 0
-            self._activate(standby[0], now_s)
-            self._cooldowns[pool_name] = self.cooldown_epochs
+            self._activate(cluster, pool_name, int(standby[0]), now_s)
             return 1
-        depth = sum(node.outstanding(now_s) for node in serving) / len(serving)
-        if depth > self.high_depth and standby:
-            self._activate(standby[0], now_s)
-            self._cooldowns[pool_name] = self.cooldown_epochs
+        depth = (int(cluster.outstanding(now_s)[serving].sum())
+                 / serving.size)
+        if depth > self.high_depth and standby.size:
+            self._activate(cluster, pool_name, int(standby[0]), now_s)
             return 1
-        if depth < self.low_depth and len(serving) > self.min_replicas:
-            quietest = min(serving, key=lambda node: (node.depth, node.index))
-            quietest.active = False
+        if depth < self.low_depth and serving.size > self.min_replicas:
+            # argmin takes the first minimum: depth ties break by index.
+            quietest = serving[np.argmin(cluster.depth[serving])]
+            cluster.active[quietest] = False
             self._cooldowns[pool_name] = self.cooldown_epochs
             return -1
         return 0
 
-    @staticmethod
-    def _activate(node: NodeState, now_s: float) -> None:
-        node.active = True
-        node.available_at_s = now_s + node.profile.init_time_s
+    def _activate(self, cluster: Cluster, pool_name: str, node: int,
+                  now_s: float) -> None:
+        cluster.active[node] = True
+        cluster.available_at_s[node] = (
+            now_s + cluster.profiles[pool_name].init_time_s)
+        self._cooldowns[pool_name] = self.cooldown_epochs

@@ -14,20 +14,23 @@ crashing the fleet.  Deployment pools arrive already priced — the
 lowering rules attach per-stage compute/transfer/power — so their
 profiles are derived without touching the engine.
 
-During the simulation each replica is a :class:`NodeState`: a FIFO of
-assigned arrival instants, a Lindley clock (``free_at_s``), a thermal
-integrator, and the counters the report aggregates.  Pipelined replicas
-additionally carry one Lindley clock and busy counter per stage.
+During the simulation every replica's state lives in the arrays of one
+:class:`Cluster`: a FIFO of assigned arrival instants, Lindley clocks and
+busy seconds per stage, thermal state, and the counters the report
+aggregates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
+
+import numpy as np
 
 from repro.core.errors import ReproError
+from repro.fleet.router import interleave
 from repro.hardware import load_device
-from repro.hardware.thermal import ThermalSimulator, ThermalSpec
+from repro.hardware.thermal import ThermalArray, ThermalSpec
 from repro.placement.deployment import Deployment
 from repro.runtime.record import RunRecord
 from repro.runtime.runner import Runner, default_runner
@@ -313,94 +316,172 @@ def _profile_from_deployment(pool: PoolSpec) -> ServiceProfile:
     )
 
 
-@dataclass
-class NodeState:
-    """One replica's mutable serving state.
-
-    The pending FIFO holds assigned-but-unserved arrival instants;
-    ``head`` is the consumption cursor (the list is compacted
-    periodically rather than popped per request).  ``free_at_s`` is the
-    Lindley clock: when the node finishes everything already started.
-    """
-
-    pool: str
-    index: int
-    profile: ServiceProfile
-    active: bool = True
-    available_at_s: float = 0.0
-    free_at_s: float = 0.0
-    busy_s: float = 0.0
-    epoch_busy_s: float = 0.0
-    completed: int = 0
-    batches: int = 0
-    shutdown: bool = False
-    throttle_scale: float = 1.0
-    pending: list[float] = field(default_factory=list)
-    head: int = 0
-    max_depth: int = 0
-    thermal_sim: ThermalSimulator | None = None
-    # Per-stage Lindley clocks and busy counters; None for single-node
-    # replicas (the discriminator mirrors ``profile.stages``).
-    stage_free_at_s: list[float] | None = None
-    stage_busy_s: list[float] | None = None
-    stage_epoch_busy_s: list[float] | None = None
-
-    def __post_init__(self) -> None:
-        if self.thermal_sim is None:
-            self.thermal_sim = ThermalSimulator(self.profile.thermal)
-        if self.profile.stages is not None and self.stage_free_at_s is None:
-            count = len(self.profile.stages)
-            self.stage_free_at_s = [0.0] * count
-            self.stage_busy_s = [0.0] * count
-            self.stage_epoch_busy_s = [0.0] * count
-
-    @property
-    def depth(self) -> int:
-        """Requests assigned and not yet completed (queued + batching)."""
-        return len(self.pending) - self.head
-
-    def outstanding(self, now_s: float) -> int:
-        """Queue depth plus the batch still in service at ``now_s``."""
-        return self.depth + (1 if self.free_at_s > now_s else 0)
-
-    def assign(self, arrival_times: Iterable[float]) -> int:
-        """Append newly routed arrivals (already sorted); returns count."""
-        before = len(self.pending)
-        self.pending.extend(arrival_times)
-        added = len(self.pending) - before
-        self.max_depth = max(self.max_depth, self.depth)
-        return added
-
-    def compact(self) -> None:
-        """Drop consumed prefix so the FIFO does not grow without bound."""
-        if self.head:
-            del self.pending[:self.head]
-            self.head = 0
-
-    def drain_pending(self) -> int:
-        """Discard the queue (thermal shutdown); returns requests lost."""
-        lost = self.depth
-        self.pending.clear()
-        self.head = 0
-        return lost
-
-
 class Cluster:
-    """The fleet: every pool's nodes plus the index arrays routers use."""
+    """Every replica's serving state and constants, one array entry per node.
+
+    Nodes are numbered pool by pool, so each pool owns the contiguous
+    slice :meth:`pool_slice` of every array.  A node's pending FIFO is a
+    row of ``pending``: the assigned-but-unserved arrival instants sit in
+    columns ``head:tail``, at flat positions ``row_offset + head`` and on.
+    One spare row at the end keeps a gather of up to ``width`` columns
+    past any head inside the buffer.  Lindley clocks and busy seconds are kept per
+    stage in ``(stages, nodes)`` arrays aligned at the end: row ``-1`` is
+    every node's last stage (its only one unless it serves a pipeline), so
+    ``clock_s[-1]`` is when each node finishes everything it has started.
+    Other stages are reached through flat ``stage * nodes + node`` indices
+    for ``take`` and ``np.put``:
+
+    * ``heated_at`` is the stage whose device the node's thermal model
+      stands for (a pipeline's bottleneck stage); ``idle_w`` and
+      ``swing_w`` are that stage's idle draw and its rise under load;
+    * ``chain_nodes`` are the batch-1 nodes, served by one Lindley kernel
+      (a FIFO is a one-stage chain), and ``chain_stages[k]`` holds, for
+      the kernel rows whose chain has a stage ``k``: those rows, the flat
+      index of that stage, its service time, and ``0..len(rows)-1``;
+      ``chain_ends`` is each batch-1 pool's last kernel row;
+    * ``batched_pools`` lists ``(name, nodes, profile)`` of the
+      dynamic-batching pools, which serve from row ``-1`` alone.
+    """
 
     def __init__(self, pools: Sequence[PoolSpec],
                  profiles: dict[str, ServiceProfile]):
         self.pools = list(pools)
         self.profiles = profiles
-        self.nodes: list[NodeState] = []
+        pool_profiles = [profiles[pool.name] for pool in self.pools]
+        replicas = [pool.replicas for pool in self.pools]
+        count = sum(replicas)
+        self._slices: dict[str, slice] = {}
+        start = 0
         for pool in self.pools:
-            profile = profiles[pool.name]
-            for index in range(pool.replicas):
-                self.nodes.append(NodeState(pool=pool.name, index=index,
-                                            profile=profile))
-
-    def pool_nodes(self, name: str) -> list[NodeState]:
-        return [node for node in self.nodes if node.pool == name]
+            self._slices[pool.name] = slice(start, start + pool.replicas)
+            start += pool.replicas
+        services = [[stage.service_s for stage in profile.stages]
+                    if profile.stages else [profile.service_s]
+                    for profile in pool_profiles]
+        depth = max(len(stages) for stages in services)
+        self.clock_s = np.zeros((depth, count))
+        self.stage_busy_s = np.zeros((depth, count))
+        self.epoch_busy_s = np.zeros((depth, count))
+        self.busy_s = np.zeros(count)
+        self.completed = np.zeros(count, dtype=np.int64)
+        self.batches = np.zeros(count, dtype=np.int64)
+        self.active = np.ones(count, dtype=bool)
+        self.available_at_s = np.zeros(count)
+        self.throttle_scale = np.ones(count)
+        self.pending = np.zeros((count + 1, 1024))
+        self.row_offset = np.arange(count) * 1024
+        self.head = np.zeros(count, dtype=np.int64)
+        self.tail = np.zeros(count, dtype=np.int64)
+        self.max_depth = np.zeros(count, dtype=np.int64)
+        self.assigned = np.zeros(count, dtype=np.int64)
+        self.dropped = np.zeros(count, dtype=np.int64)
+        self.thermal = ThermalArray([profile.thermal for profile, nodes
+                                     in zip(pool_profiles, replicas)
+                                     for _ in range(nodes)])
+        self.energy_per_request_j = np.repeat(
+            [profile.energy_per_request_j for profile in pool_profiles],
+            replicas)
+        self.full_batch_request_s = np.repeat(
+            [profile.full_batch_request_s for profile in pool_profiles],
+            replicas)
+        # The profile's thermal spec belongs to a pipeline's bottleneck
+        # stage's device, so that stage's duty cycle and draw heat it.
+        heated = [(depth - len(stages) + profile.bottleneck_index,
+                   profile.stages[profile.bottleneck_index])
+                  if profile.stages else (depth - 1, profile)
+                  for stages, profile in zip(services, pool_profiles)]
+        self.heated_at = (np.repeat([row for row, _ in heated], replicas)
+                          * count + np.arange(count))
+        self.idle_w = np.repeat([draw.idle_w for _, draw in heated], replicas)
+        self.swing_w = np.repeat([draw.power_w - draw.idle_w
+                                  for _, draw in heated], replicas)
+        self.batched_pools: list[tuple[str, slice, ServiceProfile]] = []
+        self.chain_pools: list[str] = []
+        chain_nodes: list[int] = []
+        chain_services: list[list[float]] = []
+        ends: list[int] = []
+        for pool, profile, stages in zip(self.pools, pool_profiles, services):
+            nodes = self._slices[pool.name]
+            if profile.stages is None and profile.max_batch > 1:
+                self.batched_pools.append((pool.name, nodes, profile))
+                continue
+            chain_nodes += range(nodes.start, nodes.stop)
+            chain_services += [stages] * pool.replicas
+            ends.append(len(chain_nodes) - 1)
+            self.chain_pools.append(pool.name)
+        self.chain_nodes = np.array(chain_nodes, dtype=np.int64)
+        self.chain_ends = np.array(ends, dtype=np.int64)
+        self.chain_stages = []
+        for position in range(depth):
+            members = [row for row, stages in enumerate(chain_services)
+                       if position < len(stages)]
+            if not members:
+                break
+            self.chain_stages.append((
+                np.array(members),
+                np.array([(depth - len(chain_services[row]) + position) * count
+                          + chain_nodes[row] for row in members]),
+                np.array([chain_services[row][position] for row in members]),
+                np.arange(len(members))))
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return self.head.size
+
+    def pool_slice(self, name: str) -> slice:
+        return self._slices[name]
+
+    def stage_busy_s_of(self, name: str) -> list[list[float]]:
+        """Busy seconds of each node of pipelined pool ``name``, one list
+        per node, first stage first."""
+        stages = len(self.profiles[name].stages)
+        return self.stage_busy_s[-stages:, self._slices[name]].T.tolist()
+
+    @property
+    def shutdown(self) -> np.ndarray:
+        """Nodes that tripped their thermal shutdown (never serve again)."""
+        return self.thermal.shutdown
+
+    @property
+    def depth(self) -> np.ndarray:
+        """Requests assigned and not yet completed, per node."""
+        return self.tail - self.head
+
+    def outstanding(self, now_s: float) -> np.ndarray:
+        """Queue depth plus the request or batch still in service at ``now_s``."""
+        return self.depth + (self.clock_s[-1] > now_s)
+
+    def assign(self, quotas: np.ndarray, arrival_times: np.ndarray) -> None:
+        """Append ``quotas[i]`` of the sorted ``arrival_times`` to node
+        ``i``'s FIFO, spread over the stream by :func:`interleave`."""
+        nodes, ranks = interleave(quotas)
+        tail = self.tail + quotas
+        if tail.max() > self.pending.shape[1]:
+            self.compact(int((tail - self.head).max()))
+        np.put(self.pending, (self.row_offset + self.tail)[nodes] + ranks,
+               arrival_times)
+        self.tail += quotas
+        self.assigned += quotas
+        np.maximum(self.max_depth, self.tail - self.head, out=self.max_depth)
+
+    def compact(self, room: int = 0) -> None:
+        """Move every FIFO to column 0, growing the buffer to fit ``room``
+        requests per node."""
+        depth = self.depth
+        width = self.pending.shape[1]
+        if room > width:
+            width = max(2 * width, room)
+        live = int(depth.max())
+        pending = np.zeros((len(self) + 1, width))
+        if live:
+            pending[:-1, :live] = self.pending.take(
+                (self.row_offset + self.head)[:, None] + np.arange(live))
+        self.row_offset = np.arange(len(self)) * width
+        self.pending = pending
+        self.head[:] = 0
+        self.tail[:] = depth
+
+    def drain(self, nodes: np.ndarray) -> None:
+        """Discard the queues of ``nodes`` (thermal shutdown), counting
+        the requests lost in ``dropped``."""
+        self.dropped[nodes] += self.depth[nodes]
+        self.head[nodes] = self.tail[nodes]

@@ -166,22 +166,25 @@ def _float(rank: int) -> float:
     return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
-def interleave(quotas: np.ndarray) -> np.ndarray:
-    """Node index per arrival, spreading each node's share evenly.
+def interleave(quotas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Node index and FIFO position per arrival, spreading each share evenly.
 
     Each node's ``q`` requests sit at evenly spaced virtual positions
     ``(k + 0.5) / q``; a stable argsort merges them, so every node sees
     its arrivals in FIFO order and no node's share clumps at one end of
-    the epoch.
+    the epoch.  Returns ``(nodes, ranks)``: arrival ``t`` is request
+    number ``ranks[t]`` of node ``nodes[t]``'s share.
     """
     total = int(quotas.sum())
     if total == 0:
-        return np.empty(0, dtype=np.int64)
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
     node_ids = np.repeat(np.arange(quotas.size, dtype=np.int64), quotas)
     offsets = np.repeat(np.cumsum(quotas) - quotas, quotas)
-    within = np.arange(total, dtype=np.float64) - offsets
+    within = np.arange(total, dtype=np.int64) - offsets
     positions = (within + 0.5) / np.repeat(quotas, quotas)
-    return node_ids[np.argsort(positions, kind="stable")]
+    order = np.argsort(positions, kind="stable")
+    return node_ids[order], within[order]
 
 
 class RoundRobinRouter(Router):

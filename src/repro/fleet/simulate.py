@@ -1,25 +1,28 @@
-"""The fleet event loop: vectorized Lindley scans between routing epochs.
+"""The fleet event loop: array kernels between routing epochs.
 
 A discrete-event simulator in the classic sense would push every request
 through a Python heap — microseconds each, minutes per million.  This
-loop instead advances the whole fleet epoch by epoch:
+loop instead advances the whole fleet epoch by epoch, every node's state
+held in the arrays of one :class:`~repro.fleet.cluster.Cluster`:
 
 1. the horizon is cut into routing epochs (``np.linspace`` edges; one
    ``np.searchsorted`` maps every arrival to its epoch up front);
 2. at each epoch boundary the autoscaler adjusts pools, the admission
    policy computes per-node headroom, and the router turns the epoch's
-   arrival count into per-node quotas (all vectorized);
-3. each node then serves its FIFO with an array program: batch-1 pools
-   run the Lindley recursion as a ``np.maximum.accumulate`` scan,
-   dynamic-batching pools run one lean iteration per *batch* (not per
-   request), exactly the greedy ``batch_server`` semantics, and
-   pipelined pools (multi-stage ``Deployment`` replicas) chain one
-   Lindley scan per stage — stage ``k`` consumes stage ``k-1``'s finish
-   instants;
-4. at the epoch's end every node's thermal RC model integrates the
-   epoch's average power — DVFS throttling stretches the next epoch's
-   service times, and a shutdown drops the node's queue (the Raspberry
-   Pi's Figure 14 fate, fleet edition).
+   arrival count into per-node quotas; the routing view is read straight
+   from the arrays and the admitted arrivals are scattered into the
+   nodes' FIFO rows in one ``np.put``;
+3. every batch-1 node — a plain FIFO is a one-stage chain, a pipelined
+   replica (multi-stage ``Deployment``) a longer one — is served by one
+   padded Lindley kernel per stage: a ``np.maximum.accumulate`` scan over
+   a (nodes x requests) matrix, stage ``k`` consuming stage ``k-1``'s
+   finish instants.  Dynamic-batching pools run one lean iteration per
+   *batch* (not per request), exactly the greedy ``batch_server``
+   semantics;
+4. at the epoch's end one array step integrates every node's thermal RC
+   model at the epoch's average power — DVFS throttling stretches the
+   next epoch's service times, and a shutdown drops the node's queue (the
+   Raspberry Pi's Figure 14 fate, fleet edition).
 
 Within a node the serving schedule is exact; the epoch grid only
 quantizes *routing* decisions (a request cannot be steered by state
@@ -27,19 +30,24 @@ younger than one epoch) and thermal integration.  Everything is
 deterministic: service times come from cached ``RunRecord``s, arrival
 streams are seeded, and policies break ties by index — the same inputs
 produce byte-identical :class:`~repro.fleet.report.FleetStats`.
+
+The arrays reproduce the per-node arithmetic bit for bit (elementwise
+``+ - * /`` and ``maximum`` only, ``math.exp``, Python ``sum()`` in node
+order, sojourns in epoch-major, node-minor order; see docs/fleet.md).
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from typing import Sequence
 
 import numpy as np
 
 from repro.fleet.autoscale import AdmissionControl, Autoscaler
-from repro.fleet.cluster import Cluster, NodeState, PoolSpec, resolve_profiles
+from repro.fleet.cluster import Cluster, PoolSpec, ServiceProfile, resolve_profiles
 from repro.fleet.report import FleetStats, PoolStats, SojournSummary
-from repro.fleet.router import Router, RoutingView, interleave, make_router
+from repro.fleet.router import Router, RoutingView, make_router
 from repro.runtime.runner import Runner
 from repro.workloads.arrivals import Arrivals, first_n, reseeded
 
@@ -49,176 +57,19 @@ DEFAULT_POLICY = "least-outstanding"
 _EMPTY = np.empty(0, dtype=np.float64)
 
 
-def _advance_fifo(node: NodeState, epoch_end_s: float) -> np.ndarray:
-    """Serve a batch-1 node up to ``epoch_end_s``; returns sojourn times.
+def _lindley(arrivals: np.ndarray, service_s: np.ndarray,
+             free_s: np.ndarray) -> np.ndarray:
+    """Finish instants of constant-service FIFO servers, one per row.
 
-    The FIFO completion times follow the Lindley recursion
-    ``finish_i = max(arrival_i, finish_{i-1}) + service``; with constant
-    service ``s`` that closed form is ``finish_i = (i+1)s +
-    max(free_at, max_{j<=i}(arrival_j - js))`` — one ``cumsum``-style
-    scan, no per-request Python.  Only requests *starting* before the
-    epoch end are committed; the rest stay pending so next epoch's
-    throttle state can still stretch them.
+    The Lindley recursion ``finish_i = max(arrival_i, finish_{i-1}) + s``
+    has the closed form ``finish_i = (i+1)s + max(free, max_{j<=i}
+    (arrival_j - js))``: one ``maximum.accumulate`` scan per row.  Rows
+    are padded with ``inf`` arrivals, which finish at ``inf``.
     """
-    service_s = node.profile.service_s * node.throttle_scale
-    pending = node.pending
-    head = node.head
-    count = len(pending) - head
-    if count == 0:
-        return _EMPTY
-    first_start_s = max(pending[head], node.free_at_s)
-    if first_start_s >= epoch_end_s:
-        return _EMPTY
-    if np.isfinite(epoch_end_s):
-        # Starts advance by >= service_s each, so the epoch admits at most
-        # this many; slicing keeps the scan O(servable), not O(backlog).
-        count = min(count, int((epoch_end_s - first_start_s) / service_s) + 2)
-    arrivals = np.asarray(pending[head:head + count])
-    offsets = service_s * np.arange(count)
-    level = np.maximum.accumulate(arrivals - offsets)
-    finish = offsets + service_s + np.maximum(node.free_at_s, level)
-    starts = finish - service_s
-    served = int(np.searchsorted(starts, epoch_end_s, side="left"))
-    if not served:
-        return _EMPTY
-    node.head = head + served
-    node.free_at_s = float(finish[served - 1])
-    busy_s = served * service_s
-    node.busy_s += busy_s
-    node.epoch_busy_s += busy_s
-    node.completed += served
-    node.batches += served
-    return finish[:served] - arrivals[:served]
-
-
-def _advance_batched(node: NodeState, epoch_end_s: float) -> np.ndarray:
-    """Serve a dynamic-batching node up to ``epoch_end_s``.
-
-    Greedy ``simulate_batch_serving`` semantics: whenever the node frees
-    up it grabs everything queued (up to the pool's effective batch
-    limit) and runs it as one batch.  The loop iterates once per batch —
-    plain floats and ``bisect``, no ndarray dispatch — and the per-request
-    sojourns are expanded vectorially afterwards.  Deferring batches that
-    would start after the epoch end is exact: such a batch may only
-    contain arrivals up to its start time, and those are all assigned by
-    the time the next epoch forms it.
-    """
-    profile = node.profile
-    scale = node.throttle_scale
-    wall_s = profile.batch_wall_s
-    max_batch = profile.max_batch
-    pending = node.pending
-    total = len(pending)
-    head = node.head
-    idx = head
-    if idx >= total:
-        return _EMPTY
-    now_s = node.free_at_s
-    finishes: list[float] = []
-    sizes: list[int] = []
-    busy_s = 0.0
-    right = bisect.bisect_right
-    while idx < total:
-        first = pending[idx]
-        start_s = first if first > now_s else now_s
-        if start_s >= epoch_end_s:
-            break
-        size = right(pending, start_s, idx, total) - idx
-        if size > max_batch:
-            size = max_batch
-        duration_s = wall_s[size - 1] * scale
-        now_s = start_s + duration_s
-        finishes.append(now_s)
-        sizes.append(size)
-        busy_s += duration_s
-        idx += size
-    served = idx - head
-    if not served:
-        return _EMPTY
-    arrivals = np.asarray(pending[head:idx])
-    finish = np.repeat(finishes, sizes)
-    node.head = idx
-    node.free_at_s = now_s
-    node.busy_s += busy_s
-    node.epoch_busy_s += busy_s
-    node.completed += served
-    node.batches += len(sizes)
-    return finish - arrivals
-
-
-def _advance_pipeline(node: NodeState, epoch_end_s: float) -> np.ndarray:
-    """Serve a pipelined node (device chain) up to ``epoch_end_s``.
-
-    Each stage is its own single-server FIFO with constant service time
-    (compute plus outgoing transfer), so the chain is a sequence of
-    Lindley scans: stage 0 consumes the node's pending arrivals, stage
-    ``k`` consumes stage ``k-1``'s finish instants.  A request commits
-    when its stage-0 service *starts* before the epoch end — the rest of
-    its chain then runs to completion at the current throttle state, the
-    pipelined analogue of the batched path running a started batch past
-    the epoch boundary.  Sojourns are last-stage finish minus arrival.
-    """
-    profile = node.profile
-    stages = profile.stages
-    assert stages is not None
-    assert node.stage_free_at_s is not None
-    assert node.stage_busy_s is not None
-    assert node.stage_epoch_busy_s is not None
-    scale = node.throttle_scale
-    free = node.stage_free_at_s
-    pending = node.pending
-    head = node.head
-    count = len(pending) - head
-    if count == 0:
-        return _EMPTY
-    first_service_s = stages[0].service_s * scale
-    first_start_s = max(pending[head], free[0])
-    if first_start_s >= epoch_end_s:
-        return _EMPTY
-    if np.isfinite(epoch_end_s):
-        # Stage-0 starts advance by >= its service each (same cap as the
-        # plain FIFO — commitment is decided at stage 0).
-        count = min(count, int((epoch_end_s - first_start_s)
-                               / first_service_s) + 2)
-    arrivals = np.asarray(pending[head:head + count])
-    offsets = first_service_s * np.arange(count)
-    level = np.maximum.accumulate(arrivals - offsets)
-    finish = offsets + first_service_s + np.maximum(free[0], level)
-    starts = finish - first_service_s
-    served = int(np.searchsorted(starts, epoch_end_s, side="left"))
-    if not served:
-        return _EMPTY
-    finish = finish[:served]
-    node.head = head + served
-    free[0] = float(finish[-1])
-    stage_busy_s = served * first_service_s
-    node.stage_busy_s[0] += stage_busy_s
-    node.stage_epoch_busy_s[0] += stage_busy_s
-    total_busy_s = stage_busy_s
-    for position in range(1, len(stages)):
-        service_s = stages[position].service_s * scale
-        offsets = service_s * np.arange(served)
-        level = np.maximum.accumulate(finish - offsets)
-        finish = offsets + service_s + np.maximum(free[position], level)
-        free[position] = float(finish[-1])
-        stage_busy_s = served * service_s
-        node.stage_busy_s[position] += stage_busy_s
-        node.stage_epoch_busy_s[position] += stage_busy_s
-        total_busy_s += stage_busy_s
-    node.free_at_s = free[-1]  # the chain frees when its last stage does
-    node.busy_s += total_busy_s
-    node.epoch_busy_s += total_busy_s
-    node.completed += served
-    node.batches += served
-    return finish - arrivals[:served]
-
-
-def _advance(node: NodeState, epoch_end_s: float) -> np.ndarray:
-    if node.profile.stages is not None:
-        return _advance_pipeline(node, epoch_end_s)
-    if node.profile.max_batch == 1:
-        return _advance_fifo(node, epoch_end_s)
-    return _advance_batched(node, epoch_end_s)
+    service_s = service_s[:, None]
+    offsets = service_s * np.arange(arrivals.shape[1])
+    level = np.maximum.accumulate(arrivals - offsets, axis=1)
+    return offsets + service_s + np.maximum(free_s[:, None], level)
 
 
 class FleetSimulation:
@@ -226,8 +77,8 @@ class FleetSimulation:
 
     Pool service profiles are resolved once at construction — a single
     ``Runner.run_grid`` over every (pool, batch size) cell, cached and
-    bit-identical to the scalar engine path.  Each :meth:`run` rebuilds
-    the mutable node state, so repeated runs of the same stream are
+    bit-identical to the scalar engine path.  Each :meth:`run` builds a
+    fresh :class:`Cluster`, so repeated runs of the same stream are
     independent and identical.
     """
 
@@ -266,34 +117,27 @@ class FleetSimulation:
         if arrivals.size and not (np.isfinite(arrivals).all()
                                   and arrivals[0] >= 0):
             raise ValueError("arrival times must be finite and >= 0")
+        sojourn_chunks: dict[str, list[np.ndarray]] = {
+            pool.name: [] for pool in self.pools}
+        cluster = Cluster(self.pools, self.profiles)
         if arrivals.size == 0:
             # A zero-request run is a valid degenerate simulation: the
             # report is all zeros and never meets an SLO.
-            return self._build_stats(
-                Cluster(self.pools, self.profiles), arrivals,
-                {pool.name: [] for pool in self.pools},
-                {pool.name: 0 for pool in self.pools},
-                {pool.name: 0 for pool in self.pools}, 0, 0, 0, seed)
+            return self._build_stats(cluster, arrivals, sojourn_chunks,
+                                     0, 0, 0, seed)
         self.router.reset()
         if self.autoscaler is not None:
             self.autoscaler.reset()
-        cluster = Cluster(self.pools, self.profiles)
-        nodes = cluster.nodes
-        if self.autoscaler is not None:
-            self._park_standby_replicas(cluster)
+            # With an autoscaler, pools start at min_replicas active.
+            for pool in self.pools:
+                nodes = cluster.pool_slice(pool.name)
+                cluster.active[nodes.start + self.autoscaler.min_replicas:
+                               nodes.stop] = False
 
         span_s = float(arrivals[-1])
         edges = np.linspace(0.0, max(span_s, 1e-9), self.epochs + 1)
         boundaries = np.searchsorted(arrivals, edges, side="left")
         boundaries[-1] = arrivals.size
-
-        # Per-node routing constants: profiles do not change during a run.
-        energy = np.array([node.profile.energy_per_request_j for node in nodes])
-        full_batch_s = [node.profile.full_batch_request_s for node in nodes]
-        sojourn_chunks: dict[str, list[np.ndarray]] = {
-            pool.name: [] for pool in self.pools}
-        assigned: dict[str, int] = {pool.name: 0 for pool in self.pools}
-        dropped: dict[str, int] = {pool.name: 0 for pool in self.pools}
         rejected = 0
         scale_ups = 0
         scale_downs = 0
@@ -304,101 +148,226 @@ class FleetSimulation:
             dt_s = epoch_end_s - epoch_start_s
             if self.autoscaler is not None:
                 for pool in self.pools:
-                    action = self.autoscaler.scale(
-                        pool.name, cluster.pool_nodes(pool.name), epoch_start_s)
+                    action = self.autoscaler.scale(pool.name, cluster,
+                                                   epoch_start_s)
                     scale_ups += action > 0
                     scale_downs += action < 0
             lo = int(boundaries[index])
             hi = int(boundaries[index + 1])
             if hi > lo:
-                rejected += self._route(nodes, arrivals[lo:hi],
-                                        epoch_start_s, epoch_end_s, assigned,
-                                        energy, full_batch_s)
-            for node in nodes:
-                node.epoch_busy_s = 0.0
-                if node.stage_epoch_busy_s is not None:
-                    # Pipelined node: thermal tracks the bottleneck stage,
-                    # so the carry is that stage's overhang.
-                    for position in range(len(node.stage_epoch_busy_s)):
-                        node.stage_epoch_busy_s[position] = 0.0
-                    assert node.stage_free_at_s is not None
-                    bottleneck = node.profile.bottleneck_index
-                    carry_s = max(0.0, node.stage_free_at_s[bottleneck]
-                                  - epoch_start_s)
-                else:
-                    carry_s = max(0.0, node.free_at_s - epoch_start_s)
-                if node.depth and not node.shutdown:
-                    sojourns = _advance(node, epoch_end_s)
-                    if sojourns.size:
-                        sojourn_chunks[node.pool].append(sojourns)
-                    if node.head > 1024 and node.head * 2 >= len(node.pending):
-                        node.compact()
-                if dt_s > 0.0:
-                    self._step_thermal(node, carry_s, dt_s, dropped)
+                rejected += self._route(cluster, arrivals[lo:hi],
+                                        epoch_start_s, epoch_end_s)
+            # Work continuing from earlier epochs heats this one too.
+            carry_s = np.maximum(
+                cluster.clock_s.take(cluster.heated_at) - epoch_start_s, 0.0)
+            cluster.epoch_busy_s.fill(0.0)
+            self._serve(cluster, epoch_end_s, sojourn_chunks)
+            if dt_s > 0.0:
+                self._step_thermal(cluster, carry_s, dt_s)
 
         # Drain: every queued request completes past the horizon (the
         # throttle state is frozen; no further thermal transitions).
-        for node in nodes:
-            if node.depth and not node.shutdown:
-                sojourns = _advance(node, np.inf)
-                if sojourns.size:
-                    sojourn_chunks[node.pool].append(sojourns)
-
-        return self._build_stats(cluster, arrivals, sojourn_chunks, assigned,
-                                 dropped, rejected, scale_ups, scale_downs,
-                                 seed)
+        self._serve(cluster, math.inf, sojourn_chunks)
+        return self._build_stats(cluster, arrivals, sojourn_chunks, rejected,
+                                 scale_ups, scale_downs, seed)
 
     # -- epoch stages --------------------------------------------------------
-    def _park_standby_replicas(self, cluster: Cluster) -> None:
-        """With an autoscaler, pools start at min_replicas active."""
-        assert self.autoscaler is not None
-        floor = self.autoscaler.min_replicas
-        for pool in self.pools:
-            for node in cluster.pool_nodes(pool.name)[floor:]:
-                node.active = False
-
-    def _route(self, nodes: list[NodeState], epoch_times: np.ndarray,
-               epoch_start_s: float, epoch_end_s: float,
-               assigned: dict[str, int], energy: np.ndarray,
-               full_batch_s: list[float]) -> int:
-        """Assign one epoch's arrivals; returns the rejected count.
-
-        ``energy`` and ``full_batch_s`` are each node's profile constants
-        (``energy_per_request_j``, ``full_batch_request_s``).
-        """
+    def _route(self, cluster: Cluster, epoch_times: np.ndarray,
+               epoch_start_s: float, epoch_end_s: float) -> int:
+        """Assign one epoch's arrivals; returns the rejected count."""
         count = int(epoch_times.size)
-        outstanding = np.empty(len(nodes), dtype=np.float64)
-        limits = np.empty(len(nodes), dtype=np.float64)
-        capacity = np.empty(len(nodes), dtype=np.float64)
-        for position, node in enumerate(nodes):
-            pending = node.outstanding(epoch_start_s)
-            outstanding[position] = pending
-            routable = (node.active and not node.shutdown
-                        and node.available_at_s <= epoch_start_s)
-            limits[position] = self.admission.headroom(pending) if routable else 0.0
-            spare_s = epoch_end_s - max(node.free_at_s, epoch_start_s)
-            per_request_s = full_batch_s[position] * node.throttle_scale
-            capacity[position] = min(count, max(0.0, spare_s) / per_request_s)
+        outstanding = cluster.outstanding(epoch_start_s).astype(np.float64)
+        # A shut-down node is never active, so this excludes it too.
+        routable = cluster.active & (cluster.available_at_s <= epoch_start_s)
+        limits = np.where(routable, self.admission.headroom(outstanding), 0.0)
+        spare_s = epoch_end_s - np.maximum(cluster.clock_s[-1], epoch_start_s)
+        per_request_s = cluster.full_batch_request_s * cluster.throttle_scale
+        capacity = np.minimum(np.maximum(spare_s, 0.0) / per_request_s, count)
         view = RoutingView(outstanding=outstanding, limits=limits,
-                           energy_per_request_j=energy, capacity=capacity)
+                           energy_per_request_j=cluster.energy_per_request_j,
+                           capacity=capacity)
         quotas = np.minimum(self.router.quotas(view, count),
                             limits).astype(np.int64)
         total = int(quotas.sum())
         assert total <= count, "router over-assigned the epoch"
         if total:
-            assignment = interleave(quotas)
-            order = np.argsort(assignment, kind="stable")
-            admitted = epoch_times[:total][order].tolist()
-            start = 0
-            for node, quota in zip(nodes, quotas.tolist()):
-                if quota:
-                    node.assign(admitted[start:start + quota])
-                    assigned[node.pool] += quota
-                    start += quota
+            cluster.assign(quotas, epoch_times[:total])
         return count - total
 
-    def _step_thermal(self, node: NodeState, carry_s: float, dt_s: float,
-                      dropped: dict[str, int]) -> None:
+    def _serve(self, cluster: Cluster, epoch_end_s: float,
+               sojourn_chunks: dict[str, list[np.ndarray]]) -> None:
+        """Serve every node's FIFO up to ``epoch_end_s``."""
+        if cluster.chain_nodes.size:
+            self._serve_chains(cluster, epoch_end_s, sojourn_chunks)
+        for name, nodes, profile in cluster.batched_pools:
+            self._serve_batched(cluster, nodes, profile, epoch_end_s,
+                                sojourn_chunks[name])
+
+    def _serve_chains(self, cluster: Cluster, epoch_end_s: float,
+                      sojourn_chunks: dict[str, list[np.ndarray]]) -> None:
+        """Serve every batch-1 node: one padded Lindley kernel per stage.
+
+        A plain FIFO is a one-stage chain.  A request commits when its
+        first-stage service *starts* before the epoch end; the rest of its
+        chain then runs to completion at the current throttle state.  The
+        rest stay pending, so the next epoch's throttle state can still
+        stretch them.  Rows that cannot serve anything (empty queue, busy
+        past the epoch end) ride along fully padded and change nothing.
+        """
+        nodes = cluster.chain_nodes
+        head = cluster.head[nodes]
+        depth = cluster.tail[nodes] - head
+        scale = cluster.throttle_scale[nodes]
+        cursor = cluster.row_offset[nodes] + head
+        pending = cluster.pending
+        at, stage_service_s = cluster.chain_stages[0][1:3]
+        service_s = stage_service_s * scale
+        free_s = cluster.clock_s.take(at)
+        count = depth
+        if math.isfinite(epoch_end_s):
+            # First-stage starts advance by >= its service each, so the
+            # epoch admits at most this many; capping keeps the scan
+            # O(servable), not O(backlog).
+            start_s = np.maximum(pending.take(cursor), free_s)
+            count = np.minimum(
+                depth, ((epoch_end_s - start_s) / service_s).astype(np.int64) + 2)
+        width = int(count.max())
+        if width <= 0:
+            return
+        columns = np.arange(width)
+        arrivals = pending.take(cursor[:, None] + columns)
+        arrivals[columns >= count[:, None]] = np.inf
+        finish = _lindley(arrivals, service_s, free_s)
+        served = (finish - service_s[:, None] < epoch_end_s).sum(axis=1)
+        cluster.head[nodes] = head + served
+        for stage, (rows, at, stage_service_s, ranks) in enumerate(
+                cluster.chain_stages):
+            # Stage k of every chain that has one consumes stage k-1's
+            # finish instants of the committed requests.
+            if stage:
+                finish_s = finish[rows]
+                done = served[rows]
+                finish_s[columns >= done[:, None]] = np.inf
+                service_s = stage_service_s * scale[rows]
+                free_s = cluster.clock_s.take(at)
+                finish_s = _lindley(finish_s, service_s, free_s)
+                finish[rows] = finish_s
+            else:
+                finish_s, done = finish, served
+            np.put(cluster.clock_s, at,
+                   np.where(done > 0, finish_s[ranks, done - 1], free_s))
+            stage_s = done * service_s
+            np.put(cluster.stage_busy_s, at,
+                   cluster.stage_busy_s.take(at) + stage_s)
+            # Each stage is served once per epoch, from a zeroed account.
+            np.put(cluster.epoch_busy_s, at, stage_s)
+            if stage:
+                busy_s[rows] += stage_s
+            else:
+                busy_s = stage_s
+        cluster.busy_s[nodes] += busy_s
+        cluster.completed[nodes] += served
+        cluster.batches[nodes] += served
+        kept = columns < served[:, None]
+        sojourn_s = finish[kept] - arrivals[kept]
+        first = 0
+        for name, last in zip(cluster.chain_pools,
+                              np.cumsum(served)[cluster.chain_ends].tolist()):
+            if last > first:
+                sojourn_chunks[name].append(sojourn_s[first:last])
+            first = last
+
+    def _serve_batched(self, cluster: Cluster, nodes: slice,
+                       profile: ServiceProfile, epoch_end_s: float,
+                       sojourn_chunks: list[np.ndarray]) -> None:
+        """Serve one dynamic-batching pool up to ``epoch_end_s``.
+
+        Greedy ``simulate_batch_serving`` semantics: whenever a node frees
+        up it grabs everything queued (up to the pool's effective batch
+        limit) and runs it as one batch.  The loop iterates once per batch
+        — plain floats and ``bisect``, no ndarray dispatch — and the
+        pool's sojourns are expanded vectorially afterwards.  Deferring
+        batches that would start after the epoch end is exact: such a
+        batch may only contain arrivals up to its start time, and those
+        are all assigned by the time the next epoch forms it.
+        """
+        heads = cluster.head[nodes].tolist()
+        tails = cluster.tail[nodes].tolist()
+        offsets = cluster.row_offset[nodes].tolist()
+        clocks = cluster.clock_s[-1, nodes].tolist()
+        scales = cluster.throttle_scale[nodes].tolist()
+        pending_s = cluster.pending.reshape(-1)
+        busy = [0.0] * len(heads)
+        served = [0] * len(heads)
+        batches = [0] * len(heads)
+        finishes: list[float] = []
+        sizes: list[int] = []
+        arrivals: list[np.ndarray] = []
+        max_batch = profile.max_batch
+        # Past the queue's end the window holds inf, which never joins a
+        # batch and stops the loop.
+        sentinel = [math.inf] * max_batch
+        finite = math.isfinite(epoch_end_s)
+        right = bisect.bisect_right
+        add_finish, add_size = finishes.append, sizes.append
+        scale = None
+        for position, head in enumerate(heads):
+            total = tails[position] - head
+            if not total:
+                continue
+            cursor = offsets[position] + head
+            now_s = clocks[position]
+            start_s = float(pending_s[cursor])
+            if start_s < now_s:
+                start_s = now_s
+            if start_s >= epoch_end_s:
+                continue
+            if scales[position] != scale:
+                scale = scales[position]
+                wall_s = [0.0] + [wall * scale for wall in profile.batch_wall_s]
+                shortest_s = min(wall_s[1:])
+            if finite:
+                # Batches start at least the shortest wall time apart.
+                total = min(total, max_batch * (
+                    int((epoch_end_s - start_s) / shortest_s) + 3))
+            pending = pending_s[cursor:cursor + total].tolist() + sentinel
+            busy_s = 0.0
+            idx = 0
+            count = len(sizes)
+            while True:
+                first = pending[idx]
+                start_s = first if first > now_s else now_s
+                if start_s >= epoch_end_s:
+                    break
+                size = right(pending, start_s, idx, idx + max_batch) - idx
+                duration_s = wall_s[size]
+                now_s = start_s + duration_s
+                add_finish(now_s)
+                add_size(size)
+                busy_s += duration_s
+                idx += size
+            arrivals.append(pending_s[cursor:cursor + idx])
+            heads[position] = head + idx
+            clocks[position] = now_s
+            busy[position] = busy_s
+            served[position] = idx
+            batches[position] = len(sizes) - count
+        if not sizes:
+            return
+        finish_s = np.fromiter(finishes, np.float64, len(finishes))
+        sojourn_chunks.append(finish_s.repeat(np.array(sizes, dtype=np.intp))
+                              - np.concatenate(arrivals))
+        cluster.head[nodes] = heads
+        cluster.clock_s[-1, nodes] = clocks
+        busy_s = np.array(busy)
+        cluster.busy_s[nodes] += busy_s
+        cluster.stage_busy_s[-1, nodes] += busy_s
+        cluster.epoch_busy_s[-1, nodes] = busy_s
+        cluster.completed[nodes] += served
+        cluster.batches[nodes] += batches
+
+    def _step_thermal(self, cluster: Cluster, carry_s: np.ndarray,
+                      dt_s: float) -> None:
         """Integrate one epoch of heat; apply throttle/shutdown effects.
 
         The epoch's average draw interpolates idle and under-load power by
@@ -406,82 +375,67 @@ class FleetSimulation:
         epochs; batches running past the epoch end are clipped and show up
         again in the next epoch's carry).
         """
-        sim = node.thermal_sim
-        assert sim is not None
-        if sim.shutdown:
-            return
-        profile = node.profile
-        if profile.stages is not None:
-            # The profile's thermal spec belongs to the bottleneck stage's
-            # device, so integrate that stage's duty cycle and draw.
-            assert node.stage_epoch_busy_s is not None
-            bottleneck = profile.bottleneck_index
-            stage = profile.stages[bottleneck]
-            busy_frac = min(1.0, (carry_s + node.stage_epoch_busy_s[bottleneck])
-                            / dt_s)
-            power_w = stage.idle_w + busy_frac * (stage.power_w - stage.idle_w)
-        else:
-            busy_frac = min(1.0, (carry_s + node.epoch_busy_s) / dt_s)
-            power_w = profile.idle_w + busy_frac * (profile.power_w
-                                                    - profile.idle_w)
-        sim.step(power_w, dt_s)
-        if sim.shutdown:
-            node.shutdown = True
-            node.active = False
-            dropped[node.pool] += node.drain_pending()
-            return
-        node.throttle_scale = 1.0 / sim.clock_factor if sim.throttled else 1.0
+        busy_s = cluster.epoch_busy_s.take(cluster.heated_at)
+        busy_frac = np.minimum((carry_s + busy_s) / dt_s, 1.0)
+        thermal = cluster.thermal
+        tripped = thermal.step(cluster.idle_w + busy_frac * cluster.swing_w,
+                               dt_s)
+        if tripped is not None:
+            cluster.active[tripped] = False
+            cluster.drain(tripped)
+        if thermal.has_throttles:
+            # A node keeps the scale it had when it shut down.
+            np.copyto(cluster.throttle_scale, thermal.slowdown,
+                      where=~thermal.shutdown)
 
     # -- reporting -----------------------------------------------------------
     def _build_stats(self, cluster: Cluster, arrivals: np.ndarray,
                      sojourn_chunks: dict[str, list[np.ndarray]],
-                     assigned: dict[str, int], dropped: dict[str, int],
                      rejected: int, scale_ups: int, scale_downs: int,
                      seed: int) -> FleetStats:
         horizon_s = max(float(arrivals[-1]) if arrivals.size else 0.0,
-                        max(node.free_at_s for node in cluster.nodes))
+                        float(cluster.clock_s[-1].max()))
+        thermal = cluster.thermal
         pool_stats: list[PoolStats] = []
         fleet_sojourns: list[np.ndarray] = []
         fleet_energy_j = 0.0
         for pool in self.pools:
-            pool_nodes = cluster.pool_nodes(pool.name)
+            nodes = cluster.pool_slice(pool.name)
             profile = self.profiles[pool.name]
             sojourn_s = (np.concatenate(sojourn_chunks[pool.name])
                          if sojourn_chunks[pool.name] else _EMPTY)
             fleet_sojourns.append(sojourn_s)
-            completed = sum(node.completed for node in pool_nodes)
-            batches = sum(node.batches for node in pool_nodes)
-            busy_s = sum(node.busy_s for node in pool_nodes)
+            completed = int(cluster.completed[nodes].sum())
+            batches = int(cluster.batches[nodes].sum())
+            # Report totals are Python sums in node order, as they were
+            # when every node was an object.
+            busy_s = sum(cluster.busy_s[nodes].tolist())
             if profile.stages is not None:
                 # One energy integral per stage device: each stage idles
                 # whenever it is not computing or sending.
                 energy_j = sum(
-                    node.stage_busy_s[position] * stage.power_w
-                    + (horizon_s - node.stage_busy_s[position]) * stage.idle_w
-                    for node in pool_nodes
-                    for position, stage in enumerate(profile.stages))
-                device_seconds = (len(pool_nodes) * len(profile.stages)
+                    busy * stage.power_w + (horizon_s - busy) * stage.idle_w
+                    for node_busy in cluster.stage_busy_s_of(pool.name)
+                    for busy, stage in zip(node_busy, profile.stages))
+                device_seconds = (pool.replicas * len(profile.stages)
                                   * horizon_s)
             else:
                 energy_j = sum(
-                    node.busy_s * profile.power_w
-                    + (horizon_s - node.busy_s) * profile.idle_w
-                    for node in pool_nodes)
-                device_seconds = len(pool_nodes) * horizon_s
+                    busy * profile.power_w + (horizon_s - busy) * profile.idle_w
+                    for busy in cluster.busy_s[nodes].tolist())
+                device_seconds = pool.replicas * horizon_s
             fleet_energy_j += energy_j
-            events = [event for node in pool_nodes
-                      for event in node.thermal_sim.events]  # type: ignore[union-attr]
             pool_stats.append(PoolStats(
                 name=pool.name,
                 scenario=pool.scenario.to_dict(),
                 replicas=pool.replicas,
                 effective_max_batch=profile.max_batch,
-                assigned=assigned[pool.name],
+                assigned=int(cluster.assigned[nodes].sum()),
                 completed=completed,
-                dropped=dropped[pool.name],
+                dropped=int(cluster.dropped[nodes].sum()),
                 batches=batches,
                 mean_batch_size=completed / batches if batches else 0.0,
-                max_queue_depth=max(node.max_depth for node in pool_nodes),
+                max_queue_depth=int(cluster.max_depth[nodes].max()),
                 utilization=(busy_s / device_seconds
                              if device_seconds > 0 else 0.0),
                 throughput_rps=(completed / horizon_s
@@ -489,13 +443,11 @@ class FleetSimulation:
                 sojourn=SojournSummary.from_times(sojourn_s),
                 energy_j=energy_j,
                 energy_per_request_j=energy_j / completed if completed else 0.0,
-                throttle_events=sum(event.kind == "throttle_on"
-                                    for event in events),
-                fan_events=sum(event.kind == "fan_on" for event in events),
-                shutdown_events=sum(event.kind == "shutdown"
-                                    for event in events),
-                final_active_replicas=sum(node.active and not node.shutdown
-                                          for node in pool_nodes),
+                throttle_events=int(thermal.throttle_events[nodes].sum()),
+                fan_events=int(thermal.fan_events[nodes].sum()),
+                shutdown_events=int(cluster.shutdown[nodes].sum()),
+                final_active_replicas=int(
+                    (cluster.active[nodes] & ~cluster.shutdown[nodes]).sum()),
             ))
         all_sojourn_s = (np.concatenate(fleet_sojourns)
                          if fleet_sojourns else _EMPTY)

@@ -5,16 +5,40 @@ the power draw, discharging to ambient through a thermal resistance.  A fan
 (when present) switches the resistance between passive and active values
 with hysteresis; devices without sufficient cooling can cross their
 shutdown threshold — the Raspberry Pi's fate in Figure 14.
+
+:class:`ThermalSimulator` steps one device; :class:`ThermalArray` steps
+many at once (the fleet's replicas).  Both go through :func:`rc_step_c` and
+:func:`hysteresis`, so their temperatures and switch states agree bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 from repro.core.quantity import Celsius
 
 DEFAULT_AMBIENT_C = 22.0
+
+
+def rc_step_c(temperature_c, target_c, factor):
+    """The RC node's exact step: relax towards ``target_c`` by ``factor``.
+
+    ``factor`` is ``math.exp(-dt / tau)``.  Plain ``+ - *``, so a float and
+    each element of an array round the same way.
+    """
+    return target_c + (temperature_c - target_c) * factor
+
+
+def hysteresis(on, value, trigger, stop):
+    """A switch that turns on at ``value >= trigger`` and off at
+    ``value <= stop`` (``stop < trigger``); works on a bool or elementwise
+    on bool arrays."""
+    return (value >= trigger) | (on & (value > stop))
 
 
 @dataclass(frozen=True)
@@ -63,6 +87,14 @@ class ThermalSpec:
                 raise ValueError("throttle_clock_factor must be in (0, 1)")
             if self.throttle_stop_c is not None and self.throttle_stop_c >= self.throttle_c:
                 raise ValueError("throttle hysteresis requires throttle_stop_c < throttle_c")
+
+    @property
+    def throttle_release_c(self) -> float | None:
+        """Temperature at which DVFS restores the clock (5 C under the limit
+        unless ``throttle_stop_c`` says otherwise)."""
+        if self.throttle_c is None or self.throttle_stop_c is not None:
+            return self.throttle_stop_c
+        return self.throttle_c - 5.0
 
     def steady_state_c(self, power_w: float, ambient_c: float = DEFAULT_AMBIENT_C,
                        fan_on: bool = False) -> float:
@@ -126,7 +158,7 @@ class ThermalSimulator:
             power_w = 0.0  # a tripped device stops drawing compute power
         target = self.ambient_c + power_w * self.resistance_c_per_w
         tau = self.resistance_c_per_w * self.spec.c_j_per_c
-        self.temperature_c = target + (self.temperature_c - target) * math.exp(-dt_s / tau)
+        self.temperature_c = rc_step_c(self.temperature_c, target, math.exp(-dt_s / tau))
         self.time_s += dt_s
         self._update_fan()
         self._update_throttle()
@@ -143,25 +175,22 @@ class ThermalSimulator:
     def _update_throttle(self) -> None:
         if self.spec.throttle_c is None:
             return
-        stop = self.spec.throttle_stop_c
-        if stop is None:
-            stop = self.spec.throttle_c - 5.0
-        if not self.throttled and self.temperature_c >= self.spec.throttle_c:
-            self.throttled = True
-            self.events.append(ThermalEvent(self.time_s, "throttle_on", self.temperature_c))
-        elif self.throttled and self.temperature_c <= stop:
-            self.throttled = False
-            self.events.append(ThermalEvent(self.time_s, "throttle_off", self.temperature_c))
+        throttled = hysteresis(self.throttled, self.temperature_c,
+                               self.spec.throttle_c, self.spec.throttle_release_c)
+        if throttled != self.throttled:
+            self.throttled = throttled
+            kind = "throttle_on" if throttled else "throttle_off"
+            self.events.append(ThermalEvent(self.time_s, kind, self.temperature_c))
 
     def _update_fan(self) -> None:
         if not self.spec.has_fan:
             return
-        if not self.fan_on and self.temperature_c >= self.spec.fan_trigger_c:
-            self.fan_on = True
-            self.events.append(ThermalEvent(self.time_s, "fan_on", self.temperature_c))
-        elif self.fan_on and self.temperature_c <= self.spec.fan_stop_c:
-            self.fan_on = False
-            self.events.append(ThermalEvent(self.time_s, "fan_off", self.temperature_c))
+        fan_on = hysteresis(self.fan_on, self.temperature_c,
+                            self.spec.fan_trigger_c, self.spec.fan_stop_c)
+        if fan_on != self.fan_on:
+            self.fan_on = fan_on
+            kind = "fan_on" if fan_on else "fan_off"
+            self.events.append(ThermalEvent(self.time_s, kind, self.temperature_c))
 
     def _check_shutdown(self) -> None:
         if self.shutdown or self.spec.shutdown_c is None:
@@ -195,3 +224,97 @@ class ThermalSimulator:
     def idle_temperature_c(self, idle_power_w: float) -> float:
         """Steady idle junction temperature (fan assumed off at idle)."""
         return self.spec.steady_state_c(idle_power_w, self.ambient_c, fan_on=False)
+
+
+class ThermalArray:
+    """:meth:`ThermalSimulator.step` for many devices at once.
+
+    Node ``i`` follows ``specs[i]``.  A step takes ``math.exp`` once per
+    distinct time constant (not ``np.exp``, which need not match it to the
+    last bit) and then applies :func:`rc_step_c` and :func:`hysteresis`
+    elementwise, so each live node's temperature, fan and throttle state
+    equal a :class:`ThermalSimulator`'s fed the same powers.  Every node
+    starts at and relaxes towards ``DEFAULT_AMBIENT_C``, the simulator's
+    default.  A node that trips its shutdown stops integrating: the fleet
+    pulls it from service.
+
+    Attributes:
+        fan_events / throttle_events: per-node counts of ``fan_on`` and
+            ``throttle_on`` transitions.
+    """
+
+    def __init__(self, specs: Sequence[ThermalSpec]):
+        count = len(specs)
+        self.temperature_c = np.full(count, DEFAULT_AMBIENT_C)
+        self.fan_on = np.zeros(count, dtype=bool)
+        self.throttled = np.zeros(count, dtype=bool)
+        self.shutdown = np.zeros(count, dtype=bool)
+        self.fan_events = np.zeros(count, dtype=np.int64)
+        self.throttle_events = np.zeros(count, dtype=np.int64)
+        # Switches a node lacks get inf thresholds: they never close.  With
+        # no throttle anywhere the throttle update is skipped.
+        inf = math.inf
+        self.has_throttles = any(spec.throttle_c is not None for spec in specs)
+        self._fan_c = [np.array([(spec.fan_trigger_c if spec.has_fan else inf)
+                                 for spec in specs]),
+                       np.array([(spec.fan_stop_c if spec.has_fan else inf)
+                                 for spec in specs])]
+        self._throttle_c = [
+            np.array([inf if spec.throttle_c is None else spec.throttle_c
+                      for spec in specs]),
+            np.array([inf if spec.throttle_c is None else spec.throttle_release_c
+                      for spec in specs])]
+        self._shutdown_c = np.array([inf if spec.shutdown_c is None
+                                     else spec.shutdown_c for spec in specs])
+        self._throttled_slowdown = np.array(
+            [1.0 / spec.throttle_clock_factor for spec in specs])
+        self._r_passive = np.array([spec.r_passive_c_per_w for spec in specs])
+        self._r_active = np.array([spec.r_active_c_per_w if spec.has_fan
+                                   else spec.r_passive_c_per_w
+                                   for spec in specs])
+        # ThermalSimulator's time constant, fan off and on, as indices
+        # into the distinct values.
+        passive = [float(r) * spec.c_j_per_c
+                   for spec, r in zip(specs, self._r_passive)]
+        active = [float(r) * spec.c_j_per_c
+                  for spec, r in zip(specs, self._r_active)]
+        self._taus = sorted(set(passive + active))
+        self._tau_passive = np.searchsorted(self._taus, passive)
+        self._tau_active = np.searchsorted(self._taus, active)
+
+    @property
+    def slowdown(self) -> np.ndarray:
+        """Service-time multiplier per node: ``1 / clock_factor`` while
+        DVFS throttles, else 1."""
+        return np.where(self.throttled, self._throttled_slowdown, 1.0)
+
+    def step(self, power_w: np.ndarray, dt_s: float) -> np.ndarray | None:
+        """Advance every live node ``dt_s`` at its ``power_w``; returns the
+        mask of nodes that tripped their shutdown in this step, or None
+        when none did."""
+        if dt_s <= 0:
+            raise ValueError(f"dt must be positive, got {dt_s}")
+        factors = np.array([math.exp(-dt_s / tau) for tau in self._taus])
+        fan_on = self.fan_on
+        factor = factors[np.where(fan_on, self._tau_active, self._tau_passive)]
+        resistance = np.where(fan_on, self._r_active, self._r_passive)
+        temperature_c = rc_step_c(self.temperature_c,
+                                  DEFAULT_AMBIENT_C + power_w * resistance,
+                                  factor)
+        # A frozen node keeps its temperature, so its switches hold
+        # (hysteresis is idempotent at a fixed value).
+        np.copyto(temperature_c, self.temperature_c, where=self.shutdown)
+        self.temperature_c = temperature_c
+        fan_on = hysteresis(fan_on, temperature_c, *self._fan_c)
+        self.fan_events += fan_on > self.fan_on
+        self.fan_on = fan_on
+        if self.has_throttles:
+            throttled = hysteresis(self.throttled, temperature_c,
+                                   *self._throttle_c)
+            self.throttle_events += throttled > self.throttled
+            self.throttled = throttled
+        tripped = (temperature_c >= self._shutdown_c) & ~self.shutdown
+        if not tripped.any():
+            return None
+        self.shutdown |= tripped
+        return tripped

@@ -21,10 +21,10 @@ from repro.analysis import (
 )
 from repro.core.result import ResultTable
 from repro.engine import InferenceSession
+from repro.engine.cache import cached_graph
 from repro.frameworks import load_framework
 from repro.harness.figures import fig12_time_vs_power
 from repro.hardware import load_device
-from repro.models import load_model
 from repro.runtime import Scenario, default_runner
 
 _RUNNER = default_runner()
@@ -149,7 +149,7 @@ def ext_sustained_throughput() -> ResultTable:
     throttling_spec = dataclasses.replace(
         rpi.thermal, throttle_c=60.0, throttle_stop_c=55.0, throttle_clock_factor=0.6)
     throttling_rpi = dataclasses.replace(rpi, thermal=throttling_spec)
-    deployed = load_framework("TFLite").deploy(load_model("Inception-v4"), throttling_rpi)
+    deployed = load_framework("TFLite").deploy(cached_graph("Inception-v4"), throttling_rpi)
     # Deploys onto a mutated (DVFS-limited) device the Runner cannot name.
     result = simulate_sustained(InferenceSession(deployed))  # repro: allow[ARCH001]
     table.add_row(
@@ -183,7 +183,7 @@ def ext_cloud_edge_split() -> ResultTable:
         ("MobileNet-v2", "Jetson TX2", "PyTorch"),
         ("ResNet-50", "Jetson TX2", "PyTorch"),
     ):
-        graph = load_model(model_name)
+        graph = cached_graph(model_name)
         edge = load_framework(edge_framework).deploy(graph, load_device(edge_name))
         remote = load_framework("PyTorch").deploy(graph, remote_device)
         base = SplitPlanner(edge, remote, load_link("ethernet"))
@@ -223,7 +223,7 @@ def ext_collaborative_pipeline() -> ResultTable:
         "the bottleneck stage.",
     )
     deployed = load_framework("TensorFlow").deploy(
-        load_model("TinyYolo"), load_device("Raspberry Pi 3B"))
+        cached_graph("TinyYolo"), load_device("Raspberry Pi 3B"))
     link = load_link("wifi")
     baseline = partition_pipeline(deployed, 1, link).throughput_fps
     for num_devices in (1, 2, 3, 4, 6, 8):
@@ -325,7 +325,7 @@ def ext_batch_serving() -> ResultTable:
         "is ~120 req/s.",
     )
     deployed = load_framework("PyTorch").deploy(
-        load_model("ResNet-50"), load_device("RTX 2080"))
+        cached_graph("ResNet-50"), load_device("RTX 2080"))
     batch_time = batched_latency_fn(deployed, max_batch=32)
     for rate in (50.0, 100.0, 200.0, 400.0):
         arrivals = PoissonArrivals(rate, seed=21).generate(20.0)

@@ -5,6 +5,8 @@ project back onto them by dataclass equality at ZERO float tolerance —
 that exactness is what lets the fleet serve what the planners price.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.distribution import (
@@ -120,6 +122,30 @@ class TestPipelineLowering:
         reference = partition_pipeline_heterogeneous(
             [runner.session(s).deployed for s in chain], load_link("wifi"))
         assert as_pipeline_plan(deployment) == reference
+
+    def test_repeated_scenarios_open_one_session(self, runner, monkeypatch):
+        from repro.engine import InferenceSession, cache
+
+        scenario = self.CHAIN[0]
+        cache.clear_caches()
+        opened = []
+        original = InferenceSession.__init__
+
+        def counting(session, *args, **kwargs):
+            opened.append(session)
+            original(session, *args, **kwargs)
+
+        monkeypatch.setattr(InferenceSession, "__init__", counting)
+        deployment = lower_pipeline([scenario] * 3, "lan", runner=runner)
+        assert len(opened) == 1
+        monkeypatch.undo()
+        assert deployment.devices == (scenario.device,) * 3
+        reference = partition_pipeline_heterogeneous(
+            [runner.session(scenario).deployed] * 3, load_link("lan"))
+        assert as_pipeline_plan(deployment) == reference
+        assert deployment == lower_pipeline(
+            [scenario, replace(scenario), replace(scenario)], "lan",
+            runner=runner)
 
     def test_interior_stages_record_crossing_bytes(self, runner):
         deployment = lower_pipeline(self.CHAIN, "lan", runner=runner)

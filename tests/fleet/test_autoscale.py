@@ -1,21 +1,31 @@
 """Queue-depth autoscaling and admission control."""
 
+import numpy as np
 import pytest
 
-from repro.fleet import AdmissionControl, Autoscaler, NodeState, PoolSpec, resolve_profiles
+from repro.fleet import AdmissionControl, Autoscaler, Cluster, PoolSpec, resolve_profiles
 from repro.runtime import Scenario
+
+_SCENARIO = Scenario("ResNet-18", "Jetson Nano", "TensorRT")
 
 
 @pytest.fixture(scope="module")
 def profile():
-    pool = PoolSpec(name="p", replicas=1,
-                    scenario=Scenario("ResNet-18", "Jetson Nano", "TensorRT"))
+    pool = PoolSpec(name="p", replicas=1, scenario=_SCENARIO)
     return resolve_profiles([pool])["p"]
 
 
 def _nodes(profile, count):
-    return [NodeState(pool="p", index=index, profile=profile)
-            for index in range(count)]
+    """A one-pool cluster of ``count`` nodes."""
+    pool = PoolSpec(name="p", replicas=count, scenario=_SCENARIO)
+    return Cluster([pool], {"p": profile})
+
+
+def _queue(nodes, index, count):
+    """Assign ``count`` requests at t=0 to node ``index``."""
+    quotas = np.zeros(len(nodes), dtype=np.int64)
+    quotas[index] = count
+    nodes.assign(quotas, np.zeros(count))
 
 
 class TestAdmissionControl:
@@ -27,6 +37,9 @@ class TestAdmissionControl:
         assert admission.headroom(1) == 3.0
         assert admission.headroom(4) == 0.0
         assert admission.headroom(9) == 0.0
+        # Elementwise over a routing view's outstanding counts.
+        assert admission.headroom(np.array([1.0, 4.0, 9.0])).tolist() == [
+            3.0, 0.0, 0.0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -44,34 +57,33 @@ class TestAutoscaler:
 
     def test_scales_up_on_deep_queues_and_charges_init_time(self, profile):
         nodes = _nodes(profile, 2)
-        nodes[1].active = False
-        nodes[0].assign([0.0] * 10)  # depth 10 > high_depth 8
+        nodes.active[1] = False
+        _queue(nodes, 0, 10)  # depth 10 > high_depth 8
         scaler = Autoscaler(cooldown_epochs=0)
         assert scaler.scale("p", nodes, now_s=5.0) == 1
-        assert nodes[1].active
-        assert nodes[1].available_at_s == pytest.approx(
+        assert nodes.active[1]
+        assert nodes.available_at_s[1] == pytest.approx(
             5.0 + profile.init_time_s)
 
     def test_scales_down_the_quietest_node(self, profile):
         nodes = _nodes(profile, 3)
-        nodes[0].assign([0.0])
+        _queue(nodes, 0, 1)
         scaler = Autoscaler(cooldown_epochs=0)
         assert scaler.scale("p", nodes, now_s=0.0) == -1
         # Depth ties between nodes 1 and 2 break by index.
-        assert [node.active for node in nodes] == [True, False, True]
+        assert nodes.active.tolist() == [True, False, True]
 
     def test_min_replicas_floor_holds(self, profile):
         nodes = _nodes(profile, 2)
-        nodes[1].active = False
+        nodes.active[1] = False
         scaler = Autoscaler(min_replicas=1, cooldown_epochs=0)
         assert scaler.scale("p", nodes, now_s=0.0) == 0
-        assert nodes[0].active
+        assert nodes.active[0]
 
     def test_cooldown_spaces_actions(self, profile):
         nodes = _nodes(profile, 3)
-        for node in nodes[1:]:
-            node.active = False
-        nodes[0].assign([0.0] * 20)
+        nodes.active[1:] = False
+        _queue(nodes, 0, 20)
         scaler = Autoscaler(cooldown_epochs=2)
         assert scaler.scale("p", nodes, 0.0) == 1
         assert scaler.scale("p", nodes, 1.0) == 0  # cooling down
@@ -80,17 +92,16 @@ class TestAutoscaler:
 
     def test_all_shutdown_pool_is_left_alone(self, profile):
         nodes = _nodes(profile, 2)
-        for node in nodes:
-            node.shutdown = True
-            node.active = False
+        nodes.shutdown[:] = True
+        nodes.active[:] = False
         assert Autoscaler(cooldown_epochs=0).scale("p", nodes, 0.0) == 0
 
     def test_reset_clears_cooldowns(self, profile):
         nodes = _nodes(profile, 2)
-        nodes[1].active = False
-        nodes[0].assign([0.0] * 20)
+        nodes.active[1] = False
+        _queue(nodes, 0, 20)
         scaler = Autoscaler(cooldown_epochs=5)
         assert scaler.scale("p", nodes, 0.0) == 1
-        nodes[1].active = False
+        nodes.active[1] = False
         scaler.reset()
         assert scaler.scale("p", nodes, 1.0) == 1

@@ -1,9 +1,11 @@
 """Pool specs, engine-priced service profiles, and node state."""
 
+import numpy as np
 import pytest
 
 from repro.core.errors import ReproError
-from repro.fleet import NodeState, PoolSpec, resolve_profiles
+from repro.fleet import Cluster, PoolSpec, resolve_profiles
+from repro.fleet.router import interleave
 from repro.runtime import Scenario
 
 
@@ -69,36 +71,65 @@ class TestResolveProfiles:
 
 
 class TestNodeState:
+    """Per-node state: entries of the cluster's arrays."""
+
     def _node(self):
-        profiles = resolve_profiles([_pool(name="p")])
-        return NodeState(pool="p", index=0, profile=profiles["p"])
+        pool = _pool(name="p", replicas=1)
+        return Cluster([pool], resolve_profiles([pool]))
 
     def test_assign_and_depth(self):
         node = self._node()
-        assert node.depth == 0
-        assert node.assign([0.1, 0.2, 0.3]) == 3
-        assert node.depth == 3
-        assert node.max_depth == 3
+        assert node.depth.tolist() == [0]
+        node.assign(np.array([3]), np.array([0.1, 0.2, 0.3]))
+        assert node.depth.tolist() == [3]
+        assert node.max_depth.tolist() == [3]
+        assert node.assigned.tolist() == [3]
 
     def test_outstanding_counts_in_service_work(self):
         node = self._node()
-        node.assign([0.0])
-        node.free_at_s = 5.0
-        assert node.outstanding(1.0) == 2  # queued + one still in service
-        assert node.outstanding(6.0) == 1
+        node.assign(np.array([1]), np.array([0.0]))
+        node.clock_s[-1, 0] = 5.0
+        assert node.outstanding(1.0).tolist() == [2]  # queued + in service
+        assert node.outstanding(6.0).tolist() == [1]
 
     def test_compact_preserves_the_unserved_suffix(self):
         node = self._node()
-        node.assign([0.1, 0.2, 0.3, 0.4])
-        node.head = 3
+        node.assign(np.array([4]), np.array([0.1, 0.2, 0.3, 0.4]))
+        node.head[0] = 3
         node.compact()
-        assert node.pending == [0.4]
-        assert node.head == 0
-        assert node.depth == 1
+        assert node.pending[0, :1].tolist() == [0.4]
+        assert node.head.tolist() == [0]
+        assert node.depth.tolist() == [1]
 
     def test_drain_pending_reports_losses(self):
         node = self._node()
-        node.assign([0.1, 0.2])
-        node.head = 1
-        assert node.drain_pending() == 1
-        assert node.depth == 0
+        node.assign(np.array([2]), np.array([0.1, 0.2]))
+        node.head[0] = 1
+        node.drain(np.array([True]))
+        assert node.dropped.tolist() == [1]
+        assert node.depth.tolist() == [0]
+
+    def test_fifos_keep_arrival_order_through_compaction_and_growth(self):
+        # Interleaved shares land in each node's FIFO in arrival order.
+        # Nodes 0 and 1 serve half their queue each epoch, so their tails
+        # outrun the buffer (compaction); node 2 never serves, so its
+        # queue outgrows it (growth).
+        pool = _pool(name="p", replicas=3)
+        nodes = Cluster([pool], resolve_profiles([pool]))
+        queued = [[], [], []]
+        for epoch in range(40):
+            quotas = np.array([epoch * 7 % 50, 60, 0 if epoch % 3 else 90])
+            times = epoch + np.arange(quotas.sum()) / 1e3
+            owners, _ = interleave(quotas)
+            for owner, time in zip(owners.tolist(), times.tolist()):
+                queued[owner].append(time)
+            nodes.assign(quotas, times)
+            served = nodes.depth // 2
+            served[2] = 0
+            nodes.head += served
+            for node in range(3):
+                del queued[node][:served[node]]
+        assert nodes.pending.shape[1] > 1024
+        for node in range(3):
+            assert nodes.pending[node, nodes.head[node]:nodes.tail[node]
+                                 ].tolist() == queued[node]

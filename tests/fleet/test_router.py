@@ -141,17 +141,30 @@ class TestWaterFillParity:
 class TestInterleave:
     def test_assignment_counts_match_quotas(self):
         quotas = np.array([3, 0, 5, 1])
-        assignment = interleave(quotas)
+        assignment, _ = interleave(quotas)
         assert assignment.size == 9
         assert np.bincount(assignment, minlength=4).tolist() == [3, 0, 5, 1]
 
     def test_shares_spread_rather_than_clump(self):
-        assignment = interleave(np.array([4, 4]))
+        assignment, _ = interleave(np.array([4, 4]))
         # Perfectly alternating: no node takes two in a row.
         assert np.all(np.diff(assignment.astype(int)) != 0)
 
     def test_empty(self):
-        assert interleave(np.zeros(3, dtype=np.int64)).size == 0
+        assignment, ranks = interleave(np.zeros(3, dtype=np.int64))
+        assert assignment.size == ranks.size == 0
+
+    def test_ranks_number_each_share_in_arrival_order(self):
+        quotas = np.array([3, 0, 5, 1, 7])
+        assignment, ranks = interleave(quotas)
+        for node, quota in enumerate(quotas.tolist()):
+            assert ranks[assignment == node].tolist() == list(range(quota))
+        # Grouping arrivals node by node is the stable argsort of the
+        # assignment; the ranks give it without a second sort.
+        starts = np.cumsum(quotas) - quotas
+        grouped = np.empty(quotas.sum(), dtype=np.int64)
+        grouped[starts[assignment] + ranks] = np.arange(quotas.sum())
+        assert grouped.tolist() == np.argsort(assignment, kind="stable").tolist()
 
 
 class TestPolicies:

@@ -6,7 +6,6 @@ import pytest
 from repro.fleet import (
     AdmissionControl,
     Autoscaler,
-    Cluster,
     FleetSimulation,
     PoolSpec,
     simulate_fleet,
@@ -214,8 +213,14 @@ class TestUnitTags:
             assert type(pool.energy_per_request_j) is float
         for profile in simulation.profiles.values():
             assert type(profile.energy_per_request_j) is float
+            # The draws that heat the thermal model, pool and stage alike.
+            assert type(profile.power_w) is type(profile.idle_w) is float
             for stage in profile.stages or ():
                 assert type(stage.power_w) is type(stage.idle_w) is float
-        for node in Cluster(pools, simulation.profiles).nodes:
-            node.thermal_sim.step(node.profile.power_w, 1.0)
-            assert type(node.thermal_sim.temperature_c) is float
+        for name in ("throttle_events", "fan_events", "shutdown_events",
+                     "final_active_replicas", "completed", "batches",
+                     "max_queue_depth"):
+            assert type(getattr(stats.pools[0], name)) is int
+        for value in (stats.horizon_s, stats.throughput_rps,
+                      stats.pools[0].utilization, stats.sojourn.mean_s):
+            assert type(value) is float

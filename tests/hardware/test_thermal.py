@@ -1,8 +1,17 @@
 """Lumped-RC thermal model tests (Figure 14 mechanics)."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from repro.hardware.thermal import ThermalSimulator, ThermalSpec
+from repro.hardware.thermal import (
+    ThermalArray,
+    ThermalSimulator,
+    ThermalSpec,
+    hysteresis,
+    rc_step_c,
+)
 
 
 def _passive_spec(**overrides) -> ThermalSpec:
@@ -118,3 +127,97 @@ class TestSimulator:
     def test_idle_temperature(self):
         sim = ThermalSimulator(_passive_spec())
         assert sim.idle_temperature_c(1.0) == pytest.approx(32.0)
+
+
+def _dvfs_spec() -> ThermalSpec:
+    """The Raspberry Pi with its firmware soft limit on, as
+    ``ext_sustained_throughput`` builds it."""
+    from repro.hardware import load_device
+
+    return dataclasses.replace(
+        load_device("Raspberry Pi 3B").thermal, throttle_c=60.0,
+        throttle_stop_c=55.0, throttle_clock_factor=0.6)
+
+
+class TestThermalArray:
+    """``ThermalArray`` is ``ThermalSimulator.step`` elementwise: the same
+    temperatures bit for bit and the same switch events, on power traces
+    that cross the fan, throttle and shutdown thresholds."""
+
+    SPECS = (
+        _fan_spec(),
+        _fan_spec(shutdown_c=70.0, throttle_c=60.0, throttle_clock_factor=0.5),
+        _passive_spec(shutdown_c=65.0),
+        _passive_spec(),
+        _dvfs_spec(),
+        _dvfs_spec(),
+    )
+
+    def _trace(self, seed, steps=400):
+        rng = np.random.default_rng(seed)
+        # Slow power swings between idle and flat out, long enough to heat
+        # every spec past its thresholds and cool it back down.
+        phase = np.cumsum(rng.uniform(0.0, 0.2, size=steps))
+        power_w = 2.5 + 2.5 * np.sin(phase)[:, None] * rng.uniform(
+            0.6, 1.4, size=len(self.SPECS))
+        dt_s = rng.choice([0.5, 2.0, 7.5], size=steps)
+        return power_w, dt_s
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_thermal_simulator_bit_for_bit(self, seed):
+        power_w, dt_s = self._trace(seed)
+        array = ThermalArray(self.SPECS)
+        scalars = [ThermalSimulator(spec) for spec in self.SPECS]
+        for watts, dt in zip(power_w, dt_s.tolist()):
+            live = [not sim.shutdown for sim in scalars]
+            array.step(watts, dt)
+            for index, sim in enumerate(scalars):
+                if not live[index]:
+                    continue  # a tripped node stops integrating
+                sim.step(float(watts[index]), dt)
+                assert array.temperature_c[index] == sim.temperature_c
+                assert array.fan_on[index] == sim.fan_on
+                assert array.throttled[index] == sim.throttled
+                assert array.shutdown[index] == sim.shutdown
+        for index, sim in enumerate(scalars):
+            kinds = [event.kind for event in sim.events]
+            assert array.fan_events[index] == kinds.count("fan_on")
+            assert array.throttle_events[index] == kinds.count("throttle_on")
+            assert int(array.shutdown[index]) == kinds.count("shutdown")
+        # The traces do cross every threshold somewhere.
+        assert array.fan_events.sum() > 0
+        assert array.throttle_events.sum() > 0
+        assert array.shutdown.any()
+
+    def test_step_reports_the_nodes_that_tripped(self):
+        array = ThermalArray([_passive_spec(shutdown_c=40.0), _passive_spec()])
+        assert array.step(np.array([0.1, 0.1]), 1.0) is None
+        tripped = array.step(np.array([10.0, 10.0]), 1000.0)
+        assert tripped.tolist() == [True, False]
+        # A tripped node is frozen: it neither cools nor trips again.
+        frozen_c = array.temperature_c[0]
+        assert array.step(np.array([0.0, 0.0]), 1000.0) is None
+        assert array.temperature_c[0] == frozen_c
+
+    def test_slowdown_follows_the_throttle(self):
+        array = ThermalArray([_dvfs_spec(), _passive_spec()])
+        array.throttled[0] = True
+        assert array.slowdown.tolist() == [1.0 / 0.6, 1.0]
+
+    def test_invalid_dt(self):
+        with pytest.raises(ValueError):
+            ThermalArray([_passive_spec()]).step(np.array([1.0]), 0.0)
+
+
+class TestHelpers:
+    def test_rc_step_relaxes_towards_the_target(self):
+        assert rc_step_c(30.0, 50.0, 0.25) == 45.0
+
+    @pytest.mark.parametrize("on, value, expected", [
+        (False, 59.9, False), (False, 60.0, True),
+        (True, 50.1, True), (True, 50.0, False),
+    ])
+    def test_hysteresis(self, on, value, expected):
+        assert hysteresis(on, value, 60.0, 50.0) is expected
+        assert hysteresis(np.array([on]), np.array([value]), 60.0,
+                          50.0).tolist() == [expected]
