@@ -19,16 +19,23 @@ Six passes, one vocabulary (:class:`~repro.check.findings.Finding`):
   graph: parallel-path race rules (``RACExxx``), cache-key soundness
   (``KEYxxx``) and cached-value escape analysis (``ALIASxxx``).
 
-``python -m repro check --strict`` runs all six in one invocation — the three
-source passes (``arch``/``units``/``effects``) share a single indexed
-:class:`~repro.check.astutil.SourceModule` parse of the package — and exits
-non-zero on any finding; ``--stats`` adds per-pass and parse wall times.  See
-``docs/checks.md`` for the full rule catalog and the suppression syntax.
+``python -m repro check --strict`` runs all six in one invocation and exits
+non-zero on any finding.  The passes fall into two halves that share
+nothing: the graph half (``ir``/``shapes``/``tables``) and the source half,
+whose three passes (``arch``/``units``/``effects``) share a single indexed
+:class:`~repro.check.astutil.SourceModule` parse of the package.  When a
+run selects both halves and may use more than one CPU, one forked worker
+runs the graph half while the caller parses and runs the source half.
+``--stats`` adds per-pass, parse and wall times.  See ``docs/checks.md``
+for the full rule catalog and the suppression syntax.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from typing import MutableMapping, Sequence
 
 from repro.check import arch, astutil, effects, ir, shapes, tables, units
@@ -54,8 +61,12 @@ PASSES = {
 
 PASS_NAMES = tuple(PASSES)
 
-#: passes that interpret the package source and accept a shared parse.
+#: passes that interpret the package source and accept a shared parse (the
+#: source half); the rest build and verify graphs and tables (the graph half).
 _SOURCE_PASSES = frozenset(("arch", "units", "effects"))
+
+#: pass name (or ``parse``) -> (findings, wall seconds).
+_Results = dict[str, tuple[list[Finding], float]]
 
 
 def rule_catalog() -> dict[str, tuple[Severity, str]]:
@@ -72,31 +83,72 @@ def run_checks(passes: Sequence[str] | None = None,
     """Run the requested passes (default: all) and apply rule suppression.
 
     The package source is parsed (and indexed) once and shared across
-    every selected source pass.  With ``timings`` supplied, each pass's
-    wall time in seconds is recorded under its name, and the shared parse
-    under ``parse`` when a source pass runs (``--stats`` in the CLI).
+    every selected source pass.  When the selection holds both halves, the
+    process may use more than one CPU and the ``fork`` start method
+    exists, one forked worker runs the graph half while this process
+    parses and runs the source half; otherwise every pass runs here, in
+    selection order.  Either way the findings come back in selection
+    order.  With ``timings`` supplied, each pass's wall time in seconds is
+    recorded under its name, and the shared parse under ``parse`` just
+    before the first source pass (``--stats`` in the CLI); once the halves
+    overlap, these times add up to more than the wall time.
     """
     selected = PASS_NAMES if not passes else tuple(passes)
     unknown = [name for name in selected if name not in PASSES]
     if unknown:
         raise ValueError(f"unknown check pass(es) {unknown}; "
                          f"known: {', '.join(PASS_NAMES)}")
-    modules = None
+    source = [name for name in selected if name in _SOURCE_PASSES]
+    graph = [name for name in selected if name not in _SOURCE_PASSES]
+    if source and graph and _can_fork():
+        # fork: the worker inherits this process's modules and monkeypatches
+        # and starts in milliseconds; it is forked at submit, before the parse
+        with ProcessPoolExecutor(
+                1, mp_context=multiprocessing.get_context("fork")) as pool:
+            graph_half = pool.submit(_run_passes, graph)
+            results = _run_passes(source)
+            results.update(graph_half.result())
+    else:
+        results = _run_passes(selected)
+    order = list(selected)
+    if source:
+        order.insert(order.index(source[0]), "parse")
     findings: list[Finding] = []
-    for name in selected:
+    for name in order:
+        found, seconds = results[name]
+        findings += found
+        if timings is not None:
+            timings[name] = seconds
+    return suppress(findings, ignore)
+
+
+def _run_passes(names: Sequence[str]) -> _Results:
+    """Run ``names`` in order, parsing the package before the first
+    source pass; the parse is recorded under ``parse``."""
+    results: _Results = {}
+    modules = None
+    for name in names:
         if name in _SOURCE_PASSES and modules is None:
             started = time.perf_counter()
             modules = astutil.load_package()
-            if timings is not None:
-                timings["parse"] = time.perf_counter() - started
+            results["parse"] = ([], time.perf_counter() - started)
         started = time.perf_counter()
         if name in _SOURCE_PASSES:
-            findings += PASSES[name](modules=modules)
+            found = PASSES[name](modules=modules)
         else:
-            findings += PASSES[name]()
-        if timings is not None:
-            timings[name] = time.perf_counter() - started
-    return suppress(findings, ignore)
+            found = PASSES[name]()
+        results[name] = (found, time.perf_counter() - started)
+    return results
+
+
+def _can_fork() -> bool:
+    """Whether a forked worker can run beside the caller: more than one
+    usable CPU and the ``fork`` start method."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return cpus > 1 and "fork" in multiprocessing.get_all_start_methods()
 
 
 __all__ = [

@@ -31,6 +31,7 @@ here so AST passes need only one import.
 from __future__ import annotations
 
 import ast
+import gc
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -157,10 +158,22 @@ def load_source(source: str, path: str) -> SourceModule:
 
 
 def load_package(root: Path | None = None) -> list[SourceModule]:
-    """Every module under ``root`` (default: the installed package), sorted."""
+    """Every module under ``root`` (default: the installed package), sorted.
+
+    The cyclic collector is paused while the modules are parsed and its
+    previous state restored afterwards, also when a file fails to parse.
+    The trees and indexes hold no reference cycles, so a collection there
+    reclaims nothing; it would only re-walk the growing forest.
+    """
     root = Path(root) if root is not None else package_root()
-    return [load_source(path.read_text(), str(path))
-            for path in sorted(root.rglob("*.py"))]
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return [load_source(path.read_text(), str(path))
+                for path in sorted(root.rglob("*.py"))]
+    finally:
+        if collecting:
+            gc.enable()
 
 
 # -- AST helpers -----------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from typing import Sequence
 
 from repro import (
@@ -146,18 +147,22 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 0
 
     timings: dict[str, float] = {}
+    started = time.perf_counter()
     try:
         findings = run_checks(passes=args.passes or None, ignore=args.ignore or (),
                               timings=timings)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    wall_s = time.perf_counter() - started
     renderers = {"text": render_text, "json": render_json, "github": render_github}
     print(renderers[args.format](findings))
     if args.stats:
         for name, elapsed_s in timings.items():
             print(f"# {name}: {elapsed_s * 1e3:.1f} ms", file=sys.stderr)
+        # the halves overlap, so the total can exceed the wall time
         print(f"# total: {sum(timings.values()) * 1e3:.1f} ms", file=sys.stderr)
+        print(f"# wall: {wall_s * 1e3:.1f} ms", file=sys.stderr)
     if args.strict:
         return 0 if not findings else 1
     errors = sum(1 for finding in findings if finding.severity is Severity.ERROR)
@@ -411,13 +416,15 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    from repro.harness.suite import save_results
+    from repro.harness.suite import export_results
 
     try:
-        save_results(args.path, args.experiments or None,
-                     jobs=args.jobs, executor=args.executor)
+        payload = export_results(args.experiments or None,
+                                 jobs=args.jobs, executor=args.executor)
     except KeyError as error:
         print(f"error: {error}", file=sys.stderr)
+        return 2
+    if not _write_output(args.path, json.dumps(payload, indent=1)):
         return 2
     print(f"wrote {args.path}")
     return 0

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 MIN_SCALE = 1e-4
 MAX_SCALE = 100.0
 
@@ -49,7 +51,9 @@ _SCALE_DELEGATES = {"Keras": "TensorFlow"}
 
 
 def _latency_components(framework_name: str, device_name: str, model_name: str):
-    """Build an uncalibrated session and return its scale-dependent pieces."""
+    """Build an uncalibrated session and return its scale-dependent pieces:
+    the fixed seconds and the plan's per-op compute, memory and dispatch
+    columns."""
     from repro.engine.executor import InferenceSession
     from repro.frameworks import load_framework
     from repro.hardware import load_device
@@ -58,14 +62,16 @@ def _latency_components(framework_name: str, device_name: str, model_name: str):
     framework = load_framework(framework_name)
     device = load_device(device_name)
     deployed = framework.deploy(load_model(model_name), device)
-    session = InferenceSession(deployed, efficiency_scale=1.0)
-    fixed = session.plan.session_overhead_s + session.plan.input_transfer_s
-    terms = [(t.compute_s, t.memory_s, t.dispatch_s) for t in session.plan.timings]
-    return fixed, terms
+    plan = InferenceSession(deployed, efficiency_scale=1.0).plan
+    fixed = plan.session_overhead_s + plan.input_transfer_s
+    return fixed, (plan.op_compute_s, plan.op_memory_s, plan.op_dispatch_s)
 
 
 def _latency_at(scale: float, fixed: float, terms) -> float:
-    return fixed + sum(max(c / scale, m) + d for c, m, d in terms)
+    compute, memory, dispatch = terms
+    # the builtin sum adds the ops' latencies one by one, as the per-op
+    # loop did, so the fitted scales stay bit-identical
+    return fixed + sum((np.maximum(compute / scale, memory) + dispatch).tolist())
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -47,11 +49,17 @@ class TestCheckVerb:
         assert main(["check", "--stats"]) == 0
         captured = capsys.readouterr()
         assert "no findings" in captured.out
-        for name in ("parse", "ir", "shapes", "tables", "arch", "units",
-                     "effects"):
-            assert f"# {name}:" in captured.err
-        assert "# total:" in captured.err
-        assert "ms" in captured.err
+        lines = captured.err.splitlines()
+        names = [line[2:line.index(":")] for line in lines]
+        # one line per pass, in report order, the worker's half included
+        assert names == ["ir", "shapes", "tables", "parse", "arch", "units",
+                         "effects", "total", "wall"]
+        assert all(line.endswith(" ms") for line in lines)
+        ms = {name: float(line.split(": ")[1].removesuffix(" ms"))
+              for name, line in zip(names, lines)}
+        assert ms["total"] == pytest.approx(
+            sum(ms[name] for name in names[:-2]), abs=0.5)
+        assert 0 < ms["wall"]
 
     def test_stats_covers_only_selected_passes(self, capsys):
         assert main(["check", "shapes", "--stats"]) == 0
@@ -59,6 +67,7 @@ class TestCheckVerb:
         assert "# shapes:" in err
         assert "# effects:" not in err
         assert "# parse:" not in err  # no source pass, nothing parsed
+        assert "# wall:" in err
 
     def test_stats_times_the_shared_parse_apart_from_the_source_pass(
             self, capsys):

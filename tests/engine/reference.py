@@ -9,7 +9,10 @@ operations in the same order, op by op.  :func:`price` and
 
 Likewise ``Framework.kernel_efficiencies`` prices a whole spec's kernel
 efficiencies column-wise; :func:`kernel_efficiency` is the per-op method
-(with the Caffe and NCSDK overrides) it replaced.
+(with the Caffe and NCSDK overrides) it replaced.  And the calibration fit
+reads a plan's timing columns; :func:`anchor_latency_components` and
+:func:`anchor_latency_at` are the per-op loop over ``plan.timings`` it
+replaced.
 """
 
 from __future__ import annotations
@@ -129,3 +132,24 @@ def time_one(op: Op, inputs: RooflineInputs, efficiency: float,
     """One op priced by the production path, with :func:`time_op`'s arguments."""
     (timing,) = price([op], inputs, [efficiency], **kwargs)
     return timing
+
+
+def anchor_latency_components(framework_name: str, device_name: str,
+                              model_name: str) -> tuple[float, list[OpTiming]]:
+    """An anchor's uncalibrated session: its fixed seconds and per-op timings."""
+    from repro.engine.executor import InferenceSession
+    from repro.frameworks import load_framework
+    from repro.hardware import load_device
+    from repro.models import load_model
+
+    deployed = load_framework(framework_name).deploy(
+        load_model(model_name), load_device(device_name))
+    plan = InferenceSession(deployed, efficiency_scale=1.0).plan
+    return plan.session_overhead_s + plan.input_transfer_s, plan.timings
+
+
+def anchor_latency_at(scale: float, fixed: float,
+                      timings: list[OpTiming]) -> float:
+    """Anchor latency at efficiency ``scale``, summed op by op."""
+    return fixed + sum(max(t.compute_s / scale, t.memory_s) + t.dispatch_s
+                       for t in timings)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import calibration
 from repro.engine.calibration import (
     ANCHORS,
     MAX_SCALE,
@@ -9,6 +10,7 @@ from repro.engine.calibration import (
     calibration_report,
     efficiency_scale,
 )
+from tests.engine import reference
 
 
 class TestAnchors:
@@ -43,6 +45,33 @@ class TestAnchors:
 
     def test_one_anchor_per_pair(self):
         assert len(ANCHORS) == len(set(ANCHORS))
+
+
+class TestTimingColumns:
+    """The fit reads the plan's timing columns; the per-op loop over
+    ``plan.timings`` (``tests/engine/reference.py``) is the oracle."""
+
+    @pytest.mark.parametrize("pair", list(ANCHORS), ids="@".join)
+    def test_anchor_latency_matches_the_per_op_loop(self, pair):
+        model_name = ANCHORS[pair][0]
+        fixed, terms = calibration._latency_components(*pair, model_name)
+        expected_fixed, timings = reference.anchor_latency_components(
+            *pair, model_name)
+        assert fixed == expected_fixed
+        fitted = efficiency_scale(*pair)
+        for scale in (MIN_SCALE, 0.37, 1.0, fitted, MAX_SCALE):
+            assert (calibration._latency_at(scale, fixed, terms).hex()
+                    == reference.anchor_latency_at(scale, fixed, timings).hex())
+
+    def test_fitted_scales_match_the_per_op_loop(self, monkeypatch):
+        fitted = {pair: efficiency_scale(*pair).hex() for pair in ANCHORS}
+        monkeypatch.setattr(calibration, "_latency_components",
+                            reference.anchor_latency_components)
+        monkeypatch.setattr(calibration, "_latency_at",
+                            reference.anchor_latency_at)
+        oracle = {pair: calibration._fit.__wrapped__(*pair).hex()
+                  for pair in ANCHORS}
+        assert fitted == oracle
 
 
 class TestScaleResolution:

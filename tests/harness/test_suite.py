@@ -108,6 +108,16 @@ class TestCliVerbs:
         assert main(["diff", str(path_a), str(path_b)]) == 0
         assert "0 differing cells" in capsys.readouterr().out
 
+    def test_export_to_unwritable_path_is_a_usage_error(self, tmp_path,
+                                                        capsys):
+        path = tmp_path / "missing" / "x.json"
+        assert main(["export", str(path), "table6"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path}")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not path.exists()
+
     def test_diff_detects_change(self, tmp_path, capsys):
         path_a = tmp_path / "a.json"
         main(["export", str(path_a), "table6"])
