@@ -1,12 +1,11 @@
 """Declarative unit conventions the units checker anchors on.
 
 The static units pass (:mod:`repro.check.units`) infers dimensions from
-three sources of truth, all declared here or in
-:mod:`repro.core.quantity`:
+three sources of truth, all declared here:
 
-1. the ``Quantity`` subclass hierarchy and its :data:`~repro.core.quantity.DIMENSIONS`
-   registry (``Seconds(...)`` constructs a time, ``Joules.from_mj`` an
-   energy, ...);
+1. the unit annotation names of :mod:`repro.core.quantity` and their
+   dimensions (:data:`ANNOTATION_DIMS`: ``-> Seconds`` declares a time in
+   seconds, ``-> Watts`` a power in watts, ...);
 2. the package-wide *unit-suffix naming convention*: an identifier whose
    trailing token(s) name a unit carries that unit — ``latency_s`` is a
    duration in seconds, ``energy_mj`` an energy in millijoules,
@@ -45,6 +44,15 @@ from repro.core.quantity import (
     MILLI,
     TERA,
 )
+
+#: unit annotation name -> dimension.  Each name is an alias of ``float``
+#: in :mod:`repro.core.quantity` and declares base SI units: ``-> Seconds``
+#: is seconds, never milliseconds.
+ANNOTATION_DIMS: dict[str, Dim] = {
+    "Seconds": TIME,
+    "Watts": POWER,
+    "Celsius": TEMPERATURE,
+}
 
 #: suffix token -> (dimension, presentation scale in SI units).
 UNIT_TOKENS: dict[str, tuple[Dim, float]] = {
@@ -163,10 +171,12 @@ CALL_RETURNS: dict[str, tuple[Dim, float] | None] = {
 }
 
 #: dimension-preserving reductions: the result has the dimension of the
-#: first argument (or of the elements of the first argument).
+#: first argument (or of the elements of the first argument).  A call of an
+#: annotation name is ``float(...)`` itself, so it keeps its argument's unit:
+#: ``Seconds(latency_ms)`` is still milliseconds.
 PRESERVING_CALLS = frozenset({
     "abs", "amax", "amin", "average", "fabs", "float", "fmean", "max",
     "maximum", "mean", "median", "min", "minimum", "nanmax", "nanmean",
     "nanmin", "percentile", "pstdev", "quantile", "sorted", "std", "stdev",
-    "sum",
+    "sum", *ANNOTATION_DIMS,
 })

@@ -17,8 +17,8 @@ assignments, calls, returns and arithmetic:
   ``latency_ms < deadline_s`` are reported, not silently computed.
 
 Dimensions come from three declared sources of truth (see
-:mod:`repro.check.unit_maps`): the ``Quantity`` hierarchy and its
-``DIMENSIONS`` registry, the package-wide unit-suffix naming convention
+:mod:`repro.check.unit_maps`): the unit annotation names (``-> Seconds``,
+``-> list[Watts]``), the package-wide unit-suffix naming convention
 (``latency_s``, ``energy_mj``, ``bandwidth_bytes_per_s``,
 ``r_passive_c_per_w``), and curated per-name maps.  Anything the checker
 cannot prove stays *unknown* and propagates silently: the pass is
@@ -31,17 +31,19 @@ Rules (all static; zero runtime cost to hot paths):
 * **UNIT002** — comparison (``<``/``==``/``min``/``max``) across
   dimensions or scales.
 * **UNIT003** — a return value contradicting the unit declared by the
-  function's name suffix or ``Quantity`` return annotation.
+  function's name suffix or unit return annotation.
 * **UNIT004** — the same scale conversion applied twice
   (``value * MILLI * MILLI``).
-* **UNIT005** — a ``Quantity`` constructor fed an already-converted value
-  (``Seconds(latency_ms)``, ``Seconds.from_ms(x * MILLI)``).
 * **UNIT006** — an accumulator mixing dimensionless and dimensioned
   increments.
 * **UNIT007** — a unit-suffixed name bound to a value of a contradicting
   dimension (``energy_j = power_w``).
 * **UNIT008** — a dimensioned value escaping a public function whose
-  signature declares no unit (no suffix, no ``Quantity`` annotation).
+  signature declares no unit (no suffix, no unit annotation).
+
+The annotation names are plain ``float`` at runtime, so a call of one
+(``Seconds(latency_ms)``) is evaluated like ``float(...)``: it keeps its
+argument's unit, and UNIT003 reports it under ``-> Seconds``.
 
 Suppression uses the shared comment forms (:mod:`repro.check.suppress`):
 same-line ``# repro: allow[UNIT001]`` or file-level
@@ -62,6 +64,7 @@ from repro.check.findings import Finding, Severity
 from repro.check.suppress import SuppressionIndex
 from repro.check.unit_maps import (
     AMBIGUOUS_BARE_TOKENS,
+    ANNOTATION_DIMS,
     CALL_RETURNS,
     COMPOUND_SUFFIXES,
     CONVERSION_LITERALS,
@@ -73,8 +76,6 @@ from repro.check.unit_maps import (
     UNIT_TOKENS,
 )
 from repro.core.dimension import DIMENSIONLESS, Dim
-from repro.core.quantity import DIMENSIONS
-from repro.core import quantity as _quantity
 
 RULES: dict[str, tuple[Severity, str]] = {
     "UNIT001": (Severity.ERROR,
@@ -83,8 +84,6 @@ RULES: dict[str, tuple[Severity, str]] = {
     "UNIT003": (Severity.ERROR,
                 "return value contradicts the declared unit"),
     "UNIT004": (Severity.ERROR, "same scale conversion applied twice"),
-    "UNIT005": (Severity.ERROR,
-                "Quantity constructor fed an already-converted value"),
     "UNIT006": (Severity.ERROR,
                 "accumulator mixes dimensionless and dimensioned values"),
     "UNIT007": (Severity.ERROR,
@@ -92,15 +91,6 @@ RULES: dict[str, tuple[Severity, str]] = {
     "UNIT008": (Severity.WARNING,
                 "dimensioned value escapes a public API without a declared "
                 "unit"),
-}
-
-#: Quantity subclass name -> dimension, derived from the declarative
-#: registry so new subclasses are picked up automatically.
-QUANTITY_CLASS_DIMS: dict[str, Dim] = {
-    name: DIMENSIONS[obj.unit]
-    for name, obj in vars(_quantity).items()
-    if isinstance(obj, type) and getattr(obj, "unit", None) in DIMENSIONS
-    and name != "Quantity"
 }
 
 _SI_PREFIXES = {1.0: "", 1e-3: "m", 1e-6: "u", 1e-9: "n",
@@ -117,16 +107,13 @@ class AbsVal:
     scale is not (e.g. after scaling by a bare literal).  ``literal``
     marks pure numeric literals, which are polymorphic scalars: they
     multiply anything and add to nothing in particular.  ``convs``
-    records the named scale conversions applied so far (for UNIT004/005),
-    and ``tagged`` marks values built by a ``Quantity`` constructor
-    (already self-describing, so UNIT008 does not fire on them).
+    records the named scale conversions applied so far (for UNIT004).
     """
 
     dim: Dim | None = None
     scale: float | None = None
     literal: bool = False
     convs: frozenset[str] = frozenset()
-    tagged: bool = False
 
     @property
     def known(self) -> bool:
@@ -214,7 +201,7 @@ _CONTAINER_ANNOTATIONS = ("list", "List", "tuple", "Tuple", "Sequence",
 
 
 def _annotation_dims(node: ast.expr | None) -> tuple[Dim, float] | None:
-    """Dimension declared by a ``Quantity``-subclass annotation, if any.
+    """Dimension declared by a unit annotation name, if any.
 
     Homogeneous containers declare the element unit: ``list[Seconds]``
     means "each element is a time in seconds".
@@ -238,8 +225,8 @@ def _annotation_dims(node: ast.expr | None) -> tuple[Dim, float] | None:
         name = node.attr
     elif isinstance(node, ast.Constant) and isinstance(node.value, str):
         name = node.value.strip().split(".")[-1]
-    if name in QUANTITY_CLASS_DIMS:
-        return (QUANTITY_CLASS_DIMS[name], 1.0)
+    if name in ANNOTATION_DIMS:
+        return (ANNOTATION_DIMS[name], 1.0)
     return None
 
 
@@ -481,11 +468,11 @@ class _Analyzer:
                            f"'{ctx.name}' declares "
                            f"{unit_label(exp_dim, exp_scale)} but returns a "
                            f"{_label(value)} value")
-        elif ctx.public and not value.dim.is_dimensionless and not value.tagged:
+        elif ctx.public and not value.dim.is_dimensionless:
             self._emit("UNIT008", stmt,
                        f"public '{ctx.name}' returns a {_label(value)} value "
                        "but declares no unit (add a unit suffix or a "
-                       "Quantity return annotation)")
+                       "unit return annotation)")
 
     # -- functions -------------------------------------------------------
     def check_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef,
@@ -518,7 +505,7 @@ class _Analyzer:
         if suffix_expect is not None and suffix_expect[0].is_dimensionless \
                 and annotation is not None:
             # a dimensionless name token ("runs", "count") is a weaker
-            # declaration than an explicit Quantity annotation
+            # declaration than an explicit unit annotation
             suffix_expect = None
         if annotation is not None and suffix_expect is not None \
                 and suffix_expect[0] != annotation[0]:
@@ -789,49 +776,6 @@ class _Analyzer:
                                f"{_label(expected)} but receives a "
                                f"{_label(value)} value")
         func = node.func
-        # Quantity constructors: Seconds(x), Joules(x), ...
-        if isinstance(func, ast.Name) and func.id in QUANTITY_CLASS_DIMS:
-            dim = QUANTITY_CLASS_DIMS[func.id]
-            if argvals and argvals[0].known:
-                argument = argvals[0]
-                if argument.dim != dim and not argument.dim.is_dimensionless:
-                    self._emit("UNIT005", node,
-                               f"{func.id}() constructed from a "
-                               f"{_label(argument)} value")
-                elif argument.dim == dim and argument.scale is not None \
-                        and argument.scale != 1.0:
-                    self._emit("UNIT005", node,
-                               f"{func.id}() expects base SI units but got a "
-                               f"{_label(argument)} value")
-            return AbsVal(dim, 1.0, tagged=True)
-        # scaled constructors: Seconds.from_ms(x), Hertz.from_ghz(x), ...
-        if isinstance(func, ast.Attribute) and func.attr.startswith("from_") \
-                and isinstance(func.value, ast.Name) \
-                and func.value.id in QUANTITY_CLASS_DIMS:
-            dim = QUANTITY_CLASS_DIMS[func.value.id]
-            token = func.attr[len("from_"):]
-            expected = UNIT_TOKENS.get(token)
-            if argvals and argvals[0].known and expected is not None:
-                argument = argvals[0]
-                exp_dim, exp_scale = expected
-                if argument.dim != exp_dim \
-                        and not argument.dim.is_dimensionless:
-                    self._emit("UNIT005", node,
-                               f"{func.value.id}.{func.attr}() expects "
-                               f"{unit_label(exp_dim, exp_scale)} but got a "
-                               f"{_label(argument)} value")
-                elif argument.dim == exp_dim and argument.scale is not None \
-                        and argument.scale != exp_scale:
-                    self._emit("UNIT005", node,
-                               f"{func.value.id}.{func.attr}() expects "
-                               f"{unit_label(exp_dim, exp_scale)} but got a "
-                               f"{_label(argument)} value")
-                elif any(tag.startswith("*") for tag in argument.convs):
-                    self._emit("UNIT005", node,
-                               f"{func.value.id}.{func.attr}() fed an "
-                               "already-converted value (it converts "
-                               "internally)")
-            return AbsVal(dim, 1.0, tagged=True)
         name = None
         if isinstance(func, ast.Name):
             name = func.id

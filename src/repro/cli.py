@@ -47,6 +47,16 @@ def _write_output(path: str, text: str) -> bool:
     return True
 
 
+def _counts_ok(*flags: tuple[str, int | None]) -> bool:
+    """True when every given count flag is unset or >= 1; False after
+    printing the first offender's error."""
+    for flag, value in flags:
+        if value is not None and value < 1:
+            print(f"error: {flag} must be >= 1, got {value}", file=sys.stderr)
+            return False
+    return True
+
+
 def _cmd_list(_args: argparse.Namespace) -> int:
     print("Experiments:")
     for experiment_id in list_experiments():
@@ -92,10 +102,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_time(args: argparse.Namespace) -> int:
-    for flag, value in (("--batch", args.batch), ("--runs", args.runs)):
-        if value is not None and value < 1:
-            print(f"error: {flag} must be >= 1, got {value}", file=sys.stderr)
-            return 2
+    if not _counts_ok(("--batch", args.batch), ("--runs", args.runs)):
+        return 2
     scenario = Scenario(
         args.model, args.device, args.framework,
         dtype=args.dtype, batch_size=args.batch,
@@ -201,6 +209,8 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     from repro.engine.cache import cache_stats, set_caching
     from repro.harness.sweep_runner import run_sweep
 
+    if not _counts_ok(("--jobs", args.jobs)):
+        return 2
     if args.no_cache:
         set_caching(False)
     try:
@@ -251,6 +261,8 @@ def _cmd_place(args: argparse.Namespace) -> int:
 
     from repro.placement import SLO, search_placements
 
+    if not _counts_ok(("--max-depth", args.max_depth)):
+        return 2
     slo = None
     try:
         if (args.deadline_ms is not None or args.min_rps is not None
@@ -360,6 +372,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if args.placement and args.pool:
         print("error: pass --placement or --pool, not both", file=sys.stderr)
         return 2
+    if not _counts_ok(("--burst-size", args.burst_size)):
+        return 2
     try:
         if args.placement:
             pools = [_placement_pool(args.placement, args.replicas)]
@@ -375,12 +389,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         # Default load: 70% of the fleet's peak service rate — busy but stable.
         rate_hz = (args.rate if args.rate is not None
                    else 0.7 * simulation.capacity_rps)
-        # The span and the burst rate divide by these; the processes
-        # check everything else.
+        # The span and the burst rate divide by the rate and the burst
+        # size (checked above); the processes check everything else.
         if not rate_hz > 0:
             raise ValueError(f"--rate must be positive, got {rate_hz}")
-        if args.burst_size < 1:
-            raise ValueError(f"--burst-size must be >= 1, got {args.burst_size}")
         span_s = (args.horizon if args.horizon is not None
                   else args.requests / rate_hz)
         processes = {
@@ -418,6 +430,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     from repro.harness.suite import export_results
 
+    if not _counts_ok(("--jobs", args.jobs)):
+        return 2
     try:
         payload = export_results(args.experiments or None,
                                  jobs=args.jobs, executor=args.executor)
@@ -475,6 +489,8 @@ def _cmd_summary(args: argparse.Namespace) -> int:
 def _cmd_recommend(args: argparse.Namespace) -> int:
     from repro.analysis import Requirements, recommend_deployments
 
+    if not _counts_ok(("--top", args.top)):
+        return 2
     requirements = Requirements(
         deadline_s=None if args.deadline_ms is None else args.deadline_ms / 1e3,
         power_budget_w=args.power_w,

@@ -1,8 +1,8 @@
 """Core utilities shared by every subsystem.
 
-This package holds the small, dependency-free building blocks: unit-safe
-quantities, error types, generic registries, result containers, and the
-experiment runner that the harness builds on.
+This package holds the small, dependency-free building blocks: unit
+annotation names and SI-prefix constants, error types, generic registries,
+result containers, and the experiment runner that the harness builds on.
 """
 
 from repro.core.errors import (
@@ -18,7 +18,6 @@ from repro.core.errors import (
 from repro.core.dimension import Dim
 from repro.core.experiment import Experiment, ExperimentResult, ExperimentRunner
 from repro.core.quantity import (
-    DIMENSIONS,
     GIGA,
     KIBI,
     MEBI,
@@ -27,15 +26,9 @@ from repro.core.quantity import (
     KILO,
     MILLI,
     MICRO,
-    Bytes,
     Celsius,
-    Flops,
-    Hertz,
-    Joules,
-    Quantity,
     Seconds,
     Watts,
-    dimension_of,
     format_bytes,
     format_seconds,
 )
@@ -43,22 +36,17 @@ from repro.core.registry import Registry
 from repro.core.result import Measurement, ResultRow, ResultTable
 
 __all__ = [
-    "Bytes",
     "Celsius",
     "CompatibilityError",
     "ConversionError",
-    "DIMENSIONS",
     "DeploymentError",
     "Dim",
     "Experiment",
-    "Flops",
     "ExperimentResult",
     "ExperimentRunner",
     "GIBI",
     "GIGA",
-    "Hertz",
     "IncompatibleModelError",
-    "Joules",
     "KIBI",
     "KILO",
     "MEBI",
@@ -67,7 +55,6 @@ __all__ = [
     "MILLI",
     "Measurement",
     "OutOfMemoryError",
-    "Quantity",
     "Registry",
     "ReproError",
     "ResultRow",
@@ -76,7 +63,6 @@ __all__ = [
     "ThermalShutdownError",
     "UnknownEntryError",
     "Watts",
-    "dimension_of",
     "format_bytes",
     "format_seconds",
 ]

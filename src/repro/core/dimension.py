@@ -13,9 +13,9 @@ pipeline actually performs::
     BANDWIDTH  == BYTES / TIME           # B/s
     THROUGHPUT == OPS / TIME             # MAC/s
 
-The runtime never pays for this: quantities stay thin ``float``
-subclasses (:mod:`repro.core.quantity`) and arithmetic on them degrades
-to plain floats.  The algebra exists so the static units checker
+The runtime never pays for this: quantities are plain floats, and
+``Seconds``, ``Watts`` and ``Celsius`` (:mod:`repro.core.quantity`) are
+only annotation names.  The algebra exists so the static units checker
 (:mod:`repro.check.units`) can propagate dimensions through the source
 at check time and reject a ms-vs-s or energy-vs-power mixup before it
 corrupts a table.

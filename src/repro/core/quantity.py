@@ -1,44 +1,18 @@
-"""Unit-safe scalar quantities.
+"""Unit annotation names, SI-prefix constants and presentation helpers.
 
 The paper mixes ms, s, mJ, J, W and GB freely; internally this library works
 in SI base units (seconds, joules, watts, bytes, hertz, degrees Celsius) and
-converts only at the presentation layer.  Quantities are thin ``float``
-subclasses: they interoperate with numpy and plain arithmetic, but carry a
-``unit`` tag and a readable ``repr`` so harness tables stay self-describing.
+converts only at the presentation layer.
 
-Two mechanisms keep the tags honest without taxing hot paths:
-
-* **Presentation round trips are exact.**  ``Seconds.from_ms(v).ms == v``
-  for every float ``v``: the scaled constructors remember the presentation
-  value they were built from, so converting back is a lookup, not a second
-  floating-point division that could land one ulp off.
-* **Dimension-preserving arithmetic keeps the tag; everything else degrades
-  to ``float``.**  Negation, ``abs`` and scaling by a plain number cannot
-  change a quantity's dimension, so they return the same subclass (a
-  ``-Seconds(1.5)`` still reprs as ``-1.5 s``).  Mixing two quantities
-  (``Watts * Seconds``) degrades to a plain float — the static units
-  checker (:mod:`repro.check.units`), not the runtime, is responsible for
-  proving those mixtures dimensionally sound.
-
-The :data:`DIMENSIONS` registry maps each unit tag to its
-:class:`~repro.core.dimension.Dim`, which is what the checker propagates.
+``Seconds``, ``Watts`` and ``Celsius`` are plain aliases of ``float``, used
+only as annotation names (``def latency(self) -> Seconds``): a value so
+annotated is a float in base SI units and costs nothing at runtime.  The
+static units checker (:mod:`repro.check.units`) maps each annotation name to
+its dimension (:data:`repro.check.unit_maps.ANNOTATION_DIMS`) and proves the
+dataflow at check time; nothing is checked at runtime.
 """
 
 from __future__ import annotations
-
-from repro.core.dimension import (
-    BANDWIDTH,
-    BYTES,
-    DIMENSIONLESS,
-    ENERGY,
-    FREQUENCY,
-    OPS,
-    POWER,
-    TEMPERATURE,
-    THROUGHPUT,
-    TIME,
-    Dim,
-)
 
 MILLI = 1e-3
 MICRO = 1e-6
@@ -51,220 +25,12 @@ KIBI = 1024
 MEBI = 1024**2
 GIBI = 1024**3
 
-
-class Quantity(float):
-    """A float with a unit label used for presentation.
-
-    Cross-dimension arithmetic degrades to plain ``float`` (the unit
-    *algebra* is enforced statically by ``repro check units``, not at
-    runtime); dimension-preserving operations — unary negation/abs and
-    scaling by a bare number — keep the subclass so the unit tag survives.
-    """
-
-    __slots__ = ("_display",)
-
-    unit: str = ""
-
-    def __repr__(self) -> str:
-        return f"{float(self):.6g} {self.unit}".strip()
-
-    # -- exact presentation round trips ---------------------------------
-    @classmethod
-    def _from_scaled(cls, value: float, scale: float) -> "Quantity":
-        """Build from a presentation-scale value, remembering it exactly."""
-        quantity = cls(value * scale)
-        quantity._display = (scale, float(value))
-        return quantity
-
-    def _in_scale(self, scale: float) -> float:
-        """Presentation-scale value; exact for the scale we were built at."""
-        display = getattr(self, "_display", None)
-        if display is not None and display[0] == scale:
-            return display[1]
-        return float(self) / scale
-
-    # -- dimension-preserving arithmetic --------------------------------
-    def __neg__(self) -> "Quantity":
-        return type(self)(-float(self))
-
-    def __pos__(self) -> "Quantity":
-        return self
-
-    def __abs__(self) -> "Quantity":
-        return type(self)(abs(float(self)))
-
-    def _combine(self, other: object, value: float) -> float:
-        """Keep the subclass only when ``other`` cannot change the unit."""
-        if isinstance(other, Quantity) and other.unit != self.unit:
-            return value
-        return type(self)(value)
-
-    def __add__(self, other: object) -> float:
-        if not isinstance(other, (int, float)):
-            return NotImplemented
-        return self._combine(other, float(self) + float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> float:
-        if not isinstance(other, (int, float)):
-            return NotImplemented
-        return self._combine(other, float(self) - float(other))
-
-    def __mul__(self, other: object) -> float:
-        if not isinstance(other, (int, float)):
-            return NotImplemented
-        if isinstance(other, Quantity):
-            # quantity x quantity changes the dimension: degrade.
-            return float(self) * float(other)
-        return type(self)(float(self) * float(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: object) -> float:
-        if not isinstance(other, (int, float)):
-            return NotImplemented
-        if isinstance(other, Quantity):
-            # same-unit ratios are dimensionless, others change dimension.
-            return float(self) / float(other)
-        return type(self)(float(self) / float(other))
-
-
-class Seconds(Quantity):
-    """A duration in seconds."""
-
-    __slots__ = ()
-    unit = "s"
-
-    @classmethod
-    def from_ms(cls, value: float) -> "Seconds":
-        return cls._from_scaled(value, MILLI)
-
-    @property
-    def ms(self) -> float:
-        return self._in_scale(MILLI)
-
-
-class Joules(Quantity):
-    """An energy in joules."""
-
-    __slots__ = ()
-    unit = "J"
-
-    @classmethod
-    def from_mj(cls, value: float) -> "Joules":
-        return cls._from_scaled(value, MILLI)
-
-    @property
-    def mj(self) -> float:
-        return self._in_scale(MILLI)
-
-
-class Watts(Quantity):
-    """A power in watts."""
-
-    __slots__ = ()
-    unit = "W"
-
-    @classmethod
-    def from_mw(cls, value: float) -> "Watts":
-        return cls._from_scaled(value, MILLI)
-
-    @property
-    def mw(self) -> float:
-        return self._in_scale(MILLI)
-
-
-class Hertz(Quantity):
-    """A frequency in hertz."""
-
-    __slots__ = ()
-    unit = "Hz"
-
-    @classmethod
-    def from_mhz(cls, value: float) -> "Hertz":
-        return cls._from_scaled(value, MEGA)
-
-    @classmethod
-    def from_ghz(cls, value: float) -> "Hertz":
-        return cls._from_scaled(value, GIGA)
-
-    @property
-    def mhz(self) -> float:
-        return self._in_scale(MEGA)
-
-    @property
-    def ghz(self) -> float:
-        return self._in_scale(GIGA)
-
-
-class Celsius(Quantity):
-    """A temperature in degrees Celsius."""
-
-    __slots__ = ()
-    unit = "degC"
-
-
-class Flops(Quantity):
-    """An operation count (the paper counts multiply-accumulates)."""
-
-    __slots__ = ()
-    unit = "MAC"
-
-    @classmethod
-    def from_gmacs(cls, value: float) -> "Flops":
-        return cls._from_scaled(value, GIGA)
-
-    @property
-    def gmacs(self) -> float:
-        return self._in_scale(GIGA)
-
-
-class Bytes(int):
-    """An integer byte count with binary-prefix helpers."""
-
-    unit = "B"
-
-    @classmethod
-    def from_kib(cls, value: float) -> "Bytes":
-        return cls(int(value * KIBI))
-
-    @classmethod
-    def from_mib(cls, value: float) -> "Bytes":
-        return cls(int(value * MEBI))
-
-    @classmethod
-    def from_gib(cls, value: float) -> "Bytes":
-        return cls(int(value * GIBI))
-
-    def __repr__(self) -> str:
-        return format_bytes(int(self))
-
-
-#: declarative unit-tag -> dimension registry; the source of truth the
-#: static units checker anchors on.  Extend it when adding a Quantity
-#: subclass or a new derived unit the suffix conventions should know.
-DIMENSIONS: dict[str, Dim] = {
-    "": DIMENSIONLESS,
-    "s": TIME,
-    "J": ENERGY,
-    "W": POWER,
-    "Hz": FREQUENCY,
-    "degC": TEMPERATURE,
-    "B": BYTES,
-    "MAC": OPS,
-    "FLOP": OPS,
-    "B/s": BANDWIDTH,
-    "MAC/s": THROUGHPUT,
-}
-
-
-def dimension_of(quantity: object) -> Dim:
-    """Dimension of a quantity instance or class via its ``unit`` tag."""
-    unit = getattr(quantity, "unit", None)
-    if unit is None or unit not in DIMENSIONS:
-        raise KeyError(f"no dimension registered for {quantity!r}")
-    return DIMENSIONS[unit]
+#: a duration in seconds.
+Seconds = float
+#: a power in watts.
+Watts = float
+#: a temperature in degrees Celsius.
+Celsius = float
 
 
 def format_bytes(num_bytes: float) -> str:

@@ -437,7 +437,7 @@ class InferenceSession:
         """
         if n_inferences <= 0:
             raise ValueError(f"n_inferences must be positive, got {n_inferences}")
-        return [Seconds(self.latency_s)] * n_inferences
+        return [self.latency_s] * n_inferences
 
     def describe(self) -> str:
         plan = self.plan

@@ -54,8 +54,8 @@ def ridge_point(peak_macs_per_s: float, bandwidth_bytes_per_s: float) -> float:
     """The intensity (MACs/byte) where a device's roofline bends."""
     if peak_macs_per_s <= 0 or bandwidth_bytes_per_s <= 0:
         raise ValueError("peak and bandwidth must be positive")
-    # The MACs/byte intensity has no Quantity class; the roofline name is
-    # standard vocabulary, so it stays suffix-free.
+    # The MACs/byte intensity has no unit annotation name; the roofline
+    # name is standard vocabulary, so it stays suffix-free.
     return peak_macs_per_s / bandwidth_bytes_per_s  # repro: allow[UNIT008]
 
 

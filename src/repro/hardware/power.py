@@ -38,7 +38,7 @@ class PowerModel:
         """Instantaneous draw in watts at ``utilization`` in [0, 1]."""
         if not 0.0 <= utilization <= 1.0:
             raise ValueError(f"utilization must be in [0, 1], got {utilization}")
-        return Watts(self.idle_w + utilization * (self.active_w - self.idle_w))
+        return self.idle_w + utilization * (self.active_w - self.idle_w)
 
     @property
     def dynamic_range_w(self) -> float:

@@ -163,7 +163,7 @@ class ThermalSimulator:
         self._update_fan()
         self._update_throttle()
         self._check_shutdown()
-        return Celsius(self.temperature_c)
+        return self.temperature_c
 
     @property
     def clock_factor(self) -> float:

@@ -238,7 +238,7 @@ class RunRecord:
         if self.failure is not None or self.latency_s is None:
             message = self.failure.message if self.failure else "no latency recorded"
             raise ReproError(f"{self.scenario.describe()} failed: {message}")
-        return Seconds(self.latency_s)
+        return self.latency_s
 
     def describe(self) -> str:
         if self.failed:

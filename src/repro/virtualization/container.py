@@ -74,7 +74,7 @@ class ContainerizedSession:
         return self.session.init_time_s + 2.0
 
     def run(self, n_inferences: int) -> list[Seconds]:
-        return [Seconds(self.latency_s)] * n_inferences
+        return [self.latency_s] * n_inferences
 
     @property
     def deployed(self):

@@ -5,7 +5,9 @@ shared suppression comments behave."""
 import textwrap
 
 from repro.check import units
+from repro.check.unit_maps import ANNOTATION_DIMS
 from repro.check.units import parse_name_dims
+from repro.core import quantity
 from repro.core.dimension import (
     BANDWIDTH,
     DIMENSIONLESS,
@@ -37,6 +39,11 @@ class TestRealTreeIsClean:
         for rule, (severity, description) in units.RULES.items():
             assert rule.startswith("UNIT")
             assert severity is not None and description
+
+    def test_annotation_table_names_every_unit_alias(self):
+        aliases = {name for name, value in vars(quantity).items()
+                   if value is float}
+        assert aliases == set(ANNOTATION_DIMS)
 
 
 class TestSuffixGrammar:
@@ -161,6 +168,33 @@ class TestUnit003ReturnContradictsDeclaration:
         """
         assert check(snippet) == []
 
+    def test_seconds_fed_an_energy(self):
+        snippet = """
+        from repro.core.quantity import Seconds
+
+        def wrap(energy_j) -> Seconds:
+            return Seconds(energy_j)
+        """
+        assert rules_of(check(snippet)) == {"UNIT003"}
+
+    def test_seconds_fed_milliseconds(self):
+        snippet = """
+        from repro.core.quantity import Seconds
+
+        def wrap(latency_ms) -> Seconds:
+            return Seconds(latency_ms)
+        """
+        assert rules_of(check(snippet)) == {"UNIT003"}
+
+    def test_seconds_fed_seconds_is_fine(self):
+        snippet = """
+        from repro.core.quantity import MILLI, Seconds
+
+        def wrap(latency_s, latency_ms) -> Seconds:
+            return Seconds(latency_s) + Seconds(latency_ms * MILLI)
+        """
+        assert check(snippet) == []
+
 
 class TestUnit004DoubleConversion:
     def test_milli_applied_twice(self):
@@ -180,55 +214,6 @@ class TestUnit004DoubleConversion:
 
         def startup_s(init_ms):
             return init_ms * MILLI
-        """
-        assert check(snippet) == []
-
-
-class TestUnit005ConstructorMisuse:
-    def test_seconds_fed_an_energy(self):
-        snippet = """
-        from repro.core.quantity import Seconds
-
-        def wrap(energy_j):
-            return Seconds(energy_j)
-        """
-        assert rules_of(check(snippet)) == {"UNIT005"}
-
-    def test_seconds_fed_milliseconds(self):
-        snippet = """
-        from repro.core.quantity import Seconds
-
-        def wrap(latency_ms):
-            return Seconds(latency_ms)
-        """
-        assert rules_of(check(snippet)) == {"UNIT005"}
-
-    def test_from_ms_fed_seconds(self):
-        snippet = """
-        from repro.core.quantity import Seconds
-
-        def wrap(latency_s):
-            return Seconds.from_ms(latency_s)
-        """
-        assert rules_of(check(snippet)) == {"UNIT005"}
-
-    def test_from_ms_fed_a_preconverted_value(self):
-        snippet = """
-        from repro.core.quantity import MILLI, Seconds
-
-        def wrap(latency_ms):
-            return Seconds.from_ms(latency_ms * MILLI)
-        """
-        assert rules_of(check(snippet)) == {"UNIT005"}
-
-    def test_correct_usage_is_fine(self):
-        snippet = """
-        from repro.core.quantity import Seconds
-
-        def wrap_s(latency_s, latency_ms):
-            a = Seconds(latency_s)
-            b = Seconds.from_ms(latency_ms)
-            return a + b
         """
         assert check(snippet) == []
 
@@ -322,14 +307,14 @@ class TestUnit008UndeclaredPublicReturn:
         """
         assert check(snippet) == []
 
-    def test_quantity_tagged_return_is_declared_enough(self):
+    def test_annotation_call_declares_nothing(self):
         snippet = """
         from repro.core.quantity import Watts
 
         def draw(idle_w, active_w):
             return Watts(idle_w + active_w)
         """
-        assert check(snippet) == []
+        assert rules_of(check(snippet)) == {"UNIT008"}
 
     def test_container_annotation_declares_the_element_unit(self):
         snippet = """

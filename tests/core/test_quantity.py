@@ -1,15 +1,8 @@
-"""Unit-safe quantity tests."""
+"""Unit annotation names and presentation helpers."""
 
 import math
 
-import pytest
-
 from repro.core.quantity import (
-    Bytes,
-    Celsius,
-    GIBI,
-    Hertz,
-    Joules,
     MEBI,
     Seconds,
     Watts,
@@ -19,44 +12,9 @@ from repro.core.quantity import (
 
 
 class TestSeconds:
-    def test_from_ms_round_trip(self):
-        assert Seconds.from_ms(250).ms == pytest.approx(250)
-
     def test_is_a_float(self):
         assert Seconds(1.5) + 0.5 == 2.0
-
-    def test_repr_carries_unit(self):
-        assert "s" in repr(Seconds(0.25))
-
-    def test_ms_property(self):
-        assert Seconds(0.87).ms == pytest.approx(870)
-
-
-class TestJoules:
-    def test_from_mj(self):
-        assert float(Joules.from_mj(11)) == pytest.approx(0.011)
-
-    def test_mj_property(self):
-        assert Joules(2.5).mj == pytest.approx(2500)
-
-
-class TestHertz:
-    def test_from_ghz(self):
-        assert float(Hertz.from_ghz(1.2)) == pytest.approx(1.2e9)
-
-    def test_from_mhz(self):
-        assert float(Hertz.from_mhz(650)) == pytest.approx(650e6)
-
-
-class TestBytes:
-    def test_from_gib(self):
-        assert int(Bytes.from_gib(1)) == GIBI
-
-    def test_from_mib(self):
-        assert int(Bytes.from_mib(512)) == 512 * MEBI
-
-    def test_repr_uses_binary_prefix(self):
-        assert "GiB" in repr(Bytes.from_gib(4))
+        assert type(Seconds(1.5)) is float
 
 
 class TestFormatting:
@@ -73,9 +31,5 @@ class TestFormatting:
 
 
 class TestOtherUnits:
-    def test_watts_and_celsius_tag_units(self):
-        assert "W" in repr(Watts(2.73))
-        assert "degC" in repr(Celsius(43.3))
-
     def test_quantities_work_with_math(self):
         assert math.isclose(Watts(2.0) * Seconds(3.0), 6.0)

@@ -1,5 +1,7 @@
 """The fleet event loop, cross-checked against the scalar simulators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -193,9 +195,47 @@ class TestValidation:
         assert stats.completed + stats.dropped + stats.rejected == stats.requests
 
 
+def _float_fields(obj):
+    """(owner.field, value) for every float a dataclass holds, nested
+    dataclasses included."""
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if dataclasses.is_dataclass(value):
+            yield from _float_fields(value)
+        elif isinstance(value, float):
+            yield f"{type(obj).__name__}.{field.name}", value
+
+
 class TestUnitTags:
-    """Profiles hold plain floats, so joules and degrees computed from a
-    power never carry the ``Watts`` tag ("W") into reports or thermals."""
+    """Units are checked statically only: records, stages, profiles and the
+    unit-annotated returns hold plain floats, so no unit tag reaches a
+    report, a thermal model or a CSV cell."""
+
+    def test_run_records_and_pipeline_stages_hold_plain_floats(self):
+        from repro.distribution import lower_pipeline
+        from repro.runtime import default_runner
+
+        scenario = Scenario("ResNet-18", "Jetson Nano", "TensorRT")
+        fields = [*_float_fields(default_runner().run(scenario))]
+        for stage in lower_pipeline((scenario,) * 2, "lan").stages:
+            fields += _float_fields(stage)
+        assert {"RunRecord.power_w", "StageSpec.power_w"} <= {
+            name for name, _ in fields}
+        assert [name for name, value in fields if type(value) is not float] == []
+
+    @pytest.mark.parametrize("containerized", [False, True])
+    def test_unit_annotated_returns_are_plain_floats(self, containerized):
+        from repro.hardware import load_device
+        from repro.runtime import default_runner
+
+        runner = default_runner()
+        scenario = Scenario("ResNet-18", "Jetson Nano", "TensorRT",
+                            containerized=containerized)
+        device = load_device("Jetson Nano")
+        returns = [runner.measure(scenario), runner.run(scenario).latency(),
+                   *runner.session(scenario).run(2), device.power.power(0.5),
+                   device.thermal_simulator().step(5.0, 1.0)]
+        assert [type(value) for value in returns] == [float] * len(returns)
 
     def test_energies_and_temperatures_are_plain_floats(self):
         from repro.distribution import lower_pipeline

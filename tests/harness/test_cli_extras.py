@@ -5,6 +5,8 @@ import pytest
 
 from repro.cli import main
 
+_TIME = ["time", "ResNet-18", "Jetson Nano", "TensorRT"]
+
 
 class TestRunFormats:
     def test_markdown_output(self, capsys):
@@ -76,13 +78,24 @@ class TestTimeScenarioFlags:
         assert "deployment failed" in err
         assert "[memory_error]" in err
 
-    @pytest.mark.parametrize("flags", [
-        ["--batch", "0"], ["--runs", "0"], ["--runs", "-1"],
-    ], ids=" ".join)
-    def test_nonpositive_counts_exit_2(self, flags, capsys):
-        assert main(["time", "ResNet-18", "Jetson Nano", "TensorRT", *flags]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {flags[0]} must be >= 1")
+    @pytest.mark.parametrize("argv", [
+        [*_TIME, "--batch", "0"], [*_TIME, "--runs", "0"],
+        [*_TIME, "--runs", "-1"],
+        ["suite", "table6", "--jobs", "0"], ["suite", "table6", "--jobs", "-1"],
+        ["export", "y.json", "table6", "--jobs", "-3"],
+        ["recommend", "ResNet-18", "--top", "-1"],
+        ["place", "MobileNet-v2", "--max-depth", "0"],
+        ["place", "MobileNet-v2", "--max-depth", "-2"],
+    ], ids=lambda argv: " ".join(argv[-2:]))
+    def test_nonpositive_counts_exit_2(self, argv, capsys, tmp_path,
+                                       monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        flag, value = argv[-2:]
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} must be >= 1, got {value}\n"
+        assert captured.out == ""
+        assert not any(tmp_path.iterdir())  # export wrote no file
 
 
 class TestExportParallel:

@@ -3,6 +3,8 @@
 import csv
 import io
 
+import pytest
+
 from repro.core.result import ResultTable
 from repro.harness.report import render_csv, render_markdown
 
@@ -49,3 +51,19 @@ class TestCsv:
     def test_commas_in_labels_escaped(self):
         rows = list(csv.reader(io.StringIO(render_csv(_table()))))
         assert rows[1][0] == "row,with,commas"
+
+    @pytest.mark.parametrize("experiment_id", ["fig06", "fig12", "fig14"])
+    def test_float_cells_read_back_exactly(self, experiment_id):
+        # One experiment per source of the old runtime unit tags: session
+        # latencies (fig06), power draws (fig12), temperatures (fig14).
+        from repro.harness import run_experiment
+
+        table = run_experiment(experiment_id)
+        rows = list(csv.reader(io.StringIO(render_csv(table))))[1:]
+        cells = [(cell, row.get(column))
+                 for row, cells in zip(table.rows, rows)
+                 for column, cell in zip(table.columns, cells[1:])
+                 if isinstance(row.get(column), float)]
+        assert cells
+        assert [cell for cell, value in cells
+                if cell != repr(float(value))] == []
