@@ -1,9 +1,9 @@
-"""Static-check performance: all six passes stay pre-commit cheap.
+"""Static-check performance: all five passes stay pre-commit cheap.
 
 Not a paper artifact: this guards the "cheap enough to run locally before
-every commit" contract in docs/checks.md.  The six passes share one parse
+every commit" contract in docs/checks.md.  The five passes share one parse
 of the package source, and the whole strict run — every zoo graph
-re-derived three ways by the shapes pass, the interprocedural effects
+re-derived three ways by the graph pass, the interprocedural effects
 fixpoint, all of it — must finish well inside an interactive budget while
 reporting zero findings.  Numbers land in ``BENCH_check.json`` at the
 repo root so regressions show up in review diffs
@@ -22,7 +22,7 @@ BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_check.json"
 MAX_TOTAL_S = 10.0
 
 
-def test_all_six_passes_clean_and_under_budget():
+def test_all_five_passes_clean_and_under_budget():
     timings: dict[str, float] = {}
     start = time.perf_counter()
     findings = run_checks(timings=timings)
@@ -31,10 +31,10 @@ def test_all_six_passes_clean_and_under_budget():
     assert sorted(timings) == sorted([*PASSES, "parse"])
     assert findings == [], [str(finding) for finding in findings]
     assert total_s < MAX_TOTAL_S, (
-        f"six-pass check took {total_s:.2f}s >= {MAX_TOTAL_S}s budget")
+        f"five-pass check took {total_s:.2f}s >= {MAX_TOTAL_S}s budget")
 
     bench = {
-        "benchmark": "check six-pass static verification",
+        "benchmark": "check five-pass static verification",
         "passes": list(PASSES),
         "per_pass_s": {name: round(seconds, 4)
                        for name, seconds in timings.items()},

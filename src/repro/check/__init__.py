@@ -1,14 +1,14 @@
 """`repro.check`: static verification over the graph IR, data tables and
 runtime-layer architecture.
 
-Six passes, one vocabulary (:class:`~repro.check.findings.Finding`):
+Five passes, one vocabulary (:class:`~repro.check.findings.Finding`):
 
-* ``ir`` — re-verifies every zoo graph and every transform output
-  (well-formedness + conservation invariants), rules ``IR0xx``/``IR1xx``.
-* ``shapes`` — symbolic shape & dtype abstract interpreter: re-derives every
-  op's output shape, MACs, params and bytes from per-op transfer functions
-  and compares against the stored accounting at zero tolerance, including
-  under symbolic batch/sequence dims, rules ``SHAPExxx``.
+* ``graphs`` — loads every zoo graph once and builds its transform outputs
+  once, then verifies each graph's structure (rules ``IR0xx``), re-derives
+  every op's output shape, MACs, params and bytes from per-op transfer
+  functions and compares against the stored accounting at zero tolerance,
+  including under symbolic batch/sequence dims (rules ``SHAPExxx``), and
+  checks each transform's conservation laws (``IR1xx``, ``SHAPE008``).
 * ``tables`` — cross-validates device specs, framework capability tables,
   calibration anchors and the Table V declarations, rules ``TABxxx``.
 * ``arch`` — `ast` lint of ``src/repro`` enforcing the runtime-layer
@@ -19,10 +19,10 @@ Six passes, one vocabulary (:class:`~repro.check.findings.Finding`):
   graph: parallel-path race rules (``RACExxx``), cache-key soundness
   (``KEYxxx``) and cached-value escape analysis (``ALIASxxx``).
 
-``python -m repro check --strict`` runs all six in one invocation and exits
+``python -m repro check --strict`` runs all five in one invocation and exits
 non-zero on any finding.  The passes fall into two halves that share
-nothing: the graph half (``ir``/``shapes``/``tables``) and the source half,
-whose three passes (``arch``/``units``/``effects``) share a single indexed
+nothing: the graph half (``graphs``/``tables``) and the source half, whose
+three passes (``arch``/``units``/``effects``) share a single indexed
 :class:`~repro.check.astutil.SourceModule` parse of the package.  When a
 run selects both halves and may use more than one CPU, one forked worker
 runs the graph half while the caller parses and runs the source half.
@@ -38,7 +38,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import MutableMapping, Sequence
 
-from repro.check import arch, astutil, effects, ir, shapes, tables, units
+from repro.check import arch, astutil, effects, graphs, tables, units
 from repro.check.findings import (
     Finding,
     Severity,
@@ -51,8 +51,7 @@ from repro.check.findings import (
 
 #: pass name -> entry point, in report order.
 PASSES = {
-    "ir": ir.run,
-    "shapes": shapes.run,
+    "graphs": graphs.run,
     "tables": tables.run,
     "arch": arch.run,
     "units": units.run,
@@ -72,7 +71,7 @@ _Results = dict[str, tuple[list[Finding], float]]
 def rule_catalog() -> dict[str, tuple[Severity, str]]:
     """Every known rule id -> (severity, description), across all passes."""
     catalog: dict[str, tuple[Severity, str]] = {}
-    for module in (ir, shapes, tables, arch, units, effects):
+    for module in (graphs, tables, arch, units, effects):
         catalog.update(module.RULES)
     return catalog
 
@@ -159,13 +158,12 @@ __all__ = [
     "arch",
     "count_by_severity",
     "effects",
-    "ir",
+    "graphs",
     "render_github",
     "render_json",
     "render_text",
     "rule_catalog",
     "run_checks",
-    "shapes",
     "suppress",
     "tables",
     "units",

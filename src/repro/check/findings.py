@@ -1,6 +1,6 @@
 """Structured findings and the shared reporter for `repro check`.
 
-Every verification pass (IR, tables, architecture) reports through the same
+Every verification pass (graphs, tables, architecture) reports through the same
 vocabulary: a :class:`Finding` carries a stable rule id, a severity, a
 location string and a human-readable message.  The CLI renders findings as
 text or JSON and applies per-rule suppression, so CI can run
@@ -9,7 +9,7 @@ silence one rule (``--ignore IR008``) during an investigation.
 
 Location strings are pass-specific but follow one scheme:
 
-* ``graph:<model>[@<transform>]/<op>`` for IR findings,
+* ``graph:<model>[@<transform>]/<op>`` for graph-pass findings,
 * ``device:<name>`` / ``framework:<name>`` / ``calibration:<fw>@<dev>`` /
   ``tableV:<device>`` for table findings,
 * ``<path>:<line>`` for architectural findings.

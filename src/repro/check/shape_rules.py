@@ -1,9 +1,9 @@
-"""Per-op shape/cost transfer functions for the shapes pass.
+"""Per-op shape/cost transfer functions for the graph pass.
 
 Every op class in :mod:`repro.graphs.ops` gets a *transfer function*: an
 independent re-derivation of the op's output shape, MAC count and parameter
 count from its hyperparameters and its (possibly symbolic) input shapes.  The
-shapes pass (:mod:`repro.check.shapes`) propagates these derivations
+graph pass (:mod:`repro.check.graphs`) propagates these derivations
 topologically and compares them against the values the op constructors
 stored — a second implementation of the paper's Table I accounting that the
 first one must agree with at zero tolerance.

@@ -548,10 +548,10 @@ def build_parser() -> argparse.ArgumentParser:
     time_parser.set_defaults(handler=_cmd_time)
 
     check_parser = subparsers.add_parser(
-        "check", help="static verification: graph IR, shapes, data tables, "
-                      "architecture, units, effects")
+        "check", help="static verification: graph IR and shapes, data "
+                      "tables, architecture, units, effects")
     check_parser.add_argument("passes", nargs="*", metavar="PASS",
-                              help="passes to run: ir, shapes, tables, arch, "
+                              help="passes to run: graphs, tables, arch, "
                                    "units, effects (default: all)")
     check_parser.add_argument("--strict", action="store_true",
                               help="fail on any finding, not just errors")

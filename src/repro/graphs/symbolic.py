@@ -1,6 +1,6 @@
 """Symbolic dimension algebra for shape inference.
 
-The shapes pass (``repro check shapes``) re-derives every tensor shape in a
+The graph pass (``repro check graphs``) re-derives every tensor shape in a
 graph from first principles.  To prove a graph is valid for *all* batch sizes
 ``N >= 1`` — not just the baked-in concrete dims — it needs dimensions that can
 stay symbolic through conv/pool arithmetic.  This module provides that

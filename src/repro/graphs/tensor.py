@@ -60,7 +60,7 @@ class TensorShape:
     """An immutable tensor shape (no batch dimension).
 
     Dims are positive ints, or :class:`SymDim` expressions when built by the
-    shapes pass for symbolic-binding verification.
+    graph pass for symbolic-binding verification.
     """
 
     dims: tuple[Dim, ...]
@@ -136,7 +136,7 @@ def conv_output_length(length: Dim, kernel: int, stride: int, padding: str | int
     applied to both sides (the PyTorch/Caffe style).
 
     Symbolic ``length`` returns a symbolic expression and skips the
-    collapse check — feasibility is then the shapes pass's job (SHAPE006),
+    collapse check — feasibility is then the graph pass's job (SHAPE006),
     verified per concrete binding.
     """
     effective_kernel = (kernel - 1) * dilation + 1

@@ -10,7 +10,8 @@ the generators hit the record cache.
 
 Declaring a superset is safe: precompiled cells the generator never reads
 cost one shared array-program row each.  Declaring too little is also safe:
-missing cells fall back to the scalar path with identical results.  The
+a cell outside the declared grid compiles as a one-cell grid when the
+generator asks ``Runner.run`` for it, with identical results.  The
 grid/walk agreement is pinned by the harness identity tests.
 """
 
@@ -123,40 +124,14 @@ def _fig13() -> tuple[list[Scenario], list[Scenario]]:
     return [], untimed
 
 
-def placement_pricing_grid(models: Iterable[str],
-                           devices: Iterable[str],
-                           ) -> list[Scenario]:
-    """The untimed single-node grid a placement search over ``models``
-    touches, in search order.
-
-    NOT registered in :data:`GRID_BUILDERS` — placement is not a suite
-    experiment (the suite snapshot is pinned at zero tolerance).  The
-    placement benchmark precompiles this grid through ``run_grid`` so the
-    optimizer's per-model sweeps hit the record cache, the same
-    warm-path shape the suite uses for figures.
-    """
-    runner = default_runner()
-    grid: list[Scenario] = []
-    seen: set = set()
-    for model_name in models:
-        for device_name in devices:
-            frameworks = runner.candidates_for(
-                device_name, default=("TensorFlow", "PyTorch", "Caffe"))
-            for framework_name in frameworks:
-                scenario = Scenario(model_name, device_name, framework_name)
-                if scenario.key not in seen:
-                    seen.add(scenario.key)
-                    grid.append(scenario)
-    return grid
-
-
 def suite_grid(experiment_ids: Iterable[str],
                ) -> tuple[list[Scenario], list[Scenario]]:
     """The deduplicated (timed, untimed) grids for a set of experiments.
 
     Cells keep first-appearance order, so the deploy-cache outcome
     sequence matches running the experiments back to back.  Experiments
-    without a registered grid contribute nothing (they run scalar).
+    without a registered grid contribute nothing (their cells compile one
+    at a time through ``Runner.run``).
     """
     timed: list[Scenario] = []
     untimed: list[Scenario] = []

@@ -409,27 +409,27 @@ class TestSubscriptDispatch:
 
     def test_module_dict_table_dispatch_resolves(self):
         g = graph(module("""
-            def run_ir():
+            def run_graphs():
                 return 1
 
             def run_arch():
                 return 2
 
-            PASSES = {"ir": run_ir, "arch": run_arch}
+            PASSES = {"graphs": run_graphs, "arch": run_arch}
 
             def run_checks(name):
                 return PASSES[name]()
             """))
         assert g.successors("repro/engine/demo.py:run_checks") == {
-            "repro/engine/demo.py:run_ir", "repro/engine/demo.py:run_arch"}
+            "repro/engine/demo.py:run_graphs", "repro/engine/demo.py:run_arch"}
 
     def test_imported_dict_table_dispatch_resolves(self):
         g = graph(
             module("""
-                def run_ir():
+                def run_graphs():
                     return 1
 
-                PASSES = {"ir": run_ir}
+                PASSES = {"graphs": run_graphs}
                 """, "src/repro/check/passes.py"),
             module("""
                 from repro.check.passes import PASSES
@@ -438,7 +438,7 @@ class TestSubscriptDispatch:
                     return PASSES[name]()
                 """, "src/repro/engine/cli.py"))
         assert g.successors("repro/engine/cli.py:main") == {
-            "repro/check/passes.py:run_ir"}
+            "repro/check/passes.py:run_graphs"}
 
     def test_lambda_registration_stays_unresolved(self):
         # The documented remaining blind spot: a lambda has no name to
@@ -471,5 +471,5 @@ class TestRealTreeDispatch:
     def test_check_passes_table_reaches_every_pass(self):
         g = callgraph.build(astutil.load_package())
         reached = g.reachable(["repro/check/__init__.py:run_checks"])
-        for name in ("ir", "shapes", "tables", "arch", "units", "effects"):
+        for name in ("graphs", "tables", "arch", "units", "effects"):
             assert f"repro/check/{name}.py:run" in reached, name

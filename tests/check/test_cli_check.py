@@ -41,8 +41,8 @@ class TestCheckVerb:
         out = capsys.readouterr().out.strip()
         assert out.splitlines()[-1] == "no findings"
 
-    def test_shapes_pass_selection_is_clean(self, capsys):
-        assert main(["check", "shapes", "--strict"]) == 0
+    def test_graphs_pass_selection_is_clean(self, capsys):
+        assert main(["check", "graphs", "--strict"]) == 0
         assert "no findings" in capsys.readouterr().out
 
     def test_stats_prints_per_pass_timings_to_stderr(self, capsys):
@@ -52,7 +52,7 @@ class TestCheckVerb:
         lines = captured.err.splitlines()
         names = [line[2:line.index(":")] for line in lines]
         # one line per pass, in report order, the worker's half included
-        assert names == ["ir", "shapes", "tables", "parse", "arch", "units",
+        assert names == ["graphs", "tables", "parse", "arch", "units",
                          "effects", "total", "wall"]
         assert all(line.endswith(" ms") for line in lines)
         ms = {name: float(line.split(": ")[1].removesuffix(" ms"))
@@ -62,9 +62,9 @@ class TestCheckVerb:
         assert 0 < ms["wall"]
 
     def test_stats_covers_only_selected_passes(self, capsys):
-        assert main(["check", "shapes", "--stats"]) == 0
+        assert main(["check", "graphs", "--stats"]) == 0
         err = capsys.readouterr().err
-        assert "# shapes:" in err
+        assert "# graphs:" in err
         assert "# effects:" not in err
         assert "# parse:" not in err  # no source pass, nothing parsed
         assert "# wall:" in err

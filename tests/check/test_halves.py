@@ -1,6 +1,6 @@
-"""`run_checks` in two halves: the graph half (``ir``, ``shapes``,
-``tables``) in one forked worker while the caller parses the package and
-runs the source half (``arch``, ``units``, ``effects``).
+"""`run_checks` in two halves: the graph half (``graphs``, ``tables``) in
+one forked worker while the caller parses the package and runs the source
+half (``arch``, ``units``, ``effects``).
 
 The findings equal what the passes return when run one at a time in the
 caller, finding for finding and in selection order; a worker's exception
@@ -93,8 +93,8 @@ class TestTwoHalves:
         findings = run_checks(timings=timings)
         assert len(forks) == 1
         assert findings == one_at_a_time(PASS_NAMES, astutil.load_package())
-        assert list(timings) == ["ir", "shapes", "tables", "parse", "arch",
-                                 "units", "effects"]
+        assert list(timings) == ["graphs", "tables", "parse", "arch", "units",
+                                 "effects"]
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("selected", [
@@ -141,7 +141,7 @@ class TestTwoHalves:
 
         monkeypatch.setitem(PASSES, "arch", broken)
         with pytest.raises(KeyError, match="seeded caller failure"):
-            run_checks(["ir", "arch"])
+            run_checks(["graphs", "arch"])
         assert len(forks) == 1
         assert multiprocessing.active_children() == []
 
@@ -154,7 +154,7 @@ class TestTwoHalves:
 
 
 class TestOneProcess:
-    @pytest.mark.parametrize("selected", [["units"], ["shapes", "tables"]])
+    @pytest.mark.parametrize("selected", [["units"], ["graphs", "tables"]])
     def test_one_half_starts_no_worker(self, two_cpus, forks, seeded, selected):
         assert run_checks(selected) == one_at_a_time(selected, seeded)
         assert forks == []

@@ -102,7 +102,7 @@ class TestOwnTable:
 class TestStructureWithoutNumbers:
     def test_schedulable_ops_never_build_the_columns(self):
         """Structure must not depend on the numeric columns: a MAC count
-        too large for float64 still schedules (the IR pass reports it)."""
+        too large for float64 still schedules (the graph pass reports it)."""
         builder = GraphBuilder("Huge")
         x = builder.input((3, 8, 8))
         conv = builder.conv2d(x, 4, 3)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.harness.paper_data import FIG13_MODELS
+from repro.runtime import Scenario, default_runner
 from repro.virtualization import Container
 from repro.virtualization.container import MAX_OVERHEAD_FRACTION
 
@@ -35,6 +36,14 @@ class TestContainerOverhead:
         assert contained.utilization == session.utilization
         assert contained.run(3) == [contained.latency_s] * 3
         assert contained.deployed is session.deployed
+
+    @pytest.mark.parametrize("containerized", [False, True])
+    @pytest.mark.parametrize("n_inferences", [0, -3])
+    def test_run_rejects_a_nonpositive_count(self, containerized, n_inferences):
+        session = default_runner().session(Scenario(
+            "ResNet-18", "Jetson Nano", "TensorRT", containerized=containerized))
+        with pytest.raises(ValueError, match="n_inferences must be positive"):
+            session.run(n_inferences)
 
     def test_custom_profile(self, session_factory):
         session = session_factory("ResNet-18", "Raspberry Pi 3B", "TensorFlow")

@@ -31,9 +31,9 @@ Placement checks:
 * ``pipeline_requests``   at the million-request scale with conservation
 * ``search_deterministic`` and ``serving_deterministic`` are true
 
-Check checks (the six-pass static verification run):
+Check checks (the five-pass static verification run):
 
-* ``total_s``       <  ``max_total_s`` (pre-commit cheap, all six passes)
+* ``total_s``       <  ``max_total_s`` (pre-commit cheap, all five passes)
 * ``findings``      == 0 and ``strict_clean`` is true (zero-findings gate)
 * ``per_pass_s``    covers every pass named in ``passes``
 """
@@ -160,7 +160,7 @@ def check_check(bench: dict) -> list[str]:
     budget_s = _require(bench, failures, "max_total_s", hint)
     if total_s is not None and budget_s is not None and total_s >= budget_s:
         failures.append(f"total_s {total_s}s >= budget {budget_s}s - "
-                        "the six-pass run is no longer pre-commit cheap")
+                        "the five-pass run is no longer pre-commit cheap")
 
     findings = _require(bench, failures, "findings", hint)
     if findings:
