@@ -5,6 +5,7 @@ paper regenerates in seconds (graph construction, engine planning, the
 calibration fit, serialization, and the pipeline DP).
 """
 
+import numpy as np
 import pytest
 
 from repro.distribution import load_link, partition_pipeline
@@ -71,12 +72,16 @@ def test_peak_memory_liveness_inception(benchmark):
 
 @pytest.mark.benchmark(group="library")
 def test_serving_simulation_throughput(benchmark):
-    from repro.workloads import PoissonArrivals, simulate_serving
+    from repro.fleet import lindley
+    from repro.workloads import PoissonArrivals
 
     arrivals = PoissonArrivals(200.0, seed=5).generate(120.0)  # ~24k requests
+    offsets_s = 0.004 * np.arange(arrivals.size)
 
-    stats = benchmark(simulate_serving, arrivals, 0.004)
-    assert stats.completed == stats.requests
+    finish_s = benchmark(lindley, arrivals, offsets_s, 0.004, 0.0)
+    assert finish_s.shape == arrivals.shape
+    assert np.all(np.diff(finish_s) >= 0.0)
+    assert np.all(finish_s - arrivals >= 0.004 - 1e-12)
 
 
 @pytest.mark.benchmark(group="library")

@@ -339,12 +339,19 @@ def _placement_pool(path: str, replicas: int) -> "PoolSpec":
     from repro.placement import Deployment
 
     payload = json.loads(Path(path).read_text())
-    frontier = payload.get("frontier", ())
+    frontier = payload.get("frontier", []) if isinstance(payload, dict) else None
+    if not isinstance(frontier, list):
+        raise ValueError(f"{path}: not a 'repro place' frontier file (expected "
+                         "a JSON object with a 'frontier' list)")
     if not frontier:
         raise ValueError(
             f"{path}: no frontier points (was the SLO satisfiable?); "
             "regenerate with 'repro place ... --format json --output'")
-    deployment = Deployment.from_dict(frontier[0]["deployment"])
+    try:
+        deployment = Deployment.from_dict(frontier[0]["deployment"])
+    except (AttributeError, KeyError, TypeError) as error:
+        raise ValueError(f"{path}: malformed frontier point "
+                         f"({type(error).__name__}: {error})") from error
     return PoolSpec.from_deployment(
         name=f"placement:{'+'.join(deployment.devices)}",
         deployment=deployment, replicas=replicas)

@@ -16,7 +16,8 @@ This package simulates that:
   control;
 * :mod:`~repro.fleet.simulate` — the event loop: padded Lindley kernels
   over every batch-1 node between routing epochs (a million requests in
-  seconds, not a per-request Python heap);
+  seconds, not a per-request Python heap).  The kernel, :func:`lindley`,
+  also serves a lone FIFO with per-request service times;
 * :mod:`~repro.fleet.report` — :class:`~repro.fleet.report.FleetStats`:
   p50/p99/p999 sojourn, throughput, energy per request, thermal events,
   per-pool utilization and drop fractions, JSON round-trippable.
@@ -43,7 +44,7 @@ from repro.fleet.router import (
     RoutingView,
     make_router,
 )
-from repro.fleet.simulate import FleetSimulation, simulate_fleet
+from repro.fleet.simulate import FleetSimulation, lindley, simulate_fleet
 
 __all__ = [
     "AdmissionControl",
@@ -62,6 +63,7 @@ __all__ = [
     "ServiceProfile",
     "StageProfile",
     "SojournSummary",
+    "lindley",
     "make_router",
     "resolve_profiles",
     "simulate_fleet",

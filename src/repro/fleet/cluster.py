@@ -145,9 +145,9 @@ class ServiceProfile:
 
     Attributes:
         batch_wall_s: seconds to finish a whole batch, indexed by
-            ``batch - 1`` (``batched_latency_fn`` semantics: per-inference
-            latency times the batch size).  For pipelined pools this is
-            the one-entry end-to-end latency of a lone request.
+            ``batch - 1``: the per-inference latency times the batch size.
+            For pipelined pools this is the one-entry end-to-end latency
+            of a lone request.
         max_batch: effective batching limit — the requested limit, capped
             below the first batch size whose deployment failed.
         power_w: device draw while inferencing (from the run record; for
@@ -156,7 +156,8 @@ class ServiceProfile:
             over the chain for pipelined pools).
         init_time_s: one-time session setup cost (autoscale wake latency).
         thermal: the lumped-RC thermal spec of the device (single) or of
-            the bottleneck stage's device (pipelined).
+            the bottleneck stage's device (pipelined); None for a device
+            without one, whose nodes never heat.
         cell_seed: the pool scenario's canonical measurement seed.
         stages: per-stage profiles for pipelined pools, None otherwise —
             the discriminator the simulator dispatches on.
@@ -167,7 +168,7 @@ class ServiceProfile:
     power_w: float
     idle_w: float
     init_time_s: float
-    thermal: ThermalSpec
+    thermal: ThermalSpec | None
     cell_seed: int
     stages: tuple[StageProfile, ...] | None = None
 

@@ -17,8 +17,8 @@ held in the arrays of one :class:`~repro.fleet.cluster.Cluster`:
    padded Lindley kernel per stage: a ``np.maximum.accumulate`` scan over
    a (nodes x requests) matrix, stage ``k`` consuming stage ``k-1``'s
    finish instants.  Dynamic-batching pools run one lean iteration per
-   *batch* (not per request), exactly the greedy ``batch_server``
-   semantics;
+   *batch* (not per request): a node that frees up grabs everything
+   queued, up to its batch limit;
 4. at the epoch's end one array step integrates every node's thermal RC
    model at the epoch's average power — DVFS throttling stretches the
    next epoch's service times, and a shutdown drops the node's queue (the
@@ -57,19 +57,23 @@ DEFAULT_POLICY = "least-outstanding"
 _EMPTY = np.empty(0, dtype=np.float64)
 
 
-def _lindley(arrivals: np.ndarray, service_s: np.ndarray,
-             free_s: np.ndarray) -> np.ndarray:
-    """Finish instants of constant-service FIFO servers, one per row.
+def lindley(arrivals: np.ndarray, offsets_s: np.ndarray,
+            service_s: np.ndarray | float,
+            free_s: np.ndarray | float) -> np.ndarray:
+    """Finish instants of FIFO servers, one server per row (last axis).
 
-    The Lindley recursion ``finish_i = max(arrival_i, finish_{i-1}) + s``
-    has the closed form ``finish_i = (i+1)s + max(free, max_{j<=i}
-    (arrival_j - js))``: one ``maximum.accumulate`` scan per row.  Rows
-    are padded with ``inf`` arrivals, which finish at ``inf``.
+    The Lindley recursion ``finish_i = max(arrival_i, finish_{i-1}) + s_i``
+    has the closed form ``finish_i = O_i + s_i + max(free, max_{j<=i}
+    (arrival_j - O_j))``, where request ``i``'s start offset ``O_i = s_0 +
+    ... + s_{i-1}`` is the service of the requests ahead of it: one
+    ``maximum.accumulate`` scan per row.  The arguments broadcast.  The
+    fleet passes one constant service per row, ``O = s * arange(n)``; a
+    server with per-request service times passes their exclusive
+    cumulative sum.  Rows padded with ``inf`` arrivals finish at ``inf``.
     """
-    service_s = service_s[:, None]
-    offsets = service_s * np.arange(arrivals.shape[1])
-    level = np.maximum.accumulate(arrivals - offsets, axis=1)
-    return offsets + service_s + np.maximum(free_s[:, None], level)
+    level = np.maximum.accumulate(arrivals - offsets_s, axis=-1)
+    # Finish instants in seconds: an array, which no unit annotation names.
+    return offsets_s + service_s + np.maximum(free_s, level)  # repro: allow[UNIT008]
 
 
 class FleetSimulation:
@@ -237,8 +241,9 @@ class FleetSimulation:
         columns = np.arange(width)
         arrivals = pending.take(cursor[:, None] + columns)
         arrivals[columns >= count[:, None]] = np.inf
-        finish = _lindley(arrivals, service_s, free_s)
-        served = (finish - service_s[:, None] < epoch_end_s).sum(axis=1)
+        service = service_s[:, None]
+        finish = lindley(arrivals, service * columns, service, free_s[:, None])
+        served = (finish - service < epoch_end_s).sum(axis=1)
         cluster.head[nodes] = head + served
         for stage, (rows, at, stage_service_s, ranks) in enumerate(
                 cluster.chain_stages):
@@ -250,7 +255,9 @@ class FleetSimulation:
                 finish_s[columns >= done[:, None]] = np.inf
                 service_s = stage_service_s * scale[rows]
                 free_s = cluster.clock_s.take(at)
-                finish_s = _lindley(finish_s, service_s, free_s)
+                service = service_s[:, None]
+                finish_s = lindley(finish_s, service * columns, service,
+                                   free_s[:, None])
                 finish[rows] = finish_s
             else:
                 finish_s, done = finish, served
@@ -282,9 +289,9 @@ class FleetSimulation:
                        sojourn_chunks: list[np.ndarray]) -> None:
         """Serve one dynamic-batching pool up to ``epoch_end_s``.
 
-        Greedy ``simulate_batch_serving`` semantics: whenever a node frees
-        up it grabs everything queued (up to the pool's effective batch
-        limit) and runs it as one batch.  The loop iterates once per batch
+        Greedy dynamic batching: whenever a node frees up it grabs
+        everything queued (up to the pool's effective batch limit) and
+        runs it as one batch.  The loop iterates once per batch
         — plain floats and ``bisect``, no ndarray dispatch — and the
         pool's sojourns are expanded vectorially afterwards.  Deferring
         batches that would start after the epoch end is exact: such a

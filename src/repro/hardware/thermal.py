@@ -226,6 +226,13 @@ class ThermalSimulator:
         return self.spec.steady_state_c(idle_power_w, self.ambient_c, fan_on=False)
 
 
+#: What a spec-less node of a :class:`ThermalArray` steps with: no fan,
+#: throttle or shutdown threshold, and finite constants.  The node is held,
+#: so the temperatures computed from these are discarded.
+_HELD_SPEC = ThermalSpec(r_passive_c_per_w=1.0, r_active_c_per_w=1.0,
+                         c_j_per_c=1.0)
+
+
 class ThermalArray:
     """:meth:`ThermalSimulator.step` for many devices at once.
 
@@ -236,14 +243,16 @@ class ThermalArray:
     equal a :class:`ThermalSimulator`'s fed the same powers.  Every node
     starts at and relaxes towards ``DEFAULT_AMBIENT_C``, the simulator's
     default.  A node that trips its shutdown stops integrating: the fleet
-    pulls it from service.
+    pulls it from service.  A node whose spec is ``None`` (the HPC parts,
+    which the paper gives no thermal data for) never heats, fans,
+    throttles or shuts down: it is held at ambient from the start.
 
     Attributes:
         fan_events / throttle_events: per-node counts of ``fan_on`` and
             ``throttle_on`` transitions.
     """
 
-    def __init__(self, specs: Sequence[ThermalSpec]):
+    def __init__(self, specs: Sequence[ThermalSpec | None]):
         count = len(specs)
         self.temperature_c = np.full(count, DEFAULT_AMBIENT_C)
         self.fan_on = np.zeros(count, dtype=bool)
@@ -251,6 +260,11 @@ class ThermalArray:
         self.shutdown = np.zeros(count, dtype=bool)
         self.fan_events = np.zeros(count, dtype=np.int64)
         self.throttle_events = np.zeros(count, dtype=np.int64)
+        # Held nodes keep their temperature through a step: the tripped
+        # ones and those without a spec.  The latter step with a stand-in
+        # spec whose result is discarded.
+        self._held = np.array([spec is None for spec in specs], dtype=bool)
+        specs = [_HELD_SPEC if spec is None else spec for spec in specs]
         # Switches a node lacks get inf thresholds: they never close.  With
         # no throttle anywhere the throttle update is skipped.
         inf = math.inf
@@ -301,9 +315,9 @@ class ThermalArray:
         temperature_c = rc_step_c(self.temperature_c,
                                   DEFAULT_AMBIENT_C + power_w * resistance,
                                   factor)
-        # A frozen node keeps its temperature, so its switches hold
+        # A held node keeps its temperature, so its switches hold
         # (hysteresis is idempotent at a fixed value).
-        np.copyto(temperature_c, self.temperature_c, where=self.shutdown)
+        np.copyto(temperature_c, self.temperature_c, where=self._held)
         self.temperature_c = temperature_c
         fan_on = hysteresis(fan_on, temperature_c, *self._fan_c)
         self.fan_events += fan_on > self.fan_on
@@ -317,4 +331,5 @@ class ThermalArray:
         if not tripped.any():
             return None
         self.shutdown |= tripped
+        self._held |= tripped
         return tripped

@@ -105,6 +105,15 @@ def load_results(path: str | Path) -> dict[str, Any]:
     version = payload.get("snapshot_version") if isinstance(payload, dict) else None
     if version != SNAPSHOT_VERSION:
         raise ValueError(f"{path}: unsupported snapshot version {version!r}")
+    experiments = payload.get("experiments")
+    if not (isinstance(experiments, dict) and all(
+            isinstance(experiment, dict)
+            and isinstance(experiment.get("rows"), list)
+            and all(isinstance(row, dict) and "label" in row
+                    for row in experiment["rows"])
+            for experiment in experiments.values())):
+        raise ValueError(f"{path}: not a snapshot (each experiment needs a "
+                         "list of labelled rows)")
     return payload
 
 

@@ -1,11 +1,13 @@
-"""Request workloads and serving simulation.
+"""Request workloads.
 
 The paper frames edge inference as single-batch because of "the limited
 number of available requests in a given time" (Section I).  This package
 makes that workload explicit: arrival processes (periodic sensor frames,
-Poisson request streams, bursts) and a single-server FIFO serving
-simulation that turns a device's per-inference latency into the latency
-percentiles and utilization a deployment actually experiences.
+Poisson request streams, bursts, day/night cycles) and the duty-cycle
+energy budget of a steady request rate.  :mod:`repro.fleet` serves the
+streams, from one device's FIFO queue to a routed fleet, and turns a
+device's per-inference latency into the latency percentiles and
+utilization a deployment actually experiences.
 """
 
 from repro.workloads.arrivals import (
@@ -17,27 +19,16 @@ from repro.workloads.arrivals import (
     first_n,
     reseeded,
 )
-from repro.workloads.batch_server import (
-    BatchServerStats,
-    batched_latency_fn,
-    simulate_batch_serving,
-)
 from repro.workloads.energy_budget import EnergyBudget, duty_cycle_budget
-from repro.workloads.queueing import QueueStats, simulate_serving
 
 __all__ = [
     "Arrivals",
-    "BatchServerStats",
     "BurstyArrivals",
     "DiurnalArrivals",
     "EnergyBudget",
     "PeriodicArrivals",
     "PoissonArrivals",
-    "QueueStats",
-    "batched_latency_fn",
     "duty_cycle_budget",
     "first_n",
     "reseeded",
-    "simulate_batch_serving",
-    "simulate_serving",
 ]

@@ -45,7 +45,7 @@ def duty_cycle_budget(session: InferenceSession, request_rate_hz: float) -> Ener
     The device runs at its inference power for ``rate x latency`` of the
     time and at idle power otherwise.  Rates beyond the device's capacity
     are rejected — the queue would grow without bound (see
-    :mod:`repro.workloads.queueing` for the transient story).
+    :mod:`repro.fleet` for the transient story).
     """
     if request_rate_hz <= 0:
         raise ValueError("request rate must be positive")

@@ -6,7 +6,8 @@
 * :func:`reference_run` is the per-node event loop the array simulator
   replaced: one :class:`RefNode` per replica with a Python-list FIFO,
   ``_advance_fifo``/``_advance_batched``/``_advance_pipeline`` per node, a
-  per-node routing loop, and one ``ThermalSimulator`` per node.
+  per-node routing loop, and one ``ThermalSimulator`` per node (none for
+  a node whose device has no thermal spec: it never heats).
 
 Both are kept as oracles the fast forms must match bit for bit.
 """
@@ -96,7 +97,7 @@ class RefNode:
     stage_epoch_busy_s: list[float] | None = None
 
     def __post_init__(self) -> None:
-        if self.thermal_sim is None:
+        if self.thermal_sim is None and self.profile.thermal is not None:
             self.thermal_sim = ThermalSimulator(self.profile.thermal)
         if self.profile.stages is not None and self.stage_free_at_s is None:
             count = len(self.profile.stages)
@@ -508,8 +509,7 @@ class _Reference:
         again in the next epoch's carry).
         """
         sim = node.thermal_sim
-        assert sim is not None
-        if sim.shutdown:
+        if sim is None or sim.shutdown:
             return
         profile = node.profile
         if profile.stages is not None:
@@ -569,8 +569,8 @@ class _Reference:
                     for node in pool_nodes)
                 device_seconds = len(pool_nodes) * horizon_s
             fleet_energy_j += energy_j
-            events = [event for node in pool_nodes
-                      for event in node.thermal_sim.events]  # type: ignore[union-attr]
+            events = [event for node in pool_nodes if node.thermal_sim
+                      for event in node.thermal_sim.events]
             pool_stats.append(PoolStats(
                 name=pool.name,
                 scenario=pool.scenario.to_dict(),

@@ -75,6 +75,30 @@ class TestFleetVerb:
         assert err.startswith(f"error: cannot write {path}")
         assert "Traceback" not in err
 
+    def test_pool_on_a_device_without_a_thermal_spec(self, capsys):
+        assert main(["fleet", "--pool", "1x Titan Xp:PyTorch",
+                     "--requests", "100"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["completed"] == 100
+        assert payload["shutdown_events"] == payload["fan_events"] == 0
+
+    @pytest.mark.parametrize("content", [
+        "[1, 2]",
+        '{"frontier": [{"deployment": {"link": null, "stages": []}}]}',
+        '{"frontier": "none"}',
+        '{"frontier": [{"deployment": {"kind": "single", "link": null,'
+        ' "stages": [{"op_names": null, "scenario": "x"}]}}]}',
+    ], ids=["list", "no-kind", "string-frontier", "string-scenario"])
+    def test_malformed_placement_file_is_a_usage_error(self, content,
+                                                       tmp_path, capsys):
+        path = tmp_path / "frontier.json"
+        path.write_text(content)
+        assert main(["fleet", "--requests", "10",
+                     "--placement", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}")
+        assert "Traceback" not in err
+
     def test_missing_placement_file_is_a_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         assert main(["fleet", "--requests", "10",

@@ -32,6 +32,7 @@ _NANO = Scenario("ResNet-18", "Jetson Nano", "TensorRT")
 _NANO_TORCH = Scenario("ResNet-18", "Jetson Nano", "PyTorch")
 _TX2 = Scenario("ResNet-18", "Jetson TX2", "PyTorch")
 _PI = Scenario("ResNet-18", "Raspberry Pi 3B", "TFLite")
+_RTX = Scenario("ResNet-18", "RTX 2080", "PyTorch")
 
 
 @lru_cache(maxsize=None)
@@ -82,6 +83,21 @@ class TestMatchesThePerNodeLoop:
         assert stats.shutdown_events == 2
         assert stats.pools[0].dropped > 0
         assert stats.pools[1].completed > 0
+
+    def test_pools_without_a_thermal_spec(self):
+        # The RTX 2080 has no thermal spec, so its nodes never heat; the
+        # Pi routed beside them still melts down.
+        pools = [PoolSpec(name="rtx", scenario=_RTX, replicas=2, max_batch=4),
+                 PoolSpec(name="rtx-fifo", scenario=_RTX, replicas=1),
+                 PoolSpec(name="pi", scenario=_PI, replicas=1)]
+        simulation = FleetSimulation(pools, router="round-robin", epochs=128)
+        assert simulation.profiles["rtx"].thermal is None
+        arrivals = PoissonArrivals(8.0, seed=8).generate(1500.0)
+        stats = _assert_identical(simulation, arrivals, seed=8)
+        rtx, rtx_fifo, pi = stats.pools
+        assert rtx.completed > 0 and rtx_fifo.completed > 0
+        assert rtx.shutdown_events == rtx.fan_events == 0
+        assert pi.shutdown_events == 1
 
     def test_dvfs_throttling_stretches_service(self):
         simulation = FleetSimulation(

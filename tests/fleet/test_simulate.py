@@ -12,12 +12,10 @@ from repro.fleet import (
     PoolSpec,
     simulate_fleet,
 )
+from repro.hardware import list_devices
 from repro.runtime import Scenario
-from repro.workloads import (
-    PoissonArrivals,
-    simulate_batch_serving,
-    simulate_serving,
-)
+from repro.workloads import PoissonArrivals
+from tests.workloads.reference import simulate_batch_serving, simulate_serving
 
 
 def _pool(device="Jetson Nano", framework="TensorRT", replicas=1,
@@ -28,8 +26,8 @@ def _pool(device="Jetson Nano", framework="TensorRT", replicas=1,
 
 class TestAgainstScalarSimulators:
     """One node behind the router must serve exactly like the scalar
-    simulators in :mod:`repro.workloads` — the epoch grid quantizes
-    routing, never a single node's schedule."""
+    loops kept in :mod:`tests.workloads.reference` — the epoch grid
+    quantizes routing, never a single node's schedule."""
 
     def test_single_fifo_node_matches_simulate_serving(self):
         simulation = FleetSimulation([_pool()], epochs=64)
@@ -51,11 +49,10 @@ class TestAgainstScalarSimulators:
         scalar = simulate_batch_serving(
             arrivals, lambda batch: profile.batch_wall_s[batch - 1],
             max_batch=8)
-        assert fleet.pools[0].mean_batch_size == pytest.approx(
-            scalar.mean_batch_size)
+        assert fleet.pools[0].mean_batch_size == scalar.mean_batch_size
         assert fleet.pools[0].batches == scalar.batches
         assert fleet.sojourn.mean_s == pytest.approx(scalar.mean_sojourn_s)
-        assert fleet.sojourn.p999_s == pytest.approx(scalar.p999_sojourn_s)
+        assert fleet.sojourn.p999_s == scalar.p999_sojourn_s
         assert fleet.pools[0].mean_batch_size > 1.5
 
     def test_epoch_count_never_changes_the_outcome(self):
@@ -153,6 +150,38 @@ class TestControlPlanes:
         idle_floor_j = 2 * profile.idle_w * stats.horizon_s * 0.9
         assert stats.energy_j > idle_floor_j
         assert stats.pools[0].utilization < 0.1
+
+
+def _deployable_scenario(device):
+    """A ResNet-18 (or, where that cannot deploy, MobileNet-v2) scenario
+    ``Runner.first_session`` deploys on ``device``."""
+    from repro.runtime import default_runner
+
+    for model in ("ResNet-18", "MobileNet-v2"):
+        entry = default_runner().first_session(model, device)
+        if entry is not None:
+            return Scenario(model, device, entry[0])
+    raise AssertionError(f"nothing deploys on {device}")
+
+
+class TestEveryDevice:
+    """Every catalog device serves as a one-replica pool; the HPC parts
+    have no thermal spec, so their nodes never heat or throttle."""
+
+    @pytest.mark.parametrize("device", list_devices())
+    def test_one_replica_pool_conserves_requests(self, device):
+        pool = PoolSpec(name=device, replicas=1, max_batch=2,
+                        scenario=_deployable_scenario(device))
+        simulation = FleetSimulation([pool], epochs=16)
+        rate_hz = 0.5 * simulation.capacity_rps
+        stats = simulation.run(PoissonArrivals(rate_hz, seed=2).generate(
+            200.0 / rate_hz))
+        assert stats.requests > 0
+        assert stats.completed + stats.dropped + stats.rejected == stats.requests
+        assert stats.completed > 0
+        if simulation.profiles[device].thermal is None:
+            assert stats.throttle_events == stats.fan_events == 0
+            assert stats.shutdown_events == 0
 
 
 class TestValidation:

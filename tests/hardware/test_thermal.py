@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.hardware.thermal import (
+    DEFAULT_AMBIENT_C,
     ThermalArray,
     ThermalSimulator,
     ThermalSpec,
@@ -153,25 +154,27 @@ class TestThermalArray:
         _dvfs_spec(),
     )
 
-    def _trace(self, seed, steps=400):
+    def _trace(self, seed, nodes, steps=400):
         rng = np.random.default_rng(seed)
         # Slow power swings between idle and flat out, long enough to heat
         # every spec past its thresholds and cool it back down.
         phase = np.cumsum(rng.uniform(0.0, 0.2, size=steps))
         power_w = 2.5 + 2.5 * np.sin(phase)[:, None] * rng.uniform(
-            0.6, 1.4, size=len(self.SPECS))
+            0.6, 1.4, size=nodes)
         dt_s = rng.choice([0.5, 2.0, 7.5], size=steps)
         return power_w, dt_s
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_thermal_simulator_bit_for_bit(self, seed):
-        power_w, dt_s = self._trace(seed)
-        array = ThermalArray(self.SPECS)
-        scalars = [ThermalSimulator(spec) for spec in self.SPECS]
+    def _check_against_simulators(self, specs, seed):
+        """Step a ThermalArray of ``specs`` and one ThermalSimulator per
+        real spec through the same trace; returns the array."""
+        power_w, dt_s = self._trace(seed, len(specs))
+        array = ThermalArray(specs)
+        scalars = {index: ThermalSimulator(spec)
+                   for index, spec in enumerate(specs) if spec is not None}
         for watts, dt in zip(power_w, dt_s.tolist()):
-            live = [not sim.shutdown for sim in scalars]
+            live = {index: not sim.shutdown for index, sim in scalars.items()}
             array.step(watts, dt)
-            for index, sim in enumerate(scalars):
+            for index, sim in scalars.items():
                 if not live[index]:
                     continue  # a tripped node stops integrating
                 sim.step(float(watts[index]), dt)
@@ -179,7 +182,7 @@ class TestThermalArray:
                 assert array.fan_on[index] == sim.fan_on
                 assert array.throttled[index] == sim.throttled
                 assert array.shutdown[index] == sim.shutdown
-        for index, sim in enumerate(scalars):
+        for index, sim in scalars.items():
             kinds = [event.kind for event in sim.events]
             assert array.fan_events[index] == kinds.count("fan_on")
             assert array.throttle_events[index] == kinds.count("throttle_on")
@@ -188,6 +191,24 @@ class TestThermalArray:
         assert array.fan_events.sum() > 0
         assert array.throttle_events.sum() > 0
         assert array.shutdown.any()
+        return array
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_thermal_simulator_bit_for_bit(self, seed):
+        self._check_against_simulators(self.SPECS, seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_spec_less_nodes_never_heat(self, seed):
+        # An HPC part has no thermal spec: its node stays at ambient with
+        # every switch open, and the nodes beside it are unaffected.
+        specs = (None, *self.SPECS[:3], None, *self.SPECS[3:])
+        array = self._check_against_simulators(specs, seed)
+        for index in (0, 4):
+            assert array.temperature_c[index] == DEFAULT_AMBIENT_C
+            assert not (array.fan_on[index] or array.throttled[index]
+                        or array.shutdown[index])
+            assert array.fan_events[index] == array.throttle_events[index] == 0
+            assert array.slowdown[index] == 1.0
 
     def test_step_reports_the_nodes_that_tripped(self):
         array = ThermalArray([_passive_spec(shutdown_c=40.0), _passive_spec()])

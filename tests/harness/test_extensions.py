@@ -113,6 +113,25 @@ class TestExtServing:
         row = table.row("EdgeTPU")
         assert row["p99_ms"] == pytest.approx(row["service_ms"], rel=0.1)
 
+    def test_matches_the_replaced_loop(self, table):
+        """The Lindley kernel serves the same jittered stream as the
+        per-request loop, up to the closed form's summation order."""
+        from repro.runtime import default_runner
+        from repro.workloads import PeriodicArrivals
+        from tests.workloads.reference import simulate_serving
+
+        arrivals = PeriodicArrivals(10.0).generate(60.0)
+        for row in table:
+            _, session = default_runner().first_session(
+                "MobileNet-v2", row.label, default=("PyTorch", "TensorFlow"))
+            loop = simulate_serving(arrivals, session.latency_s,
+                                    service_jitter_fraction=0.02, seed=9)
+            assert row["utilization"] == pytest.approx(loop.utilization,
+                                                       rel=1e-12, abs=0.0)
+            assert row["p99_ms"] == pytest.approx(loop.p99_sojourn_s * 1e3,
+                                                  rel=1e-12, abs=0.0)
+            assert row["meets_150ms"] == loop.meets_deadline(0.150)
+
 
 class TestExtPowerModes:
     @pytest.fixture(scope="class")
@@ -147,6 +166,33 @@ class TestExtBatchServing:
     def test_batch_size_grows_with_load(self, table):
         batches = table.column("mean_batch")
         assert batches == sorted(batches)
+
+    def test_matches_the_replaced_loop(self, table):
+        """The one-replica pools serve like the greedy batching loop: bit
+        for bit at batch 32, and up to the batch-1 Lindley scan's
+        summation order at batch 1."""
+        from repro.engine.cache import cached_graph
+        from repro.frameworks import load_framework
+        from repro.hardware import load_device
+        from repro.workloads import PoissonArrivals
+        from tests.workloads.reference import (
+            batched_latency_fn,
+            simulate_batch_serving,
+        )
+
+        batch_time = batched_latency_fn(load_framework("PyTorch").deploy(
+            cached_graph("ResNet-50"), load_device("RTX 2080")), max_batch=32)
+        for row in table:
+            arrivals = PoissonArrivals(row["rate_rps"], seed=21).generate(20.0)
+            single = simulate_batch_serving(arrivals, batch_time, 1)
+            batched = simulate_batch_serving(arrivals, batch_time, 32)
+            assert row["p99_ms_batch32"] == batched.p99_sojourn_s * 1e3
+            assert row["mean_batch"] == batched.mean_batch_size
+            assert row["util_batch32"] == batched.utilization
+            assert row["p99_ms_batch1"] == pytest.approx(
+                single.p99_sojourn_s * 1e3, rel=1e-12, abs=0.0)
+            assert row["util_batch1"] == pytest.approx(
+                single.utilization, rel=1e-12, abs=0.0)
 
 
 class TestExtPareto:

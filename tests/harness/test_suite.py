@@ -135,7 +135,8 @@ class TestCliVerbs:
     "not json at all",                           # malformed JSON
     '{"snapshot_version": 1, "experiments": {',  # truncated JSON
     '{"experiments": {}}',                       # no snapshot_version
-], ids=["missing", "malformed", "truncated", "unversioned"])
+    '{"snapshot_version": 1, "experiments": {"fig07": {"rows": "x"}}}',
+], ids=["missing", "malformed", "truncated", "unversioned", "string-rows"])
 def test_diff_of_an_unreadable_snapshot_exits_2(content, tmp_path, capsys):
     """A usage error, never a traceback; exit 1 keeps meaning "differ"."""
     good = tmp_path / "good.json"

@@ -119,10 +119,14 @@ class TestInstrumentFaults:
 
 class TestServingFaults:
     def test_unsorted_arrivals_rejected(self):
-        from repro.workloads import simulate_serving
+        from repro.fleet import FleetSimulation, PoolSpec
+        from repro.runtime import Scenario
 
+        simulation = FleetSimulation([PoolSpec(
+            name="nano", replicas=1,
+            scenario=Scenario("ResNet-18", "Jetson Nano", "TensorRT"))])
         with pytest.raises(ValueError, match="sorted"):
-            simulate_serving(np.array([1.0, 0.1]), 0.01)
+            simulation.run(np.array([1.0, 0.1]))
 
     def test_link_with_total_loss_unrepresentable(self):
         from repro.distribution.network import NetworkLink

@@ -87,6 +87,21 @@ class TestFleetPlacement:
         assert pool["replicas"] == 2
         assert pool["completed"] > 0
 
+    def test_fleet_serves_a_split_onto_an_hpc_device(self, tmp_path, capsys):
+        # The GTX Titan X has no thermal spec; the split's pool must
+        # serve anyway.
+        path = tmp_path / "split.json"
+        assert main(["place", "VGG16", "--device", "Raspberry Pi 3B",
+                     "--remote", "GTX Titan X", "--link", "loopback",
+                     "--format", "json", "--output", str(path)]) == 0
+        capsys.readouterr()
+        assert "GTX Titan X" in json.loads(path.read_text())[
+            "frontier"][0]["deployment"]["stages"][-1]["scenario"]["device"]
+        assert main(["fleet", "--placement", str(path), "--requests", "100",
+                     "--epochs", "16"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["completed"] == 100
+
     def test_placement_and_pool_are_exclusive(self, tmp_path, capsys):
         path = self._frontier_file(tmp_path)
         assert main(["fleet", "--placement", str(path), "--requests", "10",

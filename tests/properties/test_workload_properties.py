@@ -1,60 +1,68 @@
-"""Property-based tests of the serving simulation (hypothesis)."""
+"""Property-based tests of FIFO serving on the fleet path (hypothesis).
+
+The service-time properties run :func:`repro.fleet.lindley` on arbitrary
+arrival instants and per-request service times; the queue-bound ones run
+a one-replica fleet, whose ``AdmissionControl(capacity + 1)`` admits what
+a waiting room of ``capacity`` next to the server holds.
+"""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads import PeriodicArrivals, PoissonArrivals, simulate_serving
+from repro.fleet import AdmissionControl, SojournSummary
+from repro.workloads import PoissonArrivals
+from tests.workloads.reference import one_node, serve_fifo, simulate_serving
+
+
+def _requests(max_service_s=0.5):
+    """Sorted arrival instants and their per-request service times."""
+    return st.lists(st.tuples(st.floats(0.0, 100.0),
+                              st.floats(1e-4, max_service_s)),
+                    min_size=1, max_size=200).map(
+        lambda pairs: tuple(np.array(column) for column in zip(*sorted(pairs))))
 
 
 class TestServingProperties:
-    @given(
-        rate=st.floats(1.0, 100.0),
-        service=st.floats(1e-4, 0.5),
-        horizon=st.floats(5.0, 30.0),
-    )
+    @given(requests=_requests())
     @settings(max_examples=60, deadline=None)
-    def test_sojourn_at_least_service(self, rate, service, horizon):
-        arrivals = PeriodicArrivals(rate).generate(horizon)
-        stats = simulate_serving(arrivals, service)
-        assert stats.p50_sojourn_s >= service - 1e-12
-        assert stats.mean_sojourn_s >= service - 1e-12
+    def test_sojourn_at_least_service(self, requests):
+        arrivals, service_s = requests
+        finish_s, _ = serve_fifo(arrivals, service_s)
+        assert np.all(finish_s - arrivals >= service_s - 1e-12)
+        # The closed form is the Lindley recursion, served in order.
+        previous_s = 0.0
+        for arrival_s, service, closed_s in zip(arrivals.tolist(),
+                                                service_s.tolist(),
+                                                finish_s.tolist()):
+            previous_s = max(arrival_s, previous_s) + service
+            assert abs(closed_s - previous_s) <= 1e-9 * max(1.0, previous_s)
 
-    @given(
-        rate=st.floats(1.0, 50.0),
-        service=st.floats(1e-4, 0.5),
-        horizon=st.floats(5.0, 30.0),
-    )
+    @given(requests=_requests())
     @settings(max_examples=60, deadline=None)
-    def test_percentiles_ordered(self, rate, service, horizon):
-        arrivals = PoissonArrivals(rate, seed=1).generate(horizon)
-        stats = simulate_serving(arrivals, service)
-        assert (stats.p50_sojourn_s <= stats.p95_sojourn_s
-                <= stats.p99_sojourn_s + 1e-12)
+    def test_percentiles_ordered(self, requests):
+        arrivals, service_s = requests
+        finish_s, _ = serve_fifo(arrivals, service_s)
+        sojourn = SojournSummary.from_times(finish_s - arrivals)
+        assert (sojourn.p50_s <= sojourn.p95_s <= sojourn.p99_s + 1e-12
+                <= sojourn.p999_s + 2e-12 <= sojourn.max_s + 3e-12)
 
-    @given(
-        rate=st.floats(1.0, 50.0),
-        service=st.floats(1e-4, 0.1),
-        horizon=st.floats(5.0, 20.0),
-    )
+    @given(requests=_requests(max_service_s=0.1))
     @settings(max_examples=60, deadline=None)
-    def test_utilization_bounded(self, rate, service, horizon):
-        arrivals = PoissonArrivals(rate, seed=2).generate(horizon)
-        stats = simulate_serving(arrivals, service)
-        assert 0.0 < stats.utilization <= 1.0 + 1e-9
+    def test_utilization_bounded(self, requests):
+        arrivals, service_s = requests
+        finish_s, busy_s = serve_fifo(arrivals, service_s)
+        horizon_s = max(float(finish_s[-1]), float(arrivals[-1]))
+        assert 0.0 < busy_s / horizon_s <= 1.0 + 1e-9
 
-    @given(
-        rate=st.floats(5.0, 50.0),
-        horizon=st.floats(5.0, 20.0),
-        slow_factor=st.floats(1.1, 5.0),
-        service=st.floats(1e-4, 0.01),
-    )
+    @given(requests=_requests(max_service_s=0.01),
+           slow_factor=st.floats(1.1, 5.0))
     @settings(max_examples=60, deadline=None)
-    def test_slower_service_never_reduces_sojourn(self, rate, horizon, slow_factor, service):
-        arrivals = PoissonArrivals(rate, seed=3).generate(horizon)
-        fast = simulate_serving(arrivals, service)
-        slow = simulate_serving(arrivals, service * slow_factor)
-        assert slow.mean_sojourn_s >= fast.mean_sojourn_s - 1e-12
+    def test_slower_service_never_reduces_sojourn(self, requests, slow_factor):
+        arrivals, service_s = requests
+        fast_s, _ = serve_fifo(arrivals, service_s)
+        slow_s, _ = serve_fifo(arrivals, service_s * slow_factor)
+        assert np.all(slow_s >= fast_s - 1e-12)
 
     @given(
         count=st.integers(1, 50),
@@ -63,10 +71,16 @@ class TestServingProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_capacity_accounting(self, count, capacity, service):
-        """Simultaneous arrivals: exactly capacity+1 are admitted."""
-        stats = simulate_serving(np.zeros(count), service, queue_capacity=capacity)
+        """Simultaneous arrivals: exactly capacity+1 are admitted, as the
+        bounded loop admits them."""
+        stats = one_node([service], admission=AdmissionControl(capacity + 1)
+                         ).run(np.zeros(count))
         assert stats.completed == min(count, capacity + 1)
-        assert stats.completed + stats.dropped == count
+        assert stats.completed + stats.rejected == count
+        loop = simulate_serving(np.zeros(count), service,
+                                queue_capacity=capacity)
+        assert (stats.completed, stats.rejected) == (loop.completed,
+                                                     loop.dropped)
 
     @given(
         rate=st.floats(1.0, 30.0),
@@ -76,7 +90,8 @@ class TestServingProperties:
     @settings(max_examples=40, deadline=None)
     def test_unbounded_equals_huge_capacity(self, rate, service, horizon):
         arrivals = PoissonArrivals(rate, seed=4).generate(horizon)
-        unbounded = simulate_serving(arrivals, service)
-        capped = simulate_serving(arrivals, service, queue_capacity=10**6)
-        assert unbounded.mean_sojourn_s == capped.mean_sojourn_s
-        assert capped.dropped == 0
+        unbounded = one_node([service]).run(arrivals)
+        capped = one_node([service], admission=AdmissionControl(10**6 + 1)
+                          ).run(arrivals)
+        assert unbounded.sojourn.mean_s == capped.sojourn.mean_s
+        assert capped.rejected == 0
