@@ -8,13 +8,14 @@ calibration fit, serialization, and the pipeline DP).
 import numpy as np
 import pytest
 
-from repro.distribution import load_link, partition_pipeline
+from repro.distribution import lower_pipeline
 from repro.engine import InferenceSession
 from repro.frameworks import load_framework
 from repro.graphs import Graph
 from repro.graphs.serialize import graph_from_dict, graph_to_dict
 from repro.hardware import load_device
 from repro.models import load_model
+from repro.runtime import Scenario, default_runner
 
 
 @pytest.mark.benchmark(group="library")
@@ -49,11 +50,11 @@ def test_serialize_round_trip_vgg16(benchmark):
 
 @pytest.mark.benchmark(group="library")
 def test_pipeline_partition_yolov3(benchmark):
-    deployed = load_framework("PyTorch").deploy(load_model("YOLOv3"),
-                                                load_device("Jetson TX2"))
-    link = load_link("ethernet")
-    plan = benchmark(partition_pipeline, deployed, 4, link)
-    assert len(plan.stages) == 4
+    """Lower a 4-device chain: one warm runner session, then the DP."""
+    chain = [Scenario("YOLOv3", "Jetson TX2", "PyTorch")] * 4
+    deployment = benchmark(lower_pipeline, chain, "ethernet",
+                           runner=default_runner())
+    assert deployment.num_stages == 4
 
 
 @pytest.mark.benchmark(group="library")

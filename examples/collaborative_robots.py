@@ -16,8 +16,11 @@ Run:  python examples/collaborative_robots.py [model]
 
 import sys
 
-from repro import load_device, load_framework, load_model
-from repro.distribution import SplitPlanner, load_link, partition_pipeline
+import numpy as np
+
+from repro import load_model
+from repro.distribution import cut_columns, load_link, lower_pipeline
+from repro.runtime import Scenario, default_runner
 
 
 def main(model_name: str = "TinyYolo") -> None:
@@ -25,29 +28,45 @@ def main(model_name: str = "TinyYolo") -> None:
     print(f"Model: {graph.summary()}")
     print()
 
-    # Part 1: offloading decision against a base-station GPU.
-    edge = load_framework("TensorFlow").deploy(graph, load_device("Raspberry Pi 3B"))
-    remote = load_framework("PyTorch").deploy(graph, load_device("GTX Titan X"))
+    runner = default_runner()
+    robot = Scenario(model_name, "Raspberry Pi 3B", "TensorFlow")
+    edge = runner.session(robot)
+    remote = runner.session(Scenario(model_name, "GTX Titan X", "PyTorch"))
+
+    # Part 1: offloading decision against a base-station GPU.  Both
+    # sessions' plans are priced once per link, every cut at once.
     print("Offloading decision (robot = RPi 3B, base station = GTX Titan X):")
     for link_name in ("ethernet", "wifi", "wifi-congested", "lte", "bluetooth"):
-        planner = SplitPlanner(edge, remote, load_link(link_name))
-        best = planner.best()
-        print(f"  {link_name:15s}: {best.describe()}")
-        print(f"  {'':15s}  (fully local would take "
-              f"{planner.all_edge().total_s:.2f} s, "
-              f"speedup {planner.offload_speedup():.1f}x)")
+        columns = cut_columns(edge.plan, remote.plan,
+                              edge.deployed.graph.table.cut_bytes,
+                              load_link(link_name))
+        best = columns.best_index()
+        total_s = columns.total_s
+        where = (f"after {columns.ops[best - 1].name!r}" if best
+                 else "at the input")
+        print(f"  {link_name:15s}: cut {where}: "
+              f"edge {columns.edge_s[best] * 1e3:.1f} ms + link "
+              f"{columns.transfer_s[best] * 1e3:.1f} ms + remote "
+              f"{columns.remote_s[best] * 1e3:.1f} ms = "
+              f"{total_s[best] * 1e3:.1f} ms")
+        print(f"  {'':15s}  (fully local would take {total_s[-1]:.2f} s, "
+              f"speedup {total_s[-1] / total_s[best]:.1f}x)")
     print()
 
-    # Part 2: no base station — pipeline across teammates.
+    # Part 2: no base station — pipeline across teammates.  One robot
+    # runs every op in sequence; a team splits the model into stages.
     print("Collaborative pipeline across robot teammates (WiFi between them):")
-    link = load_link("wifi")
-    baseline_fps = partition_pipeline(edge, 1, link).throughput_fps
+    alone_s = float(np.cumsum(edge.plan.op_latency_s)[-1])
     for team_size in (1, 2, 3, 4, 6):
-        plan = partition_pipeline(edge, team_size, link)
-        print(f"  {team_size} robot(s): {plan.throughput_fps:6.2f} fps "
-              f"({plan.throughput_fps / baseline_fps:4.2f}x), "
-              f"bottleneck stage {plan.bottleneck_s * 1e3:6.0f} ms, "
-              f"per-frame latency {plan.pipeline_latency_s * 1e3:6.0f} ms")
+        if team_size == 1:
+            bottleneck_s = latency_s = alone_s
+        else:
+            team = lower_pipeline([robot] * team_size, "wifi", runner=runner)
+            bottleneck_s, latency_s = team.bottleneck_s, team.latency_s
+        print(f"  {team_size} robot(s): {1.0 / bottleneck_s:6.2f} fps "
+              f"({alone_s / bottleneck_s:4.2f}x), "
+              f"bottleneck stage {bottleneck_s * 1e3:6.0f} ms, "
+              f"per-frame latency {latency_s * 1e3:6.0f} ms")
     print()
     print("Scaling saturates when one indivisible layer owns the bottleneck")
     print("stage — the same sub-linear behaviour the collaborative-IoT papers")

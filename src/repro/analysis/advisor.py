@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.quantity import check_bounds
 from repro.hardware import list_operating_points
 from repro.models import load_model
 from repro.runtime import BEST_FRAMEWORK_CANDIDATES, Scenario, default_runner
@@ -24,11 +25,15 @@ _RUNNER = default_runner()
 
 @dataclass(frozen=True)
 class Requirements:
-    """Constraints a deployment must satisfy."""
+    """Constraints a deployment must satisfy; ``None`` leaves an axis
+    unconstrained, and every bound that is set must be finite and > 0."""
 
     deadline_s: float | None = None
     power_budget_w: float | None = None
     energy_budget_j: float | None = None
+
+    def __post_init__(self) -> None:
+        check_bounds("requirement", vars(self))
 
     def check(self, latency_s: float, power_w: float,
               energy_j: float) -> tuple[bool, str]:

@@ -7,8 +7,9 @@ source and enforces them:
 
 * **ARCH001** — no direct ``InferenceSession``/``InferenceTimer``
   construction outside the ``runtime``/``engine``/``measurement`` layers.
-  Simulation code that prices ad-hoc deployments (split planners, batch
-  servers) carries an explicit inline suppression instead.
+  Code that prices a deployment no scenario names (ext-sustained's
+  DVFS-modified Raspberry Pi) carries an explicit inline suppression
+  instead.
 * **ARCH003** — no ``==``/``!=`` against float literals; physics code
   compares with tolerances or sentinels.
 * **ARCH004** — no nondeterministic calls (``random``, wall-clock ``time``,

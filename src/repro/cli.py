@@ -498,14 +498,14 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
 
     if not _counts_ok(("--top", args.top)):
         return 2
-    requirements = Requirements(
-        deadline_s=None if args.deadline_ms is None else args.deadline_ms / 1e3,
-        power_budget_w=args.power_w,
-        energy_budget_j=None if args.energy_mj is None else args.energy_mj / 1e3,
-    )
     try:
+        requirements = Requirements(
+            deadline_s=None if args.deadline_ms is None else args.deadline_ms / 1e3,
+            power_budget_w=args.power_w,
+            energy_budget_j=None if args.energy_mj is None else args.energy_mj / 1e3,
+        )
         results = recommend_deployments(args.model, requirements)
-    except ReproError as error:
+    except (ReproError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     for recommendation in results[: args.top]:

@@ -2,7 +2,7 @@
 
 This package holds the small, dependency-free building blocks: unit
 annotation names and SI-prefix constants, error types, generic registries,
-result containers, and the experiment runner that the harness builds on.
+result containers, and the experiment type the harness registers.
 """
 
 from repro.core.errors import (
@@ -16,7 +16,7 @@ from repro.core.errors import (
     UnknownEntryError,
 )
 from repro.core.dimension import Dim
-from repro.core.experiment import Experiment, ExperimentResult, ExperimentRunner
+from repro.core.experiment import Experiment
 from repro.core.quantity import (
     GIGA,
     KIBI,
@@ -42,8 +42,6 @@ __all__ = [
     "DeploymentError",
     "Dim",
     "Experiment",
-    "ExperimentResult",
-    "ExperimentRunner",
     "GIBI",
     "GIGA",
     "IncompatibleModelError",

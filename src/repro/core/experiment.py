@@ -1,19 +1,17 @@
-"""Experiment definition and runner.
+"""Experiment definition.
 
 Each reproduced figure/table is an :class:`Experiment`: a named callable
 producing a :class:`~repro.core.result.ResultTable`, tagged with the paper
-section/figure it reproduces.  The :class:`ExperimentRunner` executes a
-selection of experiments and collects their outputs — this is what both the
-benchmark suite and the ``examples/`` scripts drive.
+section/figure it reproduces.  The harness registers one per figure
+(:mod:`repro.harness.registry`) and runs and times a selection of them
+(:func:`repro.harness.sweep_runner.run_sweep`).
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Callable
 
-from repro.core.registry import Registry
 from repro.core.result import ResultTable
 
 
@@ -35,35 +33,3 @@ class Experiment:
 
     def run(self) -> ResultTable:
         return self.generator()
-
-
-@dataclass
-class ExperimentResult:
-    """An executed experiment plus bookkeeping."""
-
-    experiment: Experiment
-    table: ResultTable
-    wall_time_s: float = 0.0
-
-
-@dataclass
-class ExperimentRunner:
-    """Runs experiments from a registry and keeps their results."""
-
-    registry: Registry[Experiment]
-    results: list[ExperimentResult] = field(default_factory=list)
-
-    def run(self, experiment_id: str) -> ExperimentResult:
-        experiment = self.registry.create(experiment_id)
-        start = time.perf_counter()
-        table = experiment.run()
-        elapsed = time.perf_counter() - start
-        result = ExperimentResult(experiment=experiment, table=table, wall_time_s=elapsed)
-        self.results.append(result)
-        return result
-
-    def run_many(self, experiment_ids: Iterable[str]) -> list[ExperimentResult]:
-        return [self.run(experiment_id) for experiment_id in experiment_ids]
-
-    def run_all(self) -> list[ExperimentResult]:
-        return self.run_many(self.registry.names())

@@ -1,4 +1,5 @@
-"""Unit annotation names, SI-prefix constants and presentation helpers.
+"""Unit annotation names, SI-prefix constants, bound checks and
+presentation helpers.
 
 The paper mixes ms, s, mJ, J, W and GB freely; internally this library works
 in SI base units (seconds, joules, watts, bytes, hertz, degrees Celsius) and
@@ -13,6 +14,9 @@ dataflow at check time; nothing is checked at runtime.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Any, Mapping
 
 MILLI = 1e-3
 MICRO = 1e-6
@@ -31,6 +35,17 @@ Seconds = float
 Watts = float
 #: a temperature in degrees Celsius.
 Celsius = float
+
+
+def check_bounds(kind: str, bounds: Mapping[str, Any]) -> None:
+    """Raise ``ValueError`` unless every bound that is set (not ``None``)
+    is a finite number > 0."""
+    # A NaN bound compares False against everything: it would pass all.
+    for name, bound in bounds.items():
+        if bound is not None and not (isinstance(bound, (int, float))
+                                      and math.isfinite(bound) and bound > 0):
+            raise ValueError(
+                f"{kind} {name} must be a finite number > 0, got {bound!r}")
 
 
 def format_bytes(num_bytes: float) -> str:

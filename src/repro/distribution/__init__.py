@@ -4,14 +4,14 @@ The paper's related-work section centers on distributing DNN inference:
 Neurosurgeon's cloud-edge split and the authors' own collaborative
 model-parallelism across IoT devices/robots.  This package builds that
 substrate on the engine: network link models, graph cut-point analysis,
-a Neurosurgeon-style split planner, and a pipeline partitioner for chains
+Neurosurgeon-style split pricing, and a pipeline partitioner for chains
 of edge devices.
 
-The planners double as *lowering rules*: :func:`lower_split` and
-:func:`lower_pipeline` emit :class:`~repro.placement.deployment.Deployment`
-objects the fleet can price and serve, while :class:`SplitPlan` and
-:class:`PipelinePlan` remain as their scenario-free projections
-(:func:`as_split_plan` / :func:`as_pipeline_plan`).
+Splits and pipelines are *lowering rules* with one output type:
+:func:`cut_columns` prices every cut of a split as float64 columns, and
+:func:`lower_split`, :func:`split_deployments` and :func:`lower_pipeline`
+emit :class:`~repro.placement.deployment.Deployment` objects that the
+placement optimizer ranks and the fleet prices and serves.
 """
 
 from repro.distribution.network import (
@@ -22,19 +22,9 @@ from repro.distribution.network import (
     resolve_link,
 )
 from repro.distribution.partition import CutPoint, cut_points, narrowest_cut
-from repro.distribution.pipeline import (
-    PipelinePlan,
-    PipelineStage,
-    as_pipeline_plan,
-    lower_pipeline,
-    partition_pipeline,
-    partition_pipeline_heterogeneous,
-)
+from repro.distribution.pipeline import lower_pipeline
 from repro.distribution.split import (
     CutColumns,
-    SplitPlan,
-    SplitPlanner,
-    as_split_plan,
     cut_columns,
     lower_split,
     split_deployments,
@@ -45,21 +35,13 @@ __all__ = [
     "CutPoint",
     "LINK_PRESETS",
     "NetworkLink",
-    "PipelinePlan",
-    "PipelineStage",
     "REQUIRED_LINK_PRESETS",
-    "SplitPlan",
-    "SplitPlanner",
-    "as_pipeline_plan",
-    "as_split_plan",
     "cut_columns",
     "cut_points",
     "load_link",
     "lower_pipeline",
     "lower_split",
     "narrowest_cut",
-    "partition_pipeline",
-    "partition_pipeline_heterogeneous",
     "resolve_link",
     "split_deployments",
 ]

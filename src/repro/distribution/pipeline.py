@@ -1,28 +1,23 @@
-"""Pipeline partitioning across a chain of edge devices.
+"""Pipeline partitioning across a chain of edge devices, lowered to
+Deployments.
 
 The authors' collaborative-robots line of work distributes one DNN across
 several resource-constrained devices stage-by-stage and streams inputs
 through the pipeline.  Steady-state throughput is set by the slowest stage
 (compute plus its outgoing transfer), so the partitioner minimizes the
 bottleneck over all contiguous stage assignments via dynamic programming.
-
-Since the :class:`~repro.placement.deployment.Deployment` refactor this
-module is a *lowering rule*: :func:`lower_pipeline` runs the partitioner
-over a chain of scenarios and emits a servable multi-stage Deployment;
-:class:`PipelinePlan` remains as its scenario-free projection
-(:func:`as_pipeline_plan` recovers the plan from the deployment exactly).
+:func:`lower_pipeline` runs it over a chain of scenarios and emits a
+servable multi-stage :class:`~repro.placement.deployment.Deployment`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.distribution.network import NetworkLink, resolve_link
-from repro.distribution.split import _open_side, _prefix_latency, _session_plan
-from repro.frameworks.base import DeployedModel
+from repro.distribution.split import _open_side, _prefix_latency
 from repro.placement.deployment import Deployment, StageSpec
 
 if TYPE_CHECKING:
@@ -30,7 +25,6 @@ if TYPE_CHECKING:
 
     from numpy.typing import ArrayLike
 
-    from repro.engine.executor import ExecutionPlan
     from repro.graphs.graph import Graph
     from repro.runtime.runner import Runner
     from repro.runtime.scenario import Scenario
@@ -40,64 +34,20 @@ if TYPE_CHECKING:
 _BLOCK = 64
 
 
-@dataclass(frozen=True)
-class PipelineStage:
-    """One device's share of the pipeline."""
+def _partition(prefixes: "Sequence[ArrayLike]",
+               transfer_at: ArrayLike) -> list[tuple[int, int, float, float]]:
+    """The chain-partitioning DP: one ``(start, end, compute_s,
+    transfer_s)`` stage per device, in chain order.
 
-    device_index: int
-    op_names: tuple[str, ...]
-    compute_s: float
-    outgoing_transfer_s: float
-
-    @property
-    def stage_s(self) -> float:
-        return self.compute_s + self.outgoing_transfer_s
-
-
-@dataclass(frozen=True)
-class PipelinePlan:
-    """A full pipeline assignment."""
-
-    stages: tuple[PipelineStage, ...]
-
-    @property
-    def bottleneck_s(self) -> float:
-        return max(stage.stage_s for stage in self.stages)
-
-    @property
-    def throughput_fps(self) -> float:
-        return 1.0 / self.bottleneck_s
-
-    @property
-    def pipeline_latency_s(self) -> float:
-        """End-to-end latency of one input through all stages."""
-        return sum(stage.stage_s for stage in self.stages)
-
-    def describe(self) -> str:
-        lines = [f"{len(self.stages)}-stage pipeline: "
-                 f"{self.throughput_fps:.2f} inferences/s "
-                 f"(bottleneck {self.bottleneck_s * 1e3:.1f} ms, "
-                 f"end-to-end {self.pipeline_latency_s * 1e3:.1f} ms)"]
-        for stage in self.stages:
-            lines.append(
-                f"  device {stage.device_index}: {len(stage.op_names)} ops, "
-                f"compute {stage.compute_s * 1e3:.1f} ms, "
-                f"send {stage.outgoing_transfer_s * 1e3:.1f} ms"
-            )
-        return "\n".join(lines)
-
-
-def _partition(schedulable: list[str], prefixes: "Sequence[ArrayLike]",
-               transfer_at: ArrayLike) -> PipelinePlan:
-    """The chain-partitioning DP behind every entry point.
-
-    Device ``d`` prices its ops with ``prefixes[d]``; ``transfer_at[k]``
-    ships the cut after ``k`` ops.  Per device, each candidate
-    ``max(best[start], compute + outgoing)`` is one cell of a (start x end)
-    table built ``_BLOCK`` end columns at a time; ``argmin`` down a column
-    keeps the smallest start among ties, like a scalar loop's strict ``<``.
+    Device ``d`` prices its ops with ``prefixes[d]`` and runs ops
+    ``start:end``; ``transfer_at[k]`` ships the cut after ``k`` of the N
+    ops (N + 1 entries), and the last stage ships nothing.  Per device,
+    each candidate ``max(best[start], compute + outgoing)`` is one cell of
+    a (start x end) table built ``_BLOCK`` end columns at a time;
+    ``argmin`` down a column keeps the smallest start among ties, like a
+    scalar loop's strict ``<``.
     """
-    n = len(schedulable)
+    n = len(transfer_at) - 1
     num_devices = len(prefixes)
     # Only the last stage ends at n, and it returns nothing.
     outgoing = np.append(transfer_at[:n], 0.0)
@@ -132,14 +82,8 @@ def _partition(schedulable: list[str], prefixes: "Sequence[ArrayLike]",
     for choice in reversed(choices):
         boundaries.append(int(choice[boundaries[-1]]))
     boundaries.reverse()
-    return PipelinePlan(stages=tuple(
-        PipelineStage(
-            device_index=d,
-            op_names=tuple(schedulable[boundaries[d]:boundaries[d + 1]]),
-            compute_s=float(prefix[boundaries[d + 1]] - prefix[boundaries[d]]),
-            outgoing_transfer_s=(0.0 if d == num_devices - 1
-                                 else float(transfer_at[boundaries[d + 1]])))
-        for d, prefix in enumerate(prefixes)))
+    return [(start, end, float(prefix[end] - prefix[start]), float(outgoing[end]))
+            for prefix, start, end in zip(prefixes, boundaries, boundaries[1:])]
 
 
 def _chain_schedule(graphs: "Sequence[Graph]") -> list[str]:
@@ -157,49 +101,6 @@ def _chain_schedule(graphs: "Sequence[Graph]") -> list[str]:
     return schedulable
 
 
-def _pipeline(schedulable: list[str], plans: "Sequence[ExecutionPlan]",
-              cut_bytes: np.ndarray, link: NetworkLink) -> PipelinePlan:
-    """Partition one schedule over the devices whose plans are given:
-    each device's prefix is one ``cumsum`` of its plan's latencies, each
-    cut's transfer is priced from the graph's crossing sizes."""
-    n = len(schedulable)
-    if len(plans) > n:
-        raise ValueError(f"cannot spread {n} ops over {len(plans)} devices")
-    return _partition(schedulable, [_prefix_latency(plan) for plan in plans],
-                      link.transfer_time_s(cut_bytes))
-
-
-def partition_pipeline_heterogeneous(deployments: list[DeployedModel],
-                                     link: NetworkLink) -> PipelinePlan:
-    """Pipeline one model across an ORDERED list of different devices.
-
-    Each entry of ``deployments`` is the same source model deployed on the
-    device that will run that pipeline position (robot teams are rarely
-    uniform).  The DP minimizes the bottleneck stage, where a stage's
-    compute time uses its own device's per-op timings.
-    """
-    if not deployments:
-        raise ValueError("need at least one deployment")
-    return _pipeline(_chain_schedule([d.graph for d in deployments]),
-                     [_session_plan(d) for d in deployments],
-                     deployments[0].graph.table.cut_bytes, link)
-
-
-def partition_pipeline(deployed: DeployedModel, num_devices: int,
-                       link: NetworkLink) -> PipelinePlan:
-    """Minimize the pipeline bottleneck over contiguous stage assignments.
-
-    Dynamic program over (ops consumed, devices used): classic chain
-    partitioning with N schedulable ops, each device's O(N^2) candidates
-    evaluated as blocked NumPy tables (see :func:`_partition`).
-    """
-    if num_devices < 1:
-        raise ValueError(f"need at least one device, got {num_devices}")
-    schedulable = [op.name for op in deployed.graph.schedulable_ops()]
-    return _pipeline(schedulable, [_session_plan(deployed)] * num_devices,
-                     deployed.graph.table.cut_bytes, link)
-
-
 # -- lowering to Deployments -------------------------------------------------
 
 def lower_pipeline(scenarios: "Sequence[Scenario]", link: NetworkLink | str, *,
@@ -207,12 +108,12 @@ def lower_pipeline(scenarios: "Sequence[Scenario]", link: NetworkLink | str, *,
     """Lower an ordered chain of scenarios to a pipelined Deployment.
 
     Partitions the chain over the plans of the scenarios' own runner
-    sessions (one per device position, so heterogeneous chains are fine)
-    and attaches the per-device pricing — active power, idle power,
-    session init — a served stage needs.  The :func:`as_pipeline_plan`
-    projection of the result equals
-    :func:`partition_pipeline_heterogeneous` over the same deployments
-    exactly.
+    sessions (one per device position, so heterogeneous chains are fine):
+    each device's prefix is one ``cumsum`` of its plan's latencies and
+    each cut's transfer is priced from the graph's crossing sizes.  Each
+    stage holds its DP stage exactly (ops, compute, outgoing transfer)
+    plus the crossing bytes and the per-device pricing (active power,
+    idle power, session init) a served stage needs.
     """
     link = resolve_link(link)
     scenarios = list(scenarios)
@@ -226,38 +127,19 @@ def lower_pipeline(scenarios: "Sequence[Scenario]", link: NetworkLink | str, *,
     opened = {scenario: _open_side(scenario, runner)
               for scenario in dict.fromkeys(scenarios)}
     sides = [opened[scenario] for scenario in scenarios]
+    schedulable = _chain_schedule([side.graph for side in sides])
+    if len(sides) > len(schedulable):
+        raise ValueError(f"cannot spread {len(schedulable)} ops over "
+                         f"{len(sides)} devices")
     bytes_at = sides[0].graph.table.cut_bytes
-    plan = _pipeline(_chain_schedule([side.graph for side in sides]),
-                     [side.plan for side in sides], bytes_at, link)
-    stages = []
-    consumed = 0
-    last = len(scenarios) - 1
-    for position, (side, stage) in enumerate(zip(sides, plan.stages)):
-        consumed += len(stage.op_names)
-        stages.append(StageSpec(
-            scenario=side.scenario,
-            op_names=stage.op_names,
-            compute_s=stage.compute_s,
-            transfer_s=stage.outgoing_transfer_s,
-            transfer_bytes=0 if position == last else int(bytes_at[consumed]),
-            **side.pricing,
-        ))
-    return Deployment(kind="pipeline", link=link.name, stages=tuple(stages))
-
-
-def as_pipeline_plan(deployment: Deployment) -> PipelinePlan:
-    """Project a pipelined deployment back onto its :class:`PipelinePlan`.
-
-    Inverse of :func:`lower_pipeline`:
-    ``as_pipeline_plan(lower_pipeline(chain, link))`` equals the
-    partitioner's plan exactly (dataclass equality, zero float tolerance).
-    """
-    if deployment.kind != "pipeline":
-        raise ValueError(
-            f"expected a pipeline deployment, got {deployment.kind!r}")
-    return PipelinePlan(stages=tuple(
-        PipelineStage(device_index=position,
-                      op_names=stage.op_names or (),
-                      compute_s=stage.compute_s,
-                      outgoing_transfer_s=stage.transfer_s)
-        for position, stage in enumerate(deployment.stages)))
+    stages = _partition([_prefix_latency(side.plan) for side in sides],
+                        link.transfer_time_s(bytes_at))
+    return Deployment(kind="pipeline", link=link.name, stages=tuple(
+        StageSpec(scenario=side.scenario,
+                  op_names=tuple(schedulable[start:end]),
+                  compute_s=compute_s,
+                  transfer_s=transfer_s,
+                  transfer_bytes=(0 if end == len(schedulable)
+                                  else int(bytes_at[end])),
+                  **side.pricing)
+        for side, (start, end, compute_s, transfer_s) in zip(sides, stages)))

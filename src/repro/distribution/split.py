@@ -1,35 +1,27 @@
-"""Neurosurgeon-style cloud-edge split planning, lowered to Deployments.
+"""Neurosurgeon-style cloud-edge splits, priced as columns and lowered to
+Deployments.
 
 For every cut point: run the prefix on the edge device, ship the crossing
 activations over the link, run the suffix on the remote platform.
 :func:`cut_columns` prices all N + 1 cuts at once, as float64 columns read
 from both sides' execution plans and the edge graph's crossing sizes;
-callers build :class:`SplitPlan` objects only for the cuts they return —
-the latency-optimal one, and the all-edge and all-remote baselines the
-paper's offloading discussion contrasts (Section I: privacy, connectivity
-and timing constraints are what rule the all-remote point out in practice).
-
-Since the :class:`~repro.placement.deployment.Deployment` refactor this
-module is a *lowering rule*: :func:`lower_split` prices a (edge scenario,
-remote scenario, link) triple and emits a servable two-stage Deployment,
-and the scenario-free :class:`SplitPlan`/:class:`SplitPlanner` entry
-points remain as the per-cut projection of those deployments
-(:func:`as_split_plan` recovers the plan from the deployment exactly).
+callers pick cuts on the columns (the latency-optimal one, and the
+all-edge and all-remote baselines the paper's offloading discussion
+contrasts — Section I: privacy, connectivity and timing constraints are
+what rule the all-remote point out in practice) and lower only those:
+:func:`lower_split` prices a (edge scenario, remote scenario, link) triple
+and emits a servable two-stage
+:class:`~repro.placement.deployment.Deployment`.
 """
 
 from __future__ import annotations
 
-import copy
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from repro.distribution.network import NetworkLink, resolve_link
-from repro.distribution.partition import CutPoint
-from repro.engine.executor import InferenceSession
-from repro.frameworks.base import DeployedModel
 from repro.placement.deployment import Deployment, StageSpec
 
 if TYPE_CHECKING:
@@ -43,40 +35,7 @@ if TYPE_CHECKING:
 _BLOCK = 64
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    """One evaluated cut."""
-
-    cut: CutPoint
-    edge_s: float
-    transfer_s: float
-    remote_s: float
-
-    @property
-    def total_s(self) -> float:
-        return self.edge_s + self.transfer_s + self.remote_s
-
-    @property
-    def is_all_edge(self) -> bool:
-        return math.isclose(self.remote_s, 0.0, abs_tol=1e-15) and self.cut.after_op != ""
-
-    def describe(self) -> str:
-        where = f"after {self.cut.after_op!r}" if self.cut.after_op else "at the input"
-        return (
-            f"cut {where}: edge {self.edge_s * 1e3:.1f} ms + link "
-            f"{self.transfer_s * 1e3:.1f} ms + remote {self.remote_s * 1e3:.1f} ms "
-            f"= {self.total_s * 1e3:.1f} ms"
-        )
-
-
 # -- the cut columns ---------------------------------------------------------
-
-def _session_plan(deployed: DeployedModel) -> ExecutionPlan:
-    """The execution plan of a caller-supplied deployment."""
-    # The planners price deployments outside the Runner's scenario
-    # namespace (remote platforms, hand-built chains).
-    return InferenceSession(deployed).plan  # repro: allow[ARCH001]
-
 
 def _prefix_latency(plan: ExecutionPlan) -> np.ndarray:
     """Running sums of a plan's per-op latencies from 0.0, in op order:
@@ -135,22 +94,12 @@ class CutColumns:
 
     @property
     def total_s(self) -> np.ndarray:
-        """Per-cut latency, added in :attr:`SplitPlan.total_s`'s order."""
+        """Per-cut latency, added as ``(edge + transfer) + remote``."""
         return (self.edge_s + self.transfer_s) + self.remote_s
 
     def best_index(self) -> int:
         """The latency-optimal cut; the first among ties, as ``min()``."""
         return int(np.argmin(self.total_s))
-
-    def plan(self, index: int) -> SplitPlan:
-        """The :class:`SplitPlan` at one cut, in Python scalars."""
-        return SplitPlan(
-            cut=CutPoint(index=index,
-                         after_op=self.ops[index - 1].name if index else "",
-                         transfer_bytes=int(self.cut_bytes[index])),
-            edge_s=float(self.edge_s[index]),
-            transfer_s=float(self.transfer_s[index]),
-            remote_s=float(self.remote_s[index]))
 
 
 def cut_columns(edge: ExecutionPlan, remote: ExecutionPlan,
@@ -183,54 +132,6 @@ def _check_one_model(edge: Graph, remote: Graph) -> None:
             f"split requires one model on both sides, got "
             f"{edge.name!r} vs {remote.name!r}"
         )
-
-
-class SplitPlanner:
-    """Evaluates every cut of a model between two deployments.
-
-    Both deployments must come from the SAME source graph so that op names
-    align; the planner times each side with its own engine session and
-    prices the link with the crossing-tensor sizes.
-    """
-
-    def __init__(self, edge: DeployedModel, remote: DeployedModel, link: NetworkLink):
-        _check_one_model(edge.graph, remote.graph)
-        self.edge = edge
-        self.remote = remote
-        self._plans = (_session_plan(edge), _session_plan(remote))
-        self.link = link
-        self.columns = cut_columns(*self._plans, edge.graph.table.cut_bytes, link)
-
-    def with_link(self, link: NetworkLink) -> SplitPlanner:
-        """A planner for the same deployments priced over a different link.
-
-        Shares both sides' plans (the expensive part — two engine sessions
-        per planner); only the cut columns are repriced.
-        """
-        other = copy.copy(self)
-        other.link = link
-        other.columns = cut_columns(*self._plans,
-                                    self.edge.graph.table.cut_bytes, link)
-        return other
-
-    def sweep(self) -> list[SplitPlan]:
-        """Every cut as a :class:`SplitPlan`, input-side first."""
-        columns = self.columns
-        return [columns.plan(index) for index in range(len(columns))]
-
-    def best(self) -> SplitPlan:
-        columns = self.columns
-        return columns.plan(columns.best_index())
-
-    def all_edge(self) -> SplitPlan:
-        return self.columns.plan(len(self.columns) - 1)
-
-    def all_remote(self) -> SplitPlan:
-        return self.columns.plan(0)
-
-    def offload_speedup(self) -> float:
-        """Best split latency improvement over staying fully on the edge."""
-        return self.all_edge().total_s / self.best().total_s
 
 
 # -- lowering to Deployments -------------------------------------------------
@@ -273,18 +174,22 @@ def _split_context(edge: Scenario, remote: Scenario, link: NetworkLink,
 
 def _deployment_from_split(columns: CutColumns, index: int, edge: _Side,
                            remote: _Side, link: NetworkLink) -> Deployment:
-    plan = columns.plan(index)
+    """The cut at ``index`` as a Deployment, its legs in Python scalars."""
+    edge_s = float(columns.edge_s[index])
     if index == len(columns) - 1:
         # All-edge: nothing crosses the link, so this IS a single-node
         # deployment — normalize so the fleet serves it on the legacy path.
-        return Deployment.single(edge.scenario, compute_s=plan.edge_s,
+        return Deployment.single(edge.scenario, compute_s=edge_s,
                                  **edge.pricing)
     names = tuple(op.name for op in columns.ops)
     head = StageSpec(scenario=edge.scenario, op_names=names[:index],
-                     compute_s=plan.edge_s, transfer_s=plan.transfer_s,
-                     transfer_bytes=plan.cut.transfer_bytes, **edge.pricing)
+                     compute_s=edge_s,
+                     transfer_s=float(columns.transfer_s[index]),
+                     transfer_bytes=int(columns.cut_bytes[index]),
+                     **edge.pricing)
     tail = StageSpec(scenario=remote.scenario, op_names=names[index:],
-                     compute_s=plan.remote_s, **remote.pricing)
+                     compute_s=float(columns.remote_s[index]),
+                     **remote.pricing)
     return Deployment(kind="split", link=link.name, stages=(head, tail))
 
 
@@ -294,12 +199,12 @@ def lower_split(edge: Scenario, remote: Scenario, link: NetworkLink | str, *,
     """Lower one (edge scenario, remote scenario, link) split to a Deployment.
 
     With ``cut_index`` (``0 <= cut_index <= N`` for N schedulable ops)
-    the plan at that cut is lowered; otherwise the latency-optimal cut is
-    chosen (exactly :meth:`SplitPlanner.best`).  The all-edge cut
-    normalizes to a single-node deployment; every other cut becomes a
-    two-stage ``"split"`` deployment whose :func:`as_split_plan`
-    projection equals the planner's plan exactly.  Each side is priced
-    with its scenario's runner session.
+    that cut is lowered; otherwise the latency-optimal one
+    (:meth:`CutColumns.best_index`).  The all-edge cut normalizes to a
+    single-node deployment; every other cut becomes a two-stage
+    ``"split"`` deployment whose stages hold its column entries exactly:
+    the edge leg and transfer on the head, the remote leg on the tail.
+    Each side is priced with its scenario's runner session.
     """
     link = resolve_link(link)
     edge_side, remote_side, columns = _split_context(edge, remote, link, runner)
@@ -326,24 +231,3 @@ def split_deployments(edge: Scenario, remote: Scenario,
     edge_side, remote_side, columns = _split_context(edge, remote, link, runner)
     return [_deployment_from_split(columns, index, edge_side, remote_side, link)
             for index in range(len(columns))]
-
-
-def as_split_plan(deployment: Deployment) -> SplitPlan:
-    """Project a two-stage split deployment back onto its :class:`SplitPlan`.
-
-    Inverse of :func:`lower_split` for non-degenerate cuts:
-    ``as_split_plan(lower_split(e, r, link, cut_index=k))`` equals
-    ``SplitPlanner.sweep()[k]`` exactly (dataclass equality, zero float
-    tolerance).  All-edge deployments normalize to single-node and carry no
-    cut anymore, so they cannot be projected.
-    """
-    if deployment.kind != "split" or deployment.num_stages != 2:
-        raise ValueError(
-            f"expected a two-stage split deployment, got {deployment.kind!r} "
-            f"with {deployment.num_stages} stage(s)")
-    head, tail = deployment.stages
-    ops = head.op_names or ()
-    cut = CutPoint(index=len(ops), after_op=ops[-1] if ops else "",
-                   transfer_bytes=head.transfer_bytes)
-    return SplitPlan(cut=cut, edge_s=head.compute_s,
-                     transfer_s=head.transfer_s, remote_s=tail.compute_s)

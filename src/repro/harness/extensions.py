@@ -173,41 +173,39 @@ def ext_cloud_edge_split() -> ResultTable:
     the offloading trade-off the paper's introduction frames (privacy and
     connectivity aside, offloading only wins when the link can carry it).
     """
-    from repro.distribution import SplitPlanner, load_link
+    from repro.distribution import cut_columns, load_link
 
     table = ResultTable(
         "Extension: latency-optimal cloud-edge split (remote = GTX Titan X)",
         ["link", "all_edge_ms", "all_remote_ms", "best_ms", "best_cut", "decision"],
     )
-    remote_device = load_device("GTX Titan X")
     for model_name, edge_name, edge_framework in (
         ("VGG16", "Raspberry Pi 3B", "PyTorch"),
         ("MobileNet-v2", "Jetson TX2", "PyTorch"),
         ("ResNet-50", "Jetson TX2", "PyTorch"),
     ):
-        graph = cached_graph(model_name)
-        edge = load_framework(edge_framework).deploy(graph, load_device(edge_name))
-        remote = load_framework("PyTorch").deploy(graph, remote_device)
-        base = SplitPlanner(edge, remote, load_link("ethernet"))
+        edge = _RUNNER.session(Scenario(model_name, edge_name, edge_framework))
+        remote = _RUNNER.session(Scenario(model_name, "GTX Titan X", "PyTorch"))
         for link_name in ("ethernet", "wifi", "bluetooth"):
-            # Reprice the shared per-op timings per link instead of
-            # rebuilding two engine sessions each time.
-            planner = (base if link_name == "ethernet"
-                       else base.with_link(load_link(link_name)))
-            best = planner.best()
-            if best.cut.index == 0:
+            # Reprice both sessions' plans per link: only the columns change.
+            columns = cut_columns(edge.plan, remote.plan,
+                                  edge.deployed.graph.table.cut_bytes,
+                                  load_link(link_name))
+            total_s = columns.total_s.tolist()
+            best = columns.best_index()
+            if best == 0:
                 decision = "offload all"
-            elif best.is_all_edge:
+            elif best == len(columns) - 1:
                 decision = "stay local"
             else:
                 decision = "split"
             table.add_row(
                 f"{model_name} @ {edge_name} / {link_name}",
                 link=link_name,
-                all_edge_ms=planner.all_edge().total_s * 1e3,
-                all_remote_ms=planner.all_remote().total_s * 1e3,
-                best_ms=best.total_s * 1e3,
-                best_cut=best.cut.after_op or "(input)",
+                all_edge_ms=total_s[-1] * 1e3,
+                all_remote_ms=total_s[0] * 1e3,
+                best_ms=total_s[best] * 1e3,
+                best_cut=columns.ops[best - 1].name if best else "(input)",
                 decision=decision,
             )
     return table
@@ -216,7 +214,7 @@ def ext_cloud_edge_split() -> ResultTable:
 def ext_collaborative_pipeline() -> ResultTable:
     """Model-parallel pipelining across Raspberry Pis (the authors' own
     collaborative-IoT research line, built on this engine)."""
-    from repro.distribution import load_link, partition_pipeline
+    from repro.distribution import lower_pipeline
 
     table = ResultTable(
         "Extension: TinyYolo pipelined across Raspberry Pis (WiFi)",
@@ -224,18 +222,26 @@ def ext_collaborative_pipeline() -> ResultTable:
         caption="Throughput scales until one indivisible convolution becomes "
         "the bottleneck stage.",
     )
-    deployed = load_framework("TensorFlow").deploy(
-        cached_graph("TinyYolo"), load_device("Raspberry Pi 3B"))
-    link = load_link("wifi")
-    baseline = partition_pipeline(deployed, 1, link).throughput_fps
+    scenario = Scenario("TinyYolo", "Raspberry Pi 3B", "TensorFlow")
+    # One device runs every op in sequence and ships nothing: the running
+    # sum of its plan's per-op latencies, as the pipeline DP prices a stage.
+    whole_s = float(np.cumsum(_RUNNER.session(scenario).plan.op_latency_s)[-1])
+    baseline_fps = 1.0 / whole_s
     for num_devices in (1, 2, 3, 4, 6, 8):
-        plan = partition_pipeline(deployed, num_devices, link)
+        if num_devices == 1:
+            bottleneck_s = latency_s = whole_s
+        else:
+            deployment = lower_pipeline([scenario] * num_devices, "wifi",
+                                        runner=_RUNNER)
+            bottleneck_s = deployment.bottleneck_s
+            latency_s = deployment.latency_s
+        throughput_fps = 1.0 / bottleneck_s
         table.add_row(
             f"{num_devices} device(s)",
-            throughput_fps=plan.throughput_fps,
-            speedup=plan.throughput_fps / baseline,
-            bottleneck_ms=plan.bottleneck_s * 1e3,
-            end_to_end_ms=plan.pipeline_latency_s * 1e3,
+            throughput_fps=throughput_fps,
+            speedup=throughput_fps / baseline_fps,
+            bottleneck_ms=bottleneck_s * 1e3,
+            end_to_end_ms=latency_s * 1e3,
         )
     return table
 

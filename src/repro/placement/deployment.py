@@ -1,14 +1,10 @@
 """Deployment: the one type every serving layer speaks.
 
-Before this package, the repo had three disjoint notions of "where a model
-runs": a :class:`~repro.runtime.scenario.Scenario` served on one node, a
-:class:`~repro.distribution.split.SplitPlan` across a link, and a
-:class:`~repro.distribution.pipeline.PipelinePlan` across a chain of
-stages — and only the first could be priced and served by the fleet.  A
-:class:`Deployment` subsumes all three: an ordered tuple of
-:class:`StageSpec` stages, each a contiguous slice of the model's
-schedulable ops on one scenario, with the outgoing transfer cost of the
-cut that follows it.
+A model runs on one node (a :class:`~repro.runtime.scenario.Scenario`),
+split across a link, or pipelined across a chain of devices; a
+:class:`Deployment` is all three: an ordered tuple of :class:`StageSpec`
+stages, each a contiguous slice of the model's schedulable ops on one
+scenario, with the outgoing transfer cost of the cut that follows it.
 
 The lowering rules in :mod:`repro.distribution.split` and
 :mod:`repro.distribution.pipeline` emit Deployments; the placement
@@ -19,9 +15,9 @@ chained stage queues.  Single-stage Deployments degrade to the plain
 scenario path, bit-identical to the pre-Deployment fleet.
 
 A stage's *service* time is ``compute_s + transfer_s`` — the sender owns
-its egress, exactly the ``PipelineStage.stage_s`` convention — so a
-Deployment's end-to-end latency is the sum of stage services and its
-steady-state throughput is set by the slowest stage.
+its egress, as the pipeline DP prices a stage — so a Deployment's
+end-to-end latency is the sum of stage services and its steady-state
+throughput is set by the slowest stage.
 """
 
 from __future__ import annotations

@@ -27,11 +27,11 @@ first three).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from repro.analysis.pareto import frontier_indices
+from repro.core.quantity import check_bounds
 from repro.placement.cost import device_price_usd
 from repro.placement.deployment import Deployment
 from repro.runtime.runner import (
@@ -60,12 +60,7 @@ class SLO:
     max_energy_j: float | None = None
 
     def __post_init__(self) -> None:
-        # A NaN bound compares False against everything: it would pass all.
-        for name, bound in self.to_dict().items():
-            if bound is not None and not (isinstance(bound, (int, float))
-                                          and math.isfinite(bound) and bound > 0):
-                raise ValueError(
-                    f"SLO {name} must be a finite number > 0, got {bound!r}")
+        check_bounds("SLO", self.to_dict())
 
     def check(self, deployment: Deployment) -> tuple[bool, str]:
         """(feasible, reason) for one deployment."""

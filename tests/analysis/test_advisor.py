@@ -26,6 +26,13 @@ class TestRequirements:
         ok, reason = Requirements(energy_budget_j=0.05).check(0.01, 1.0, 0.06)
         assert not ok and "mJ/inference" in reason
 
+    @pytest.mark.parametrize("field", ["deadline_s", "power_budget_w",
+                                       "energy_budget_j"])
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bounds_must_be_finite_and_positive(self, field, bound):
+        with pytest.raises(ValueError, match=f"{field} must be a finite"):
+            Requirements(**{field: bound})
+
 
 class TestRecommendations:
     @pytest.fixture(scope="class")

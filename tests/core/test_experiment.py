@@ -1,8 +1,6 @@
-"""Experiment runner mechanics."""
+"""Experiment mechanics."""
 
-import pytest
-
-from repro.core.experiment import Experiment, ExperimentRunner
+from repro.core.experiment import Experiment
 from repro.core.registry import Registry
 from repro.core.result import ResultTable
 
@@ -30,26 +28,3 @@ class TestExperiment:
         assert table.title == "A"
         assert table.row("only")["v"] == 1
 
-
-class TestExperimentRunner:
-    def test_run_records_result(self):
-        runner = ExperimentRunner(_make_registry())
-        result = runner.run("expA")
-        assert result.experiment.experiment_id == "expA"
-        assert result.wall_time_s >= 0
-        assert runner.results == [result]
-
-    def test_run_many_preserves_order(self):
-        runner = ExperimentRunner(_make_registry())
-        results = runner.run_many(["expB", "expA"])
-        assert [r.experiment.experiment_id for r in results] == ["expB", "expA"]
-
-    def test_run_all_covers_registry(self):
-        runner = ExperimentRunner(_make_registry())
-        results = runner.run_all()
-        assert {r.experiment.experiment_id for r in results} == {"expA", "expB"}
-
-    def test_unknown_experiment_raises(self):
-        runner = ExperimentRunner(_make_registry())
-        with pytest.raises(KeyError):
-            runner.run("expC")

@@ -8,14 +8,22 @@ exactly.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.distribution.network import NetworkLink
 from repro.distribution.partition import CutPoint, cut_points
-from repro.distribution.split import SplitPlan
 from repro.engine.executor import InferenceSession
 from repro.frameworks.base import DeployedModel
 from repro.graphs import ops as O
 from repro.graphs.graph import Graph
+from repro.placement import Deployment
 from tests.graphs.reference import reference_schedulable
+
+
+def stage_fields(deployment: Deployment) -> list[tuple]:
+    """Each stage's (ops, compute_s, transfer_s, transfer_bytes)."""
+    return [(stage.op_names, stage.compute_s, stage.transfer_s,
+             stage.transfer_bytes) for stage in deployment.stages]
 
 
 def reference_per_op_times(deployed: DeployedModel) -> dict[str, float]:
@@ -27,11 +35,59 @@ def reference_per_op_times(deployed: DeployedModel) -> dict[str, float]:
     return times
 
 
-def reference_split_sweep(edge: DeployedModel, remote: DeployedModel,
-                          link: NetworkLink) -> list[SplitPlan]:
-    """Every cut priced one at a time, input-side first: a running edge
-    prefix and one ``sum()`` per remote suffix, each op looked up by name
-    (ops the remote side fused away cost 0.0 there)."""
+class ReferenceSweep(NamedTuple):
+    """Every cut of one split over one link, input-side first."""
+
+    cuts: list[CutPoint]
+    edge_s: list[float]
+    transfer_s: list[float]
+    remote_s: list[float]
+
+    @property
+    def total_s(self) -> list[float]:
+        """Per-cut latency, added as ``(edge + transfer) + remote``."""
+        return [edge + transfer + remote for edge, transfer, remote
+                in zip(self.edge_s, self.transfer_s, self.remote_s)]
+
+    def best_index(self) -> int:
+        """The first cut of least total latency, as ``min()`` picks it."""
+        total_s = self.total_s
+        return min(range(len(total_s)), key=total_s.__getitem__)
+
+    def split_stages(self, index: int) -> list[tuple]:
+        """:func:`stage_fields` of the two-stage split lowered at cut
+        ``index``: the edge leg and the transfer on the head, the remote
+        leg on the tail."""
+        names = tuple(cut.after_op for cut in self.cuts[1:])
+        return [(names[:index], self.edge_s[index], self.transfer_s[index],
+                 self.cuts[index].transfer_bytes),
+                (names[index:], self.remote_s[index], 0.0, 0)]
+
+
+class ReferenceSplit(NamedTuple):
+    """The link-independent legs of every cut of one split."""
+
+    cuts: list[CutPoint]
+    edge_s: list[float]
+    remote_s: list[float]
+
+    def over(self, link: NetworkLink) -> ReferenceSweep:
+        """Every cut over ``link``: only the transfer leg is priced here,
+        one cut at a time."""
+        count = len(self.cuts) - 1
+        transfer_s = [
+            # Fully local: the result still returns to the caller on-device.
+            0.0 if count == 0 or cut.index == count
+            else link.transfer_time_s(cut.transfer_bytes)
+            for cut in self.cuts]
+        return ReferenceSweep(self.cuts, self.edge_s, transfer_s, self.remote_s)
+
+
+def reference_split_legs(edge: DeployedModel,
+                         remote: DeployedModel) -> ReferenceSplit:
+    """Every cut's edge and remote legs priced one at a time: a running
+    edge prefix and one ``sum()`` per remote suffix, each op looked up by
+    name (ops the remote side fused away cost 0.0 there)."""
     edge_times = reference_per_op_times(edge)
     remote_times = reference_per_op_times(remote)
     schedulable = [op.name for op in edge.graph.schedulable_ops()]
@@ -43,21 +99,22 @@ def reference_split_sweep(edge: DeployedModel, remote: DeployedModel,
     for value in edge_values:
         acc += value
         edge_prefix.append(acc)
-    plans = []
-    for cut in cut_points(edge.graph):
+    cuts = cut_points(edge.graph)
+    edge_s, remote_s = [], []
+    for cut in cuts:
         index = cut.index
-        if count == 0 or index == count:
-            # Fully local: the result still returns to the caller on-device.
-            transfer = 0.0
-        else:
-            transfer = link.transfer_time_s(cut.transfer_bytes)
-        edge_s = (0.0 if index == 0
-                  else edge_prefix[index] + edge_times["__session__"])
-        remote_s = (0.0 if index == count
-                    else sum(remote_values[index:]) + remote_times["__session__"])
-        plans.append(SplitPlan(
-            cut=cut, edge_s=edge_s, transfer_s=transfer, remote_s=remote_s))
-    return plans
+        edge_s.append(0.0 if index == 0
+                      else edge_prefix[index] + edge_times["__session__"])
+        remote_s.append(0.0 if index == count
+                        else sum(remote_values[index:])
+                        + remote_times["__session__"])
+    return ReferenceSplit(cuts, edge_s, remote_s)
+
+
+def reference_split_sweep(edge: DeployedModel, remote: DeployedModel,
+                          link: NetworkLink) -> ReferenceSweep:
+    """Every cut of one split over ``link``, priced one at a time."""
+    return reference_split_legs(edge, remote).over(link)
 
 
 def reference_prefix_compute(deployed: DeployedModel,
@@ -143,3 +200,26 @@ def reference_boundaries(prefixes: list[list[float]],
         boundaries.append(choice[d][boundaries[-1]])
     boundaries.reverse()
     return boundaries
+
+
+def reference_pipeline(deployments: list[DeployedModel],
+                       link: NetworkLink) -> list[tuple]:
+    """:func:`stage_fields` of the pipeline the scalar DP picks over the
+    ordered ``deployments``: each stage's ops, its device's prefix
+    difference, and the transfer and crossing bytes of the cut after it
+    (none after the last stage)."""
+    schedulable = [op.name for op in deployments[0].graph.schedulable_ops()]
+    prefixes = [reference_prefix_compute(deployed, schedulable)
+                for deployed in deployments]
+    cuts = cut_points(deployments[0].graph)
+    transfer_at = [link.transfer_time_s(cut.transfer_bytes) for cut in cuts]
+    boundaries = reference_boundaries(prefixes, transfer_at)
+    last = len(deployments) - 1
+    stages = []
+    for d, prefix in enumerate(prefixes):
+        start, end = boundaries[d], boundaries[d + 1]
+        stages.append((tuple(schedulable[start:end]),
+                       prefix[end] - prefix[start],
+                       0.0 if d == last else transfer_at[end],
+                       0 if d == last else cuts[end].transfer_bytes))
+    return stages

@@ -16,18 +16,14 @@ import repro.distribution.pipeline as pipeline_module
 import repro.distribution.split as split_module
 from repro.distribution import (
     LINK_PRESETS,
-    SplitPlanner,
-    as_pipeline_plan,
-    as_split_plan,
     cut_points,
     load_link,
     lower_pipeline,
     lower_split,
-    partition_pipeline,
-    partition_pipeline_heterogeneous,
     split_deployments,
 )
 from repro.distribution.split import _suffix_sums, cut_columns
+from repro.engine import InferenceSession
 from repro.engine.cache import clear_caches
 from repro.frameworks import load_framework
 from repro.graphs import GraphBuilder
@@ -36,9 +32,11 @@ from repro.models import list_models, load_model
 from repro.placement import search_placements
 from repro.runtime import Runner, Scenario, default_runner
 from tests.distribution.reference import (
-    reference_boundaries,
+    reference_pipeline,
     reference_prefix_compute,
+    reference_split_legs,
     reference_split_sweep,
+    stage_fields,
 )
 
 REMOTE_DEVICES = ("GTX Titan X",)
@@ -46,15 +44,21 @@ REMOTE_DEVICES = ("GTX Titan X",)
 
 def _assert_matches_sweep(columns, reference) -> None:
     """Three columns, crossing sizes and totals equal the scalar sweep."""
-    assert len(columns) == len(reference)
-    assert columns.edge_s.tolist() == [plan.edge_s for plan in reference]
-    assert columns.transfer_s.tolist() == [plan.transfer_s for plan in reference]
-    assert columns.remote_s.tolist() == [plan.remote_s for plan in reference]
-    assert columns.cut_bytes.tolist() == [plan.cut.transfer_bytes
-                                          for plan in reference]
-    assert columns.total_s.tolist() == [plan.total_s for plan in reference]
-    best = min(range(len(reference)), key=lambda i: reference[i].total_s)
-    assert columns.best_index() == best
+    assert len(columns) == len(reference.cuts)
+    assert columns.edge_s.tolist() == reference.edge_s
+    assert columns.transfer_s.tolist() == reference.transfer_s
+    assert columns.remote_s.tolist() == reference.remote_s
+    assert columns.cut_bytes.tolist() == [cut.transfer_bytes
+                                          for cut in reference.cuts]
+    assert columns.total_s.tolist() == reference.total_s
+    assert columns.best_index() == reference.best_index()
+
+
+def _plan_columns(edge, remote, link):
+    """The cut columns of two deployments of one graph, each priced by
+    its own engine session (synthetic graphs have no scenario)."""
+    return cut_columns(InferenceSession(edge).plan, InferenceSession(remote).plan,
+                       edge.graph.table.cut_bytes, link)
 
 
 def _chain(num_ops: int):
@@ -88,13 +92,14 @@ class TestZooPairs:
         assert priced
         runner = default_runner()
         for edge, remote in priced:
-            edge_deployed = runner.session(edge.scenario).deployed
-            remote_deployed = runner.session(remote.scenario).deployed
+            # The scalar edge and remote legs do not depend on the link:
+            # price them once per pair, and only the transfer leg per link.
+            legs = reference_split_legs(runner.session(edge.scenario).deployed,
+                                        runner.session(remote.scenario).deployed)
             for link in LINK_PRESETS.values():
                 columns = cut_columns(edge.plan, remote.plan,
                                       edge.graph.table.cut_bytes, link)
-                _assert_matches_sweep(columns, reference_split_sweep(
-                    edge_deployed, remote_deployed, link))
+                _assert_matches_sweep(columns, legs.over(link))
 
 
 class TestEntryPoints:
@@ -110,52 +115,59 @@ class TestEntryPoints:
 
     @pytest.mark.parametrize("link", ["wifi", "bluetooth", "ethernet"])
     def test_planner_sweep_and_with_link(self, link):
+        """One pair of plans repriced per link, as ext-split does: every
+        cut equals the scalar sweep over ``link``, and so do the best cut
+        and both endpoints; the link moves the transfer leg only."""
         graph = load_model("ResNet-50")
         edge = load_framework("PyTorch").deploy(graph, load_device("Jetson TX2"))
         remote = load_framework("TensorRT").deploy(graph,
                                                    load_device("GTX Titan X"))
         reference = reference_split_sweep(edge, remote, load_link(link))
-        planner = SplitPlanner(edge, remote, load_link(link))
-        assert planner.sweep() == reference
-        relinked = SplitPlanner(edge, remote, load_link("lte")).with_link(
-            load_link(link))
-        assert relinked.sweep() == reference
-        best = min(reference, key=lambda plan: plan.total_s)
-        assert planner.best() == best
-        assert planner.all_edge() == reference[-1]
-        assert planner.all_remote() == reference[0]
+        plans = InferenceSession(edge).plan, InferenceSession(remote).plan
+        cut_bytes = edge.graph.table.cut_bytes
+        lte = cut_columns(*plans, cut_bytes, load_link("lte"))
+        relinked = cut_columns(*plans, cut_bytes, load_link(link))
+        _assert_matches_sweep(relinked, reference)
+        assert lte.edge_s.tolist() == relinked.edge_s.tolist()
+        assert lte.remote_s.tolist() == relinked.remote_s.tolist()
+        assert lte.transfer_s.tolist() != relinked.transfer_s.tolist()
+        best = reference.best_index()
+        assert relinked.total_s[best] == min(reference.total_s)
+        assert relinked.total_s[-1] == reference.total_s[-1]  # all edge
+        assert relinked.total_s[0] == reference.total_s[0]  # all remote
 
     def test_plans_hold_python_scalars(self):
-        plan = SplitPlanner(
-            *(load_framework("PyTorch").deploy(load_model("ResNet-18"),
-                                               load_device(device))
-              for device in ("Jetson TX2", "GTX Titan X")),
-            load_link("wifi")).best()
-        assert type(plan.cut.transfer_bytes) is int
-        assert all(type(value) is float
-                   for value in (plan.edge_s, plan.transfer_s, plan.remote_s))
+        """Every lowered cut's stages carry Python numbers, not NumPy
+        scalars, the all-edge single node included."""
+        for deployment in split_deployments(
+                Scenario("ResNet-18", "Jetson TX2", "PyTorch"),
+                Scenario("ResNet-18", "GTX Titan X", "PyTorch"), "wifi"):
+            for stage in deployment.stages:
+                assert type(stage.transfer_bytes) is int
+                assert type(stage.compute_s) is float
+                assert type(stage.transfer_s) is float
 
     def test_split_deployments_lower_every_cut(self, reference):
         lowered = split_deployments(self.EDGE, self.REMOTE, "wifi")
-        assert len(lowered) == len(reference)
-        for deployment, plan in zip(lowered[:-1], reference):
-            assert as_split_plan(deployment) == plan
+        assert len(lowered) == len(reference.cuts)
+        for index, deployment in enumerate(lowered[:-1]):
+            assert stage_fields(deployment) == reference.split_stages(index)
         all_edge = lowered[-1]
         assert all_edge.kind == "single"
-        assert all_edge.stages[0].compute_s == reference[-1].edge_s
+        assert all_edge.stages[0].compute_s == reference.edge_s[-1]
 
     def test_lower_split_at_the_input_the_best_cut_and_all_edge(self, reference):
-        best = min(range(len(reference)), key=lambda i: reference[i].total_s)
-        assert 0 < best < len(reference) - 1  # an interior optimum
+        best = reference.best_index()
+        assert 0 < best < len(reference.cuts) - 1  # an interior optimum
         for cut_index in (0, best):
             deployment = lower_split(self.EDGE, self.REMOTE, "wifi",
                                      cut_index=cut_index)
-            assert as_split_plan(deployment) == reference[cut_index]
+            assert stage_fields(deployment) == reference.split_stages(cut_index)
         assert lower_split(self.EDGE, self.REMOTE, "wifi") == lower_split(
             self.EDGE, self.REMOTE, "wifi", cut_index=best)
         all_edge = lower_split(self.EDGE, self.REMOTE, "wifi",
-                               cut_index=len(reference) - 1)
-        assert all_edge.latency_s == reference[-1].total_s
+                               cut_index=len(reference.cuts) - 1)
+        assert all_edge.latency_s == reference.total_s[-1]
 
     def test_negative_payload_still_rejected(self):
         with pytest.raises(ValueError, match="negative payload"):
@@ -174,7 +186,7 @@ class TestSuffixBlocks:
         assert len(edge.graph.schedulable_ops()) == num_ops
         assert len(remote.graph.schedulable_ops()) == (num_ops + 1) // 2
         link = load_link("wifi")
-        columns = SplitPlanner(edge, remote, link).columns
+        columns = _plan_columns(edge, remote, link)
         _assert_matches_sweep(columns, reference_split_sweep(edge, remote, link))
         remote_s = columns.remote_s
         for k in range(1, num_ops - 1, 2):  # op k is a relu
@@ -190,47 +202,36 @@ class TestSuffixBlocks:
                                                  for k in range(count)]
 
 
-def _pipeline_reference(deployments, link):
-    """(boundaries, prefixes, transfer_at) of the scalar pipeline DP."""
-    schedulable = [op.name for op in deployments[0].graph.schedulable_ops()]
-    prefixes = [reference_prefix_compute(deployed, schedulable)
-                for deployed in deployments]
-    transfer_at = [link.transfer_time_s(cut.transfer_bytes)
-                   for cut in cut_points(deployments[0].graph)]
-    return reference_boundaries(prefixes, transfer_at), prefixes, transfer_at
-
-
-def _assert_matches_dp(plan, deployments, link) -> None:
-    boundaries, prefixes, transfer_at = _pipeline_reference(deployments, link)
-    last = len(deployments) - 1
-    consumed = [0]
-    for d, stage in enumerate(plan.stages):
-        consumed.append(consumed[-1] + len(stage.op_names))
-        start, end = boundaries[d], boundaries[d + 1]
-        assert stage.compute_s == prefixes[d][end] - prefixes[d][start]
-        assert stage.outgoing_transfer_s == (0.0 if d == last
-                                             else transfer_at[end])
-    assert consumed == boundaries
-
-
 class TestPipelines:
     @pytest.mark.parametrize("model", ["MobileNet-v2", "ResNet-50", "TinyYolo"])
     @pytest.mark.parametrize("num_devices", [1, 2, 3])
     def test_partition_pipeline(self, model, num_devices):
-        deployed = load_framework("PyTorch").deploy(
-            load_model(model), load_device("Raspberry Pi 3B"))
+        """``num_devices`` Raspberry Pis: the chain's stages are the scalar
+        DP's; one device's whole-model time (ext-pipeline's one-device
+        row) is the plan's per-op latencies summed in sequence."""
+        scenario = Scenario(model, "Raspberry Pi 3B", "PyTorch")
+        runner = default_runner()
+        session = runner.session(scenario)
+        deployed = session.deployed
         link = load_link("wifi")
-        plan = partition_pipeline(deployed, num_devices, link)
-        _assert_matches_dp(plan, [deployed] * num_devices, link)
+        if num_devices == 1:
+            schedulable = [op.name for op in deployed.graph.schedulable_ops()]
+            whole_s = np.cumsum(session.plan.op_latency_s)[-1]
+            assert whole_s == reference_prefix_compute(deployed, schedulable)[-1]
+        else:
+            deployment = lower_pipeline([scenario] * num_devices, link,
+                                        runner=runner)
+            assert stage_fields(deployment) == reference_pipeline(
+                [deployed] * num_devices, link)
 
     def test_partition_pipeline_heterogeneous(self):
-        graph = load_model("ResNet-18")
-        deployments = [load_framework("PyTorch").deploy(graph, load_device(name))
-                       for name in ("Raspberry Pi 3B", "Jetson Nano",
-                                    "Jetson TX2")]
+        chain = [Scenario("ResNet-18", device, "PyTorch")
+                 for device in ("Raspberry Pi 3B", "Jetson Nano", "Jetson TX2")]
+        runner = default_runner()
         link = load_link("lan")
-        plan = partition_pipeline_heterogeneous(deployments, link)
-        _assert_matches_dp(plan, deployments, link)
+        deployment = lower_pipeline(chain, link, runner=runner)
+        assert stage_fields(deployment) == reference_pipeline(
+            [runner.session(s).deployed for s in chain], link)
 
     @pytest.mark.parametrize("devices", [
         ("Jetson Nano", "Jetson Nano"),
@@ -243,13 +244,12 @@ class TestPipelines:
         link = load_link("wifi")
         deployment = lower_pipeline(chain, link, runner=runner)
         deployments = [runner.session(s).deployed for s in chain]
-        _assert_matches_dp(as_pipeline_plan(deployment), deployments, link)
-        cuts = cut_points(deployments[0].graph)
-        consumed = 0
-        for stage in deployment.stages[:-1]:
-            consumed += len(stage.op_names)
-            assert stage.transfer_bytes == cuts[consumed].transfer_bytes
+        assert stage_fields(deployment) == reference_pipeline(deployments,
+                                                              link)
+        for stage in deployment.stages:
             assert type(stage.transfer_bytes) is int
+            assert type(stage.compute_s) is float
+            assert type(stage.transfer_s) is float
 
 
 class TestSearchCounts:

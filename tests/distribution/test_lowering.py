@@ -1,8 +1,10 @@
-"""Lowering rules: split/pipeline plans and Deployments agree exactly.
+"""Lowering rules: split/pipeline Deployments hold the scalar oracles'
+numbers exactly.
 
-The legacy planners are the ground truth; the lowered Deployments must
-project back onto them by dataclass equality at ZERO float tolerance —
-that exactness is what lets the fleet serve what the planners price.
+The per-cut sweep and the pipeline DP of ``tests/distribution/reference.py``
+are the ground truth; every lowered stage must equal them at ZERO float
+tolerance — that exactness is what lets the fleet serve what the columns
+and the DP price.
 """
 
 from dataclasses import replace
@@ -10,17 +12,18 @@ from dataclasses import replace
 import pytest
 
 from repro.distribution import (
-    SplitPlanner,
-    as_pipeline_plan,
-    as_split_plan,
     load_link,
     lower_pipeline,
     lower_split,
-    partition_pipeline_heterogeneous,
     split_deployments,
 )
 from repro.placement import Deployment
 from repro.runtime import Scenario, default_runner
+from tests.distribution.reference import (
+    reference_pipeline,
+    reference_split_sweep,
+    stage_fields,
+)
 
 EDGE = Scenario("MobileNet-v2", "Raspberry Pi 3B", "TFLite")
 REMOTE = Scenario("MobileNet-v2", "GTX Titan X", "PyTorch")
@@ -32,38 +35,37 @@ def runner():
 
 
 @pytest.fixture(scope="module")
-def reference_plans(runner):
-    planner = SplitPlanner(runner.session(EDGE).deployed,
-                           runner.session(REMOTE).deployed, load_link("wifi"))
-    return planner.sweep()
+def reference(runner):
+    return reference_split_sweep(runner.session(EDGE).deployed,
+                                 runner.session(REMOTE).deployed,
+                                 load_link("wifi"))
 
 
 class TestSplitLowering:
-    def test_every_cut_projects_back_exactly(self, runner, reference_plans):
-        """All cuts, zero tolerance: the deployment IS the plan."""
+    def test_every_cut_projects_back_exactly(self, runner, reference):
+        """All cuts, zero tolerance: each stage holds the cut's legs."""
         lowered = split_deployments(EDGE, REMOTE, "wifi", runner=runner)
-        assert len(lowered) == len(reference_plans)
+        assert len(lowered) == len(reference.cuts)
         for cut_index, deployment in enumerate(lowered[:-1]):
-            assert as_split_plan(deployment) == reference_plans[cut_index]
+            assert stage_fields(deployment) == reference.split_stages(cut_index)
 
-    def test_default_cut_is_the_latency_optimal_one(self, runner,
-                                                    reference_plans):
+    def test_default_cut_is_the_latency_optimal_one(self, runner, reference):
         deployment = lower_split(EDGE, REMOTE, "wifi", runner=runner)
-        best = min(reference_plans, key=lambda plan: plan.total_s)
+        best = reference.best_index()
         if deployment.kind == "split":
-            assert as_split_plan(deployment) == best
+            assert stage_fields(deployment) == reference.split_stages(best)
         else:  # all-edge optimum normalizes to a single-node deployment
-            assert best.cut.index == len(reference_plans) - 1
+            assert best == len(reference.cuts) - 1
 
-    def test_all_edge_cut_normalizes_to_single_node(self, runner,
-                                                    reference_plans):
+    def test_all_edge_cut_normalizes_to_single_node(self, runner, reference):
         all_edge = lower_split(EDGE, REMOTE, "wifi",
-                               cut_index=len(reference_plans) - 1,
+                               cut_index=len(reference.cuts) - 1,
                                runner=runner)
         assert all_edge.kind == "single"
         assert all_edge.devices == ("Raspberry Pi 3B",)
-        with pytest.raises(ValueError, match="two-stage split"):
-            as_split_plan(all_edge)
+        assert all_edge.stages[0].op_names is None
+        assert all_edge.link is None
+        assert all_edge.latency_s == reference.total_s[-1]
 
     def test_all_remote_cut_ships_the_input(self, runner):
         all_remote = lower_split(EDGE, REMOTE, "wifi", cut_index=0,
@@ -84,10 +86,9 @@ class TestSplitLowering:
 
     @pytest.mark.parametrize("which", ["minus-one", "minus-count",
                                        "past-end"])
-    def test_out_of_range_cut_index_rejected(self, runner, reference_plans,
-                                             which):
+    def test_out_of_range_cut_index_rejected(self, runner, reference, which):
         """Cuts run 0..N; negative indices must not alias from the end."""
-        count = len(reference_plans)  # N + 1 cuts for N schedulable ops
+        count = len(reference.cuts)  # N + 1 cuts for N schedulable ops
         cut_index = {"minus-one": -1, "minus-count": -count,
                      "past-end": count}[which]
         with pytest.raises(ValueError, match=rf"\[0, {count - 1}\]"):
@@ -99,7 +100,7 @@ class TestSplitLowering:
                                  runner=runner)
         clone = Deployment.from_dict(deployment.to_dict())
         assert clone == deployment
-        assert as_split_plan(clone) == as_split_plan(deployment)
+        assert stage_fields(clone) == stage_fields(deployment)
 
 
 class TestPipelineLowering:
@@ -108,10 +109,8 @@ class TestPipelineLowering:
 
     def test_projection_equals_the_partitioner_exactly(self, runner):
         deployment = lower_pipeline(self.CHAIN, "lan", runner=runner)
-        reference = partition_pipeline_heterogeneous(
-            [runner.session(s).deployed for s in self.CHAIN],
-            load_link("lan"))
-        assert as_pipeline_plan(deployment) == reference
+        assert stage_fields(deployment) == reference_pipeline(
+            [runner.session(s).deployed for s in self.CHAIN], load_link("lan"))
 
     def test_heterogeneous_chain_lowerable(self, runner):
         chain = (Scenario("MobileNet-v2", "Jetson Nano", "PyTorch"),
@@ -119,9 +118,8 @@ class TestPipelineLowering:
         deployment = lower_pipeline(chain, "wifi", runner=runner)
         assert deployment.kind == "pipeline"
         assert deployment.devices == ("Jetson Nano", "Jetson TX2")
-        reference = partition_pipeline_heterogeneous(
+        assert stage_fields(deployment) == reference_pipeline(
             [runner.session(s).deployed for s in chain], load_link("wifi"))
-        assert as_pipeline_plan(deployment) == reference
 
     def test_repeated_scenarios_open_one_session(self, runner, monkeypatch):
         from repro.engine import InferenceSession, cache
@@ -140,9 +138,8 @@ class TestPipelineLowering:
         assert len(opened) == 1
         monkeypatch.undo()
         assert deployment.devices == (scenario.device,) * 3
-        reference = partition_pipeline_heterogeneous(
+        assert stage_fields(deployment) == reference_pipeline(
             [runner.session(scenario).deployed] * 3, load_link("lan"))
-        assert as_pipeline_plan(deployment) == reference
         assert deployment == lower_pipeline(
             [scenario, replace(scenario), replace(scenario)], "lan",
             runner=runner)
@@ -156,8 +153,9 @@ class TestPipelineLowering:
         with pytest.raises(ValueError, match="at least two"):
             lower_pipeline(self.CHAIN[:1], "lan", runner=runner)
 
-    def test_as_pipeline_plan_rejects_other_kinds(self, runner):
-        deployment = lower_split(EDGE, REMOTE, "wifi", cut_index=0,
-                                 runner=runner)
-        with pytest.raises(ValueError, match="pipeline deployment"):
-            as_pipeline_plan(deployment)
+    def test_lowered_pipeline_survives_json(self, runner):
+        deployment = lower_pipeline([self.CHAIN[0]] * 3, "lan", runner=runner)
+        clone = Deployment.from_dict(deployment.to_dict())
+        assert clone == deployment
+        assert clone.kind == "pipeline" and clone.link == "lan"
+        assert stage_fields(clone) == stage_fields(deployment)

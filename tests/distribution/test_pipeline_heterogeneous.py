@@ -2,85 +2,81 @@
 
 import pytest
 
-from repro.distribution import (
-    load_link,
-    partition_pipeline,
-    partition_pipeline_heterogeneous,
-)
-from repro.frameworks import load_framework
-from repro.hardware import load_device
-from repro.models import load_model
+from repro.distribution import load_link, lower_pipeline
+from repro.runtime import Scenario, default_runner
+from tests.distribution.reference import stage_fields
 
 
-def _deploy(device_name: str, framework_name: str = "TensorFlow",
-            model: str = "TinyYolo"):
-    return load_framework(framework_name).deploy(load_model(model),
-                                                 load_device(device_name))
+def _scenario(device_name: str, framework_name: str = "TensorFlow",
+              model: str = "TinyYolo") -> Scenario:
+    return Scenario(model, device_name, framework_name)
+
+
+def _pipeline(chain, link):
+    return lower_pipeline(chain, link, runner=default_runner())
 
 
 class TestHeterogeneous:
     def test_matches_homogeneous_for_identical_devices(self):
+        """Positions spelled apart open a session each; on identical
+        devices they partition exactly as one shared session does."""
         link = load_link("wifi")
-        homogeneous = partition_pipeline(_deploy("Raspberry Pi 3B"), 3, link)
-        hetero = partition_pipeline_heterogeneous(
-            [_deploy("Raspberry Pi 3B") for _ in range(3)], link)
-        assert hetero.bottleneck_s == pytest.approx(homogeneous.bottleneck_s)
+        homogeneous = _pipeline([_scenario("Raspberry Pi 3B")] * 3, link)
+        spellings = ("Raspberry Pi 3B", "raspberry pi 3b", "RaspberryPi3B")
+        chain = [_scenario(device) for device in spellings]
+        assert len(set(chain)) == 3
+        hetero = _pipeline(chain, link)
+        assert stage_fields(hetero) == stage_fields(homogeneous)
+        assert hetero.bottleneck_s == homogeneous.bottleneck_s
 
     def test_fast_device_takes_the_heavy_stage(self):
         """RPi + TX2 team: the DP hands the TX2 most of the work."""
-        link = load_link("wifi")
-        rpi = _deploy("Raspberry Pi 3B", "PyTorch")
-        tx2 = _deploy("Jetson TX2", "PyTorch")
-        plan = partition_pipeline_heterogeneous([rpi, tx2], link)
-        rpi_stage, tx2_stage = plan.stages
+        rpi_stage, tx2_stage = _pipeline(
+            [_scenario("Raspberry Pi 3B", "PyTorch"),
+             _scenario("Jetson TX2", "PyTorch")], load_link("wifi")).stages
         assert len(tx2_stage.op_names) > len(rpi_stage.op_names)
 
     def test_adding_a_tx2_beats_adding_an_rpi(self):
         link = load_link("wifi")
-        rpi = _deploy("Raspberry Pi 3B", "PyTorch")
-        tx2 = _deploy("Jetson TX2", "PyTorch")
-        two_rpis = partition_pipeline_heterogeneous(
-            [rpi, _deploy("Raspberry Pi 3B", "PyTorch")], link)
-        rpi_plus_tx2 = partition_pipeline_heterogeneous([rpi, tx2], link)
-        assert rpi_plus_tx2.throughput_fps > two_rpis.throughput_fps
+        rpi = _scenario("Raspberry Pi 3B", "PyTorch")
+        two_rpis = _pipeline([rpi, rpi], link)
+        rpi_plus_tx2 = _pipeline([rpi, _scenario("Jetson TX2", "PyTorch")],
+                                 link)
+        assert rpi_plus_tx2.throughput_rps > two_rpis.throughput_rps
 
     def test_device_order_matters(self):
         """The pipeline is ordered: input arrives at stage 0, so putting
         the slow device late changes which stage pays transfers."""
         link = load_link("bluetooth")
-        rpi_first = partition_pipeline_heterogeneous(
-            [_deploy("Raspberry Pi 3B", "PyTorch"), _deploy("Jetson TX2", "PyTorch")],
-            link)
-        tx2_first = partition_pipeline_heterogeneous(
-            [_deploy("Jetson TX2", "PyTorch"), _deploy("Raspberry Pi 3B", "PyTorch")],
-            link)
+        rpi = _scenario("Raspberry Pi 3B", "PyTorch")
+        tx2 = _scenario("Jetson TX2", "PyTorch")
+        rpi_first = _pipeline([rpi, tx2], link)
+        tx2_first = _pipeline([tx2, rpi], link)
         # Both are valid plans over the same resources; they need not tie.
         assert rpi_first.stages[0].op_names != tx2_first.stages[0].op_names
 
     def test_stage_coverage_contiguous(self):
-        link = load_link("wifi")
-        plan = partition_pipeline_heterogeneous(
-            [_deploy("Raspberry Pi 3B"), _deploy("Jetson TX2", "TensorFlow"),
-             _deploy("Jetson Nano", "TensorFlow")], link)
-        deployed = _deploy("Raspberry Pi 3B")
-        flattened = [name for stage in plan.stages for name in stage.op_names]
-        assert flattened == [op.name for op in deployed.graph.schedulable_ops()]
+        deployment = _pipeline(
+            [_scenario("Raspberry Pi 3B"), _scenario("Jetson TX2"),
+             _scenario("Jetson Nano")], load_link("wifi"))
+        graph = default_runner().session(_scenario("Raspberry Pi 3B")).deployed.graph
+        flattened = [name for stage in deployment.stages
+                     for name in stage.op_names]
+        assert flattened == [op.name for op in graph.schedulable_ops()]
 
     def test_mixed_models_rejected(self):
-        link = load_link("wifi")
         with pytest.raises(ValueError, match="share one model"):
-            partition_pipeline_heterogeneous(
-                [_deploy("Raspberry Pi 3B"),
-                 _deploy("Jetson TX2", model="ResNet-18")], link)
+            _pipeline([_scenario("Raspberry Pi 3B"),
+                       _scenario("Jetson TX2", model="ResNet-18")],
+                      load_link("wifi"))
 
     def test_mixed_fusion_rejected(self):
         """TFLite fuses, TensorFlow does not: schedules diverge."""
-        link = load_link("wifi")
         with pytest.raises(ValueError, match="op schedule"):
-            partition_pipeline_heterogeneous(
-                [_deploy("Raspberry Pi 3B", "TensorFlow"),
-                 _deploy("Raspberry Pi 3B", "TFLite")], link)
+            _pipeline([_scenario("Raspberry Pi 3B", "TensorFlow"),
+                       _scenario("Raspberry Pi 3B", "TFLite")],
+                      load_link("wifi"))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            partition_pipeline_heterogeneous([], load_link("wifi"))
+            _pipeline([], load_link("wifi"))

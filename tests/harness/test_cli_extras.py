@@ -52,6 +52,19 @@ class TestRecommend:
         rows = [line for line in out.splitlines() if " via " in line]
         assert len(rows) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("flag", ["--deadline-ms", "--power-w",
+                                      "--energy-mj"])
+    def test_bad_bound_is_a_usage_error(self, flag, value, capsys):
+        """A NaN bound would admit every configuration and a non-positive
+        one reject them all: both exit 2 before any configuration runs."""
+        assert main(["recommend", "ResNet-18", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "finite number > 0" in captured.err
+        assert "Traceback" not in captured.err
+        assert "satisfy" not in captured.out
+
 
 class TestTimeScenarioFlags:
     def test_timed_output_includes_seed_and_cache(self, capsys):

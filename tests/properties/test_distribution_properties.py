@@ -3,6 +3,7 @@
 import functools
 import itertools
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,13 +12,20 @@ from repro.distribution.network import NetworkLink
 
 
 @functools.lru_cache(maxsize=None)
-def _deployed(model, device, framework):
-    from repro.frameworks import load_framework
-    from repro.hardware import load_device
-    from repro.models import load_model
+def _session(model, device, framework):
+    from repro.runtime import Scenario, default_runner
 
-    return load_framework(framework).deploy(load_model(model),
-                                            load_device(device))
+    return default_runner().session(Scenario(model, device, framework))
+
+
+def _columns(edge, remote, link):
+    """Every cut of one split between two (model, device, framework)
+    sessions, priced over ``link``."""
+    from repro.distribution import cut_columns
+
+    edge, remote = _session(*edge), _session(*remote)
+    return cut_columns(edge.plan, remote.plan,
+                       edge.deployed.graph.table.cut_bytes, link)
 
 
 def _links():
@@ -111,21 +119,17 @@ class TestPipelineOptimality:
     def test_dp_matches_brute_force_on_small_chains(self):
         """The DP's bottleneck equals exhaustive search over all contiguous
         partitions, for every device count on a real small model."""
-        from repro.distribution import load_link, partition_pipeline
-        from repro.engine import InferenceSession
-        from repro.frameworks import load_framework
-        from repro.hardware import load_device
-        from repro.models.cifarnet import cifarnet
-
-        deployed = load_framework("TensorFlow").deploy(
-            cifarnet(), load_device("Raspberry Pi 3B"))
-        session = InferenceSession(deployed)
-        timings = [t.latency_s for t in session.plan.timings]
+        from repro.distribution import load_link, lower_pipeline
         from repro.distribution.partition import cut_points
+        from repro.runtime import Scenario, default_runner
 
+        scenario = Scenario("CifarNet", "Raspberry Pi 3B", "TensorFlow")
+        runner = default_runner()
+        session = runner.session(scenario)
+        timings = session.plan.op_latency_s.tolist()
         link = load_link("wifi")
         transfer = [link.transfer_time_s(c.transfer_bytes)
-                    for c in cut_points(deployed.graph)]
+                    for c in cut_points(session.deployed.graph)]
         n = len(timings)
 
         def brute_force(devices: int) -> float:
@@ -141,38 +145,39 @@ class TestPipelineOptimality:
                 best = min(best, bottleneck)
             return best
 
-        for devices in (1, 2, 3):
-            plan = partition_pipeline(deployed, devices, link)
-            assert abs(plan.bottleneck_s - brute_force(devices)) < 1e-12, devices
+        # One device runs the whole model (ext-pipeline's one-device row).
+        whole_s = float(np.cumsum(session.plan.op_latency_s)[-1])
+        assert abs(whole_s - brute_force(1)) < 1e-12
+        for devices in (2, 3):
+            deployment = lower_pipeline([scenario] * devices, link,
+                                        runner=runner)
+            assert abs(deployment.bottleneck_s - brute_force(devices)) < 1e-12, devices
 
 
 class TestSplitAccountingProperties:
-    """Every split plan's total decomposes exactly into its three legs."""
+    """Every cut's total decomposes exactly into its three legs."""
 
     @given(link=_links())
     @settings(max_examples=40, deadline=None)
     def test_total_is_edge_plus_transfer_plus_remote(self, link):
-        from repro.distribution import SplitPlanner
-
-        planner = SplitPlanner(
-            _deployed("MobileNet-v2", "Raspberry Pi 3B", "TFLite"),
-            _deployed("MobileNet-v2", "GTX Titan X", "PyTorch"), link)
-        for plan in planner.sweep():
-            assert plan.total_s == plan.edge_s + plan.transfer_s + plan.remote_s
-            assert plan.edge_s >= 0.0
-            assert plan.transfer_s >= 0.0
-            assert plan.remote_s >= 0.0
+        columns = _columns(("MobileNet-v2", "Raspberry Pi 3B", "TFLite"),
+                           ("MobileNet-v2", "GTX Titan X", "PyTorch"), link)
+        for edge_s, transfer_s, remote_s, total_s in zip(
+                columns.edge_s.tolist(), columns.transfer_s.tolist(),
+                columns.remote_s.tolist(), columns.total_s.tolist()):
+            assert total_s == edge_s + transfer_s + remote_s
+            assert edge_s >= 0.0
+            assert transfer_s >= 0.0
+            assert remote_s >= 0.0
 
     @given(link=_links())
     @settings(max_examples=40, deadline=None)
     def test_best_cut_never_loses_to_any_cut(self, link):
-        from repro.distribution import SplitPlanner
-
-        planner = SplitPlanner(
-            _deployed("MobileNet-v2", "Jetson TX2", "PyTorch"),
-            _deployed("MobileNet-v2", "GTX Titan X", "PyTorch"), link)
-        best = planner.best().total_s
-        assert all(best <= plan.total_s for plan in planner.sweep())
+        columns = _columns(("MobileNet-v2", "Jetson TX2", "PyTorch"),
+                           ("MobileNet-v2", "GTX Titan X", "PyTorch"), link)
+        total_s = columns.total_s.tolist()
+        best = total_s[columns.best_index()]
+        assert all(best <= total for total in total_s)
 
 
 class TestPipelineThroughputProperties:
@@ -181,15 +186,25 @@ class TestPipelineThroughputProperties:
     @given(link=_links(), devices=st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
     def test_throughput_bounded_by_every_stage(self, link, devices):
-        from repro.distribution import partition_pipeline
+        from repro.distribution import lower_pipeline
+        from repro.placement import Deployment
+        from repro.runtime import Scenario, default_runner
 
-        plan = partition_pipeline(
-            _deployed("CifarNet", "Raspberry Pi 3B", "TensorFlow"),
-            devices, link)
-        assert plan.bottleneck_s == max(s.stage_s for s in plan.stages)
-        for stage in plan.stages:
-            assert plan.throughput_fps <= 1.0 / stage.stage_s + 1e-12
-        assert plan.pipeline_latency_s >= plan.bottleneck_s
+        cell = ("CifarNet", "Raspberry Pi 3B", "TensorFlow")
+        scenario = Scenario(*cell)
+        if devices == 1:
+            # One device runs the whole model and ships nothing.
+            plan = _session(*cell).plan
+            deployment = Deployment.single(
+                scenario, compute_s=float(np.cumsum(plan.op_latency_s)[-1]))
+        else:
+            deployment = lower_pipeline([scenario] * devices, link,
+                                        runner=default_runner())
+        assert deployment.bottleneck_s == max(
+            stage.service_s for stage in deployment.stages)
+        for stage in deployment.stages:
+            assert deployment.throughput_rps <= 1.0 / stage.service_s + 1e-12
+        assert deployment.latency_s >= deployment.bottleneck_s
 
 
 class TestCutConservationProperties:
