@@ -349,7 +349,7 @@ def _placement_pool(path: str, replicas: int) -> "PoolSpec":
             "regenerate with 'repro place ... --format json --output'")
     try:
         deployment = Deployment.from_dict(frontier[0]["deployment"])
-    except (AttributeError, KeyError, TypeError) as error:
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
         raise ValueError(f"{path}: malformed frontier point "
                          f"({type(error).__name__}: {error})") from error
     return PoolSpec.from_deployment(

@@ -10,9 +10,11 @@ paper-reported reference values alongside the measured ones.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -35,28 +37,30 @@ class Measurement:
     maximum: float = math.nan
 
     @classmethod
-    def from_samples(cls, samples: Sequence[float], unit: str = "") -> "Measurement":
-        if not samples:
+    def from_samples(cls, samples: Sequence[float] | np.ndarray,
+                     unit: str = "") -> "Measurement":
+        """Median, sample stddev and extremes of finite samples."""
+        values = np.asarray(samples, dtype=np.float64)
+        count = values.size
+        if count == 0:
             raise ValueError("cannot summarize an empty sample set")
-        values = [float(v) for v in samples]
-        count = len(values)
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ValueError(f"samples must be finite, got {float(values[np.argmin(finite)])}")
+        stddev = 0.0
         if count > 1:
-            # Sample stdev over compensated float sums: same estimator as
-            # statistics.stdev without its exact-Fraction arithmetic, which
-            # dominated the timing loop at 200-1000 samples per cell.
-            mean = math.fsum(values) / count
-            stddev = math.sqrt(
-                math.fsum((v - mean) ** 2 for v in values) / (count - 1))
-        else:
-            stddev = 0.0
-        return cls(
-            value=statistics.median(values),
-            unit=unit,
-            samples=count,
-            stddev=stddev,
-            minimum=min(values),
-            maximum=max(values),
-        )
+            # A memoryview yields the floats without building a list.  The
+            # squares are Python's ``d ** 2`` (libm pow): NumPy's ``d * d`` is
+            # one ulp off it for about 0.1% of inputs.
+            mean = math.fsum(memoryview(values)) / count
+            stddev = math.sqrt(math.fsum(
+                map(pow, memoryview(values - mean), repeat(2.0))) / (count - 1))
+        ordered = np.sort(values)
+        half = count // 2
+        median = (float(ordered[half]) if count % 2
+                  else (float(ordered[half - 1]) + float(ordered[half])) / 2)
+        return cls(value=median, unit=unit, samples=count, stddev=stddev,
+                   minimum=float(ordered[0]), maximum=float(ordered[-1]))
 
     def __float__(self) -> float:
         return self.value

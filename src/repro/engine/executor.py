@@ -60,7 +60,7 @@ class EngineConfig:
 
 
 class _PlanTotals(NamedTuple):
-    """Aggregates over a plan's timing columns, computed in one pass."""
+    """Aggregates over a plan's timing columns."""
 
     compute_s: float
     memory_s: float
@@ -102,18 +102,15 @@ class ExecutionPlan:
 
     @cached_property
     def _totals(self) -> _PlanTotals:
-        compute = memory = dispatch = roofline = op_latency = 0.0
-        bound = {"compute": 0.0, "memory": 0.0}
-        for c, m, d in zip(self.op_compute_s.tolist(), self.op_memory_s.tolist(),
-                           self.op_dispatch_s.tolist()):
-            roof = max(c, m)
-            compute += c
-            memory += m
-            dispatch += d
-            roofline += roof
-            op_latency += roof + d
-            bound["compute" if c >= m else "memory"] += roof
-        return _PlanTotals(compute, memory, dispatch, roofline, op_latency, bound)
+        # One sequential cumsum per column adds left to right, as a ``+=``
+        # loop over the ops would (``np.sum`` adds pairwise).
+        compute, memory, dispatch = self.op_compute_s, self.op_memory_s, self.op_dispatch_s
+        roof = np.maximum(compute, memory)
+        bound = compute >= memory
+        columns = np.stack([compute, memory, dispatch, roof, roof + dispatch,
+                            np.where(bound, roof, 0.0), np.where(bound, 0.0, roof)])
+        sums = np.cumsum(columns, axis=1)[:, -1].tolist() if compute.size else [0.0] * 7
+        return _PlanTotals(*sums[:5], {"compute": sums[5], "memory": sums[6]})
 
     @property
     def compute_s(self) -> float:

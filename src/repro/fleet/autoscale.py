@@ -35,8 +35,9 @@ class AdmissionControl:
     max_queue_per_node: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_queue_per_node is not None and self.max_queue_per_node < 1:
-            raise ValueError("max_queue_per_node must be >= 1")
+        bound = self.max_queue_per_node
+        if bound is not None and (type(bound) is not int or bound < 1):  # not bool
+            raise ValueError(f"max_queue_per_node must be an integer >= 1, got {bound!r}")
 
     def headroom(self, outstanding):
         """New requests a node may accept this epoch (inf = unbounded);

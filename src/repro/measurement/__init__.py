@@ -3,11 +3,12 @@
 Simulated equivalents of the paper's bench equipment: the timing loop that
 runs 200-1000 single-batch inferences and excludes initialization, the USB
 digital multimeter and outlet power analyzer with their stated accuracies,
-the energy integration, and the FLIR One thermal camera.
+the energy integration, and the FLIR One thermal camera.  A timing loop is
+summarized, and a meter ``record``-ed, as one float64 array of samples.
 """
 
 from repro.measurement.energy import EnergyMeter, measure_energy_per_inference
-from repro.measurement.power_meter import PowerAnalyzer, PowerSample, USBMultimeter
+from repro.measurement.power_meter import PowerAnalyzer, USBMultimeter
 from repro.measurement.thermal_camera import ThermalCamera, ThermalReading
 from repro.measurement.timer import InferenceTimer, choose_run_count
 
@@ -15,7 +16,6 @@ __all__ = [
     "EnergyMeter",
     "InferenceTimer",
     "PowerAnalyzer",
-    "PowerSample",
     "ThermalCamera",
     "ThermalReading",
     "USBMultimeter",

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.quantity import check_bounds
 from repro.core.result import Measurement
 from repro.engine.executor import InferenceSession
 
@@ -26,8 +27,7 @@ DEFAULT_JITTER_FRACTION = 0.02
 
 def choose_run_count(latency_s: float) -> int:
     """Pick the run count the paper's loop would use for this latency."""
-    if latency_s <= 0:
-        raise ValueError(f"latency must be positive, got {latency_s}")
+    check_bounds("timing loop", {"latency_s": latency_s})
     by_budget = int(TARGET_LOOP_SECONDS / latency_s)
     return max(MIN_RUNS, min(MAX_RUNS, by_budget))
 
@@ -53,19 +53,16 @@ class InferenceTimer:
 
         Sessions run deterministically — every simulated inference takes
         ``session.latency_s`` — so the loop only needs the latency itself.
-        ``np.full`` here is bit-identical to materializing the session's
-        per-run list.
         """
         if n_runs is None:
             n_runs = choose_run_count(latency_s)
         if n_runs <= 0:
             raise ValueError(f"n_runs must be positive, got {n_runs}")
         rng = np.random.default_rng(self.seed)
-        base = np.full(n_runs, float(latency_s))
-        noisy = base * rng.lognormal(
+        noisy = float(latency_s) * rng.lognormal(
             mean=0.0, sigma=self.jitter_fraction, size=n_runs
         )
-        return Measurement.from_samples(noisy.tolist(), unit="s")
+        return Measurement.from_samples(noisy, unit="s")
 
     def measure_with_init(self, session: InferenceSession, n_runs: int | None = None,
                           ) -> tuple[float, Measurement]:

@@ -22,6 +22,7 @@ throughput is set by the slowest stage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -63,10 +64,10 @@ class StageSpec:
     def __post_init__(self) -> None:
         if self.op_names is not None and not isinstance(self.op_names, tuple):
             object.__setattr__(self, "op_names", tuple(self.op_names))
-        if self.compute_s < 0:
-            raise ValueError(f"compute_s must be >= 0, got {self.compute_s}")
-        if self.transfer_s < 0:
-            raise ValueError(f"transfer_s must be >= 0, got {self.transfer_s}")
+        for name in ("compute_s", "transfer_s", "power_w", "idle_w", "init_time_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value}")
         if self.transfer_bytes < 0:
             raise ValueError(
                 f"transfer_bytes must be >= 0, got {self.transfer_bytes}")

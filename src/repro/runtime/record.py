@@ -169,7 +169,7 @@ class Provenance:
     def build(cls, scenario: Scenario, deploy_cache: str, timed: bool,
               config: EngineConfig) -> "Provenance":
         return cls(seed=scenario.seed, deploy_cache=deploy_cache,
-                   timed=timed, engine=asdict(config))
+                   timed=timed, engine=dict(vars(config)))
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)

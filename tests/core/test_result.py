@@ -23,6 +23,18 @@ class TestMeasurement:
         with pytest.raises(ValueError):
             Measurement.from_samples([])
 
+    @pytest.mark.parametrize("samples", [
+        [math.nan, 1.0, 2.0],
+        [1.0, math.nan, 2.0],
+        [1.0, 2.0, math.inf],
+        [-math.inf],
+    ])
+    def test_non_finite_samples_rejected(self, samples):
+        # A NaN would make the median depend on where it sits.
+        bad = next(v for v in samples if not math.isfinite(v))
+        with pytest.raises(ValueError, match=f"finite, got {bad}"):
+            Measurement.from_samples(samples)
+
     def test_float_conversion(self):
         assert float(Measurement(0.87, unit="s")) == 0.87
 

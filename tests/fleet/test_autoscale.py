@@ -45,6 +45,11 @@ class TestAdmissionControl:
         with pytest.raises(ValueError):
             AdmissionControl(max_queue_per_node=0)
 
+    @pytest.mark.parametrize("bound", [float("nan"), 2.5, True, 4.0])
+    def test_bound_must_be_an_integer(self, bound):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            AdmissionControl(bound)
+
 
 class TestAutoscaler:
     def test_validation(self):

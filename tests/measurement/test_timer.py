@@ -26,6 +26,11 @@ class TestChooseRunCount:
         with pytest.raises(ValueError):
             choose_run_count(0.0)
 
+    @pytest.mark.parametrize("latency_s", [float("inf"), float("nan")])
+    def test_rejects_non_finite(self, latency_s):
+        with pytest.raises(ValueError, match=f"finite number > 0, got {latency_s}"):
+            choose_run_count(latency_s)
+
 
 class TestInferenceTimer:
     def test_measurement_close_to_model_latency(self, session_factory):
@@ -55,6 +60,12 @@ class TestInferenceTimer:
         session = session_factory("VGG16", "Raspberry Pi 3B", "PyTorch")
         measurement = InferenceTimer(seed=0).measure(session)
         assert MIN_RUNS <= measurement.samples <= MAX_RUNS
+
+    @pytest.mark.parametrize("latency_s", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("n_runs", [None, 200])
+    def test_non_finite_latency_rejected(self, latency_s, n_runs):
+        with pytest.raises(ValueError, match=f"finite.*got {latency_s}"):
+            InferenceTimer().measure_latency(latency_s, n_runs)
 
     def test_invalid_run_count(self, session_factory):
         session = session_factory("ResNet-18", "Jetson TX2", "PyTorch")

@@ -108,6 +108,20 @@ class TestFleetPlacement:
                      "--pool", "1x Jetson Nano:TensorRT"]) == 2
         assert "not both" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_stage_time_is_a_usage_error(self, value, tmp_path, capsys):
+        path = self._frontier_file(tmp_path)
+        payload = json.loads(path.read_text())
+        stages = payload["frontier"][0]["deployment"]["stages"]
+        assert len(stages) == 2  # a pipeline
+        stages[0]["compute_s"] = value  # written as Infinity / NaN
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["fleet", "--placement", str(path), "--requests", "100"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}")
+        assert f"compute_s must be a finite number >= 0, got {value}" in err
+
     def test_empty_frontier_file_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"frontier": []}))

@@ -1,5 +1,7 @@
 """Deployment: the one type every serving layer speaks."""
 
+import math
+
 import pytest
 
 from repro.placement import Deployment, StageSpec
@@ -48,6 +50,14 @@ class TestStageSpec:
         with pytest.raises(ValueError, match="transfer_s"):
             StageSpec(scenario=_scenario(), op_names=None, compute_s=1.0,
                       transfer_s=-0.1)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+    @pytest.mark.parametrize("field", ["compute_s", "transfer_s", "power_w",
+                                       "idle_w", "init_time_s"])
+    def test_numbers_must_be_finite_and_non_negative(self, field, value):
+        fields = {"compute_s": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be a finite number >= 0"):
+            StageSpec(scenario=_scenario(), op_names=None, **fields)
 
 
 class TestValidation:

@@ -164,17 +164,17 @@ class TestMeasurementProperties:
         from repro.measurement.power_meter import PowerAnalyzer
 
         meter = PowerAnalyzer(seed=seed)
-        sample = meter.sample(power)
-        assert abs(sample.power_w - power) <= meter.accuracy_w + 1e-12
+        reading = meter.sample(power)
+        assert abs(reading - power) <= meter.accuracy_w + 1e-12
 
     @given(power=st.floats(0.1, 20.0), seed=st.integers(0, 1000))
     @settings(max_examples=50, deadline=None)
     def test_multimeter_error_bounded(self, power, seed):
         from repro.measurement.power_meter import USBMultimeter
 
-        sample = USBMultimeter(seed=seed).sample(power)
+        reading = USBMultimeter(seed=seed).sample(power)
         # Compound worst case of the voltage and current terms.
         current = power / 5.0
         bound = (5.0 * 0.0005 + 0.02) * (current * 1.001 + 0.004) + \
                 (current * 0.001 + 0.004) * 5.0
-        assert abs(sample.power_w - power) <= bound + 1e-9
+        assert abs(reading - power) <= bound + 1e-9
