@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class ParetoPoint:
@@ -65,16 +67,45 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     return no_worse and strictly
 
 
+#: Rows checked per block of :func:`frontier_indices`: each block's
+#: comparison tables hold at most 64 x N booleans.
+_BLOCK = 64
+
+
 def frontier_indices(objectives: Sequence[Sequence[float]]) -> list[int]:
     """Indices of the non-dominated objective tuples, in input order.
 
     Every axis is minimized.  Duplicated tuples are all kept (neither
     strictly beats the other), so callers dedup by identity first if they
-    want a set-like frontier.
+    want a set-like frontier.  Rows of different lengths raise
+    ``ValueError``.
+
+    One dominance matrix per block of rows: for each axis, NumPy's exact
+    ``<=`` and ``<`` compare the block against every row, so a row is
+    dominated exactly when :func:`dominates` says so for some other row
+    (NaN compares false both ways, as in Python).
     """
     rows = [tuple(row) for row in objectives]
-    return [index for index, row in enumerate(rows)
-            if not any(dominates(other, row) for other in rows)]
+    if not rows:
+        return []
+    arity = len(rows[0])
+    for row in rows:
+        if len(row) != arity:
+            raise ValueError(f"objective arity mismatch: {arity} vs {len(row)}")
+    table = np.array(rows, dtype=float).reshape(len(rows), arity)
+    kept: list[int] = []
+    for lo in range(0, len(rows), _BLOCK):
+        block = table[lo:lo + _BLOCK]
+        no_worse = np.ones((len(block), len(rows)), dtype=bool)
+        strictly = np.zeros_like(no_worse)
+        for axis in range(arity):
+            # [i, j]: row j against block row i on this axis.
+            column, mine = table[:, axis], block[:, axis, None]
+            no_worse &= column <= mine
+            strictly |= column < mine
+        dominated = (no_worse & strictly).any(axis=1)
+        kept.extend((np.flatnonzero(~dominated) + lo).tolist())
+    return kept
 
 
 def frontier_points(objectives: Sequence[Sequence[float]]) -> list[tuple[float, ...]]:

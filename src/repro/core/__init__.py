@@ -34,6 +34,7 @@ from repro.core.quantity import (
 )
 from repro.core.registry import Registry
 from repro.core.result import Measurement, ResultRow, ResultTable
+from repro.core.summation import serial_sum, serial_sum_array
 
 __all__ = [
     "Celsius",
@@ -63,4 +64,6 @@ __all__ = [
     "Watts",
     "format_bytes",
     "format_seconds",
+    "serial_sum",
+    "serial_sum_array",
 ]

@@ -16,6 +16,8 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.core.summation import serial_sum
+
 
 @dataclass(frozen=True)
 class Measurement:
@@ -151,4 +153,4 @@ def geometric_mean(values: Iterable[float]) -> float:
         raise ValueError("geometric mean of empty sequence")
     if any(v <= 0 for v in values):
         raise ValueError("geometric mean requires positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))
+    return math.exp(serial_sum(math.log(v) for v in values) / len(values))

@@ -3,21 +3,22 @@ Deployments.
 
 For every cut point: run the prefix on the edge device, ship the crossing
 activations over the link, run the suffix on the remote platform.
-:func:`cut_columns` prices all N + 1 cuts at once, as float64 columns read
-from both sides' execution plans and the edge graph's crossing sizes;
-callers pick cuts on the columns (the latency-optimal one, and the
-all-edge and all-remote baselines the paper's offloading discussion
-contrasts — Section I: privacy, connectivity and timing constraints are
-what rule the all-remote point out in practice) and lower only those:
-:func:`lower_split` prices a (edge scenario, remote scenario, link) triple
-and emits a servable two-stage
-:class:`~repro.placement.deployment.Deployment`.
+:func:`cut_grid` prices all N + 1 cuts of every (edge, remote) pair over
+one edge schedule at once, as float64 arrays read from the sides'
+execution plans and the edge graph's crossing sizes, and
+:func:`cut_columns` is its one-pair view.  Callers pick cuts on the
+columns (the latency-optimal one, and the all-edge and all-remote
+baselines the paper's offloading discussion contrasts — Section I:
+privacy, connectivity and timing constraints are what rule the
+all-remote point out in practice) and lower only those: :func:`lower_split`
+prices a (edge scenario, remote scenario, link) triple and emits a
+servable two-stage :class:`~repro.placement.deployment.Deployment`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -102,28 +103,79 @@ class CutColumns:
         return int(np.argmin(self.total_s))
 
 
-def cut_columns(edge: ExecutionPlan, remote: ExecutionPlan,
-                cut_bytes: np.ndarray, link: NetworkLink) -> CutColumns:
-    """Price all N + 1 cuts of one split.
+@dataclass(frozen=True, eq=False)
+class CutGrid:
+    """Every cut of every (edge, remote) split over one edge schedule.
 
-    ``edge`` and ``remote`` are the two sides' plans of one model and
-    ``cut_bytes`` the edge graph's crossing sizes
+    ``edge_s`` holds one row per edge plan and ``remote_s`` one per remote
+    plan; column ``k`` of each is the cut after ``k`` of the schedule's N
+    ops, as in :class:`CutColumns`, and ``transfer_s`` is shared.
+    """
+
+    ops: tuple
+    cut_bytes: np.ndarray
+    edge_s: np.ndarray
+    transfer_s: np.ndarray
+    remote_s: np.ndarray
+
+    @property
+    def total_s(self) -> np.ndarray:
+        """(edge, remote, cut) latencies, added as ``(edge + transfer) +
+        remote``: every pair's :attr:`CutColumns.total_s` at once."""
+        return ((self.edge_s + self.transfer_s)[:, None, :]
+                + self.remote_s[None, :, :])
+
+    def best_indices(self) -> np.ndarray:
+        """Each (edge, remote) pair's latency-optimal cut; ``argmin`` keeps
+        the first among ties, as ``min()``."""
+        return self.total_s.argmin(axis=2)
+
+    def pair(self, edge: int, remote: int) -> CutColumns:
+        """The columns of one (edge row, remote row) pair."""
+        return CutColumns(ops=self.ops, cut_bytes=self.cut_bytes,
+                          edge_s=self.edge_s[edge], transfer_s=self.transfer_s,
+                          remote_s=self.remote_s[remote])
+
+
+def cut_grid(edges: Sequence[ExecutionPlan], remotes: Sequence[ExecutionPlan],
+             cut_bytes: np.ndarray, link: NetworkLink) -> CutGrid:
+    """Price all N + 1 cuts of every (edge, remote) split at once.
+
+    ``edges`` are plans of one model scheduling the same N ops
+    (deployments sharing one prepared graph), ``remotes`` plans of the same
+    model, and ``cut_bytes`` the edge graph's crossing sizes
     (:attr:`~repro.graphs.table.OpTable.cut_bytes`).  Each non-empty side
     also pays its plan's session overhead and input transfer; nothing
     crosses the link once the edge keeps every op.  Every entry equals the
-    per-cut scalar sum bit for bit: the edge prefix is one sequential
-    ``cumsum`` and each remote suffix sums left to right.
+    per-cut scalar sum bit for bit: one sequential ``cumsum`` runs along
+    the stacked edge rows, and each remote is priced along the schedule
+    once, every suffix summed left to right.
     """
-    count = len(edge.ops)
-    edge_s = _prefix_latency(edge)
-    edge_s[1:] += edge.session_overhead_s + edge.input_transfer_s
+    ops = edges[0].ops
+    count = len(ops)
+    edge_s = np.zeros((len(edges), count + 1))
+    np.cumsum(np.stack([plan.op_latency_s for plan in edges]), axis=1,
+              out=edge_s[:, 1:])
+    edge_s[:, 1:] += np.array([[plan.session_overhead_s + plan.input_transfer_s]
+                               for plan in edges])
     transfer_s = np.zeros(count + 1)
     transfer_s[:count] = link.transfer_time_s(cut_bytes[:count])
-    remote_s = np.zeros(count + 1)
-    remote_s[:count] = (_suffix_sums(_latency_along(remote, edge.ops))
-                        + (remote.session_overhead_s + remote.input_transfer_s))
-    return CutColumns(ops=edge.ops, cut_bytes=cut_bytes, edge_s=edge_s,
-                      transfer_s=transfer_s, remote_s=remote_s)
+    remote_s = np.zeros((len(remotes), count + 1))
+    for row, plan in zip(remote_s, remotes):
+        row[:count] = (_suffix_sums(_latency_along(plan, ops))
+                       + (plan.session_overhead_s + plan.input_transfer_s))
+    return CutGrid(ops=ops, cut_bytes=cut_bytes, edge_s=edge_s,
+                   transfer_s=transfer_s, remote_s=remote_s)
+
+
+def cut_columns(edge: ExecutionPlan, remote: ExecutionPlan,
+                cut_bytes: np.ndarray, link: NetworkLink) -> CutColumns:
+    """Price all N + 1 cuts of one split: the one-pair :func:`cut_grid`.
+
+    ``edge`` and ``remote`` are the two sides' plans of one model and
+    ``cut_bytes`` the edge graph's crossing sizes.
+    """
+    return cut_grid((edge,), (remote,), cut_bytes, link).pair(0, 0)
 
 
 def _check_one_model(edge: Graph, remote: Graph) -> None:
@@ -172,16 +224,22 @@ def _split_context(edge: Scenario, remote: Scenario, link: NetworkLink,
         edge_side.plan, remote_side.plan, edge_side.graph.table.cut_bytes, link)
 
 
-def _deployment_from_split(columns: CutColumns, index: int, edge: _Side,
-                           remote: _Side, link: NetworkLink) -> Deployment:
-    """The cut at ``index`` as a Deployment, its legs in Python scalars."""
+def _op_names(ops: tuple) -> tuple[str, ...]:
+    """The names of a schedule's ops: sliced by every cut lowered on it."""
+    return tuple(op.name for op in ops)
+
+
+def _deployment_from_split(columns: CutColumns, names: tuple[str, ...],
+                           index: int, edge: _Side, remote: _Side,
+                           link: NetworkLink) -> Deployment:
+    """The cut at ``index`` as a Deployment, its legs in Python scalars;
+    ``names`` are the op names of ``columns.ops``."""
     edge_s = float(columns.edge_s[index])
     if index == len(columns) - 1:
         # All-edge: nothing crosses the link, so this IS a single-node
         # deployment — normalize so the fleet serves it on the legacy path.
         return Deployment.single(edge.scenario, compute_s=edge_s,
                                  **edge.pricing)
-    names = tuple(op.name for op in columns.ops)
     head = StageSpec(scenario=edge.scenario, op_names=names[:index],
                      compute_s=edge_s,
                      transfer_s=float(columns.transfer_s[index]),
@@ -213,8 +271,8 @@ def lower_split(edge: Scenario, remote: Scenario, link: NetworkLink | str, *,
     elif not 0 <= cut_index < len(columns):
         raise ValueError(f"cut_index must be in [0, {len(columns) - 1}], "
                          f"the schedulable op count; got {cut_index}")
-    return _deployment_from_split(columns, cut_index, edge_side, remote_side,
-                                  link)
+    return _deployment_from_split(columns, _op_names(columns.ops), cut_index,
+                                  edge_side, remote_side, link)
 
 
 def split_deployments(edge: Scenario, remote: Scenario,
@@ -229,5 +287,7 @@ def split_deployments(edge: Scenario, remote: Scenario,
     """
     link = resolve_link(link)
     edge_side, remote_side, columns = _split_context(edge, remote, link, runner)
-    return [_deployment_from_split(columns, index, edge_side, remote_side, link)
+    names = _op_names(columns.ops)
+    return [_deployment_from_split(columns, names, index, edge_side,
+                                   remote_side, link)
             for index in range(len(columns))]

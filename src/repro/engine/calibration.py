@@ -19,6 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.core.summation import serial_sum, serial_sum_array
+
 MIN_SCALE = 1e-4
 MAX_SCALE = 100.0
 
@@ -69,9 +71,9 @@ def _latency_components(framework_name: str, device_name: str, model_name: str):
 
 def _latency_at(scale: float, fixed: float, terms) -> float:
     compute, memory, dispatch = terms
-    # the builtin sum adds the ops' latencies one by one, as the per-op
-    # loop did, so the fitted scales stay bit-identical
-    return fixed + sum((np.maximum(compute / scale, memory) + dispatch).tolist())
+    # the ops' latencies add one by one, as the per-op loop did, so the
+    # fitted scales stay bit-identical
+    return fixed + serial_sum_array(np.maximum(compute / scale, memory) + dispatch)
 
 
 @lru_cache(maxsize=None)
@@ -107,7 +109,7 @@ def _fallback_scale(framework_name: str) -> float:
         _fit(fw, dev) for (fw, dev) in ANCHORS if fw == framework_name
     ]
     if fitted:
-        return sum(fitted) / len(fitted)
+        return serial_sum(fitted) / len(fitted)
     return 1.0
 
 

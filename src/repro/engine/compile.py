@@ -34,7 +34,7 @@ on top of the compiled latencies; the wall-clock fields of
 from __future__ import annotations
 
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import repro.engine.cache as engine_cache
@@ -89,7 +89,7 @@ class CompileStats:
         return float(self.cells) if self.cells else 1.0
 
     def as_dict(self) -> dict[str, Any]:
-        return {**asdict(self), "dedup_ratio": self.dedup_ratio}
+        return {**vars(self), "dedup_ratio": self.dedup_ratio}
 
 
 @dataclass
@@ -319,7 +319,7 @@ def record_compile(stats: CompileStats) -> None:
     global _GRIDS
     with _LOCK:
         _GRIDS += 1
-        for name, value in asdict(stats).items():
+        for name, value in vars(stats).items():
             setattr(_TOTALS, name, getattr(_TOTALS, name) + value)
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.core.errors import OutOfMemoryError
 from repro.core.quantity import Seconds
+from repro.core.summation import serial_sum_array
 from repro.frameworks.base import DeployedModel
 from repro.engine.roofline import (
     FABRIC_SPILL_BANDWIDTH_FACTOR,
@@ -362,7 +363,7 @@ def plan_utilization(plan: ExecutionPlan) -> float:
         return 0.0
     compute, memory = plan.op_compute_s, plan.op_memory_s
     busy = np.where(compute >= memory, compute, 0.65 * memory)
-    return min(1.0, sum(busy.tolist()) / latency)
+    return min(1.0, serial_sum_array(busy) / latency)
 
 
 def deployed_init_time_s(deployed: DeployedModel) -> float:

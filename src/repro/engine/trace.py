@@ -12,6 +12,7 @@ import json
 from pathlib import Path
 
 from repro.core.result import ResultTable
+from repro.core.summation import serial_sum
 from repro.engine.executor import InferenceSession
 
 
@@ -29,7 +30,7 @@ def layer_table(session: InferenceSession, top: int | None = None) -> ResultTabl
         caption="share = fraction of the summed per-op latency.",
     )
     timings = session.plan.timings
-    total = sum(t.latency_s for t in timings) or 1.0
+    total = serial_sum(t.latency_s for t in timings) or 1.0
     timings.sort(key=lambda t: t.latency_s, reverse=True)
     for timing in timings[: top or len(timings)]:
         table.add_row(

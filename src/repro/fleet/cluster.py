@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.errors import ReproError
+from repro.core.summation import serial_sum
 from repro.fleet.router import interleave
 from repro.hardware import load_device
 from repro.hardware.thermal import ThermalArray, ThermalSpec
@@ -192,8 +193,8 @@ class ServiceProfile:
     def energy_per_request_j(self) -> float:
         """Active energy of one unbatched inference (routing heuristic)."""
         if self.stages is not None:
-            return sum(stage.power_w * stage.compute_s
-                       for stage in self.stages)
+            return serial_sum(stage.power_w * stage.compute_s
+                              for stage in self.stages)
         return self.power_w * self.service_s
 
     @property
@@ -308,8 +309,8 @@ def _profile_from_deployment(pool: PoolSpec) -> ServiceProfile:
     return ServiceProfile(
         batch_wall_s=(deployment.latency_s,),
         max_batch=1,
-        power_w=sum(stage.power_w for stage in profile_stages),
-        idle_w=sum(stage.idle_w for stage in profile_stages),
+        power_w=serial_sum(stage.power_w for stage in profile_stages),
+        idle_w=serial_sum(stage.idle_w for stage in profile_stages),
         init_time_s=max(stage.init_time_s for stage in deployment.stages),
         thermal=bottleneck_device.thermal,
         cell_seed=pool.scenario.seed,

@@ -32,8 +32,9 @@ streams are seeded, and policies break ties by index — the same inputs
 produce byte-identical :class:`~repro.fleet.report.FleetStats`.
 
 The arrays reproduce the per-node arithmetic bit for bit (elementwise
-``+ - * /`` and ``maximum`` only, ``math.exp``, Python ``sum()`` in node
-order, sojourns in epoch-major, node-minor order; see docs/fleet.md).
+``+ - * /`` and ``maximum`` only, ``math.exp``, left-to-right totals in
+node order (:mod:`repro.core.summation`), sojourns in epoch-major,
+node-minor order; see docs/fleet.md).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.summation import serial_sum, serial_sum_array
 from repro.fleet.autoscale import AdmissionControl, Autoscaler
 from repro.fleet.cluster import Cluster, PoolSpec, ServiceProfile, resolve_profiles
 from repro.fleet.report import FleetStats, PoolStats, SojournSummary
@@ -108,8 +110,8 @@ class FleetSimulation:
     @property
     def capacity_rps(self) -> float:
         """Fleet-wide peak service rate with every replica at full batch."""
-        return sum(pool.replicas / self.profiles[pool.name].full_batch_request_s
-                   for pool in self.pools)
+        return serial_sum(pool.replicas / self.profiles[pool.name].full_batch_request_s
+                          for pool in self.pools)
 
     def run(self, arrival_times: np.ndarray, *, seed: int = 0) -> FleetStats:
         """Serve one arrival stream; returns the :class:`FleetStats` report."""
@@ -414,20 +416,20 @@ class FleetSimulation:
             fleet_sojourns.append(sojourn_s)
             completed = int(cluster.completed[nodes].sum())
             batches = int(cluster.batches[nodes].sum())
-            # Report totals are Python sums in node order, as they were
+            # Report totals add left to right in node order, as they did
             # when every node was an object.
-            busy_s = sum(cluster.busy_s[nodes].tolist())
+            busy_s = serial_sum_array(cluster.busy_s[nodes])
             if profile.stages is not None:
                 # One energy integral per stage device: each stage idles
                 # whenever it is not computing or sending.
-                energy_j = sum(
+                energy_j = serial_sum(
                     busy * stage.power_w + (horizon_s - busy) * stage.idle_w
                     for node_busy in cluster.stage_busy_s_of(pool.name)
                     for busy, stage in zip(node_busy, profile.stages))
                 device_seconds = (pool.replicas * len(profile.stages)
                                   * horizon_s)
             else:
-                energy_j = sum(
+                energy_j = serial_sum(
                     busy * profile.power_w + (horizon_s - busy) * profile.idle_w
                     for busy in cluster.busy_s[nodes].tolist())
                 device_seconds = pool.replicas * horizon_s

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from repro.core.errors import ReproError
 from repro.core.result import ResultTable, geometric_mean
+from repro.core.summation import serial_sum
 from repro.engine.cache import cached_graph
 from repro.harness import paper_data as paper
 from repro.harness.report import ratio_or_none
@@ -187,7 +188,7 @@ def fig07_nano_tensorrt() -> ResultTable:
             paper_speedup=paper_pt / paper_trt,
         )
     table.add_note(
-        f"average speedup {sum(speedups) / len(speedups):.2f}x "
+        f"average speedup {serial_sum(speedups) / len(speedups):.2f}x "
         f"(paper: {paper.FIG7_AVG_SPEEDUP}x)"
     )
     return table
@@ -217,9 +218,9 @@ def fig08_rpi_tflite() -> ResultTable:
             paper_tflite_s=paper.FIG8_RPI_S["TFLite"][model_name],
         )
     table.add_note(
-        f"average TFLite speedup over TF {sum(tf_speedups) / len(tf_speedups):.2f}x "
+        f"average TFLite speedup over TF {serial_sum(tf_speedups) / len(tf_speedups):.2f}x "
         f"(paper {paper.FIG8_SPEEDUP_OVER_TF}x), over PyTorch "
-        f"{sum(pt_speedups) / len(pt_speedups):.2f}x (paper {paper.FIG8_SPEEDUP_OVER_PT}x)"
+        f"{serial_sum(pt_speedups) / len(pt_speedups):.2f}x (paper {paper.FIG8_SPEEDUP_OVER_PT}x)"
     )
     return table
 

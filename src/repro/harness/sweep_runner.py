@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.engine.cache import cache_stats, caching_enabled
+from repro.core.summation import serial_sum
 from repro.engine.compile import compile_stats
 from repro.harness.registry import list_experiments
 from repro.harness.suite import (
@@ -62,7 +63,7 @@ class SweepResult:
     @property
     def experiment_s(self) -> float:
         """Summed per-experiment wall time (> ``wall_s`` when parallel)."""
-        return sum(run.wall_s for run in self.runs)
+        return serial_sum(run.wall_s for run in self.runs)
 
     def describe(self) -> str:
         lines = [

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.result import geometric_mean
+from repro.core.summation import serial_sum
 from repro.harness.registry import run_experiment
 from repro.runtime import Scenario, default_runner
 
@@ -66,7 +67,7 @@ def _check_pt_gpu() -> tuple[bool, str]:
 def _check_tensorrt() -> tuple[bool, str]:
     table = run_experiment("fig07")
     speedups = table.column("speedup")
-    average = sum(speedups) / len(speedups)
+    average = serial_sum(speedups) / len(speedups)
     return 3.0 < average < 8.0, f"average speedup {average:.2f}x (paper 4.1x)"
 
 
@@ -75,7 +76,7 @@ def _check_tensorrt() -> tuple[bool, str]:
 def _check_tflite() -> tuple[bool, str]:
     table = run_experiment("fig08")
     tf = table.column("speedup_vs_tf")
-    average = sum(tf) / len(tf)
+    average = serial_sum(tf) / len(tf)
     return all(s > 1 for s in tf) and average < 2.5, (
         f"TFLite over TF averages {average:.2f}x (paper 1.58x)"
     )

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from repro.core.summation import serial_sum
 from repro.runtime.scenario import Scenario
 
 #: provenance of a deployment: one node, a Neurosurgeon-style split across
@@ -191,7 +192,7 @@ class Deployment:
     @property
     def latency_s(self) -> float:
         """End-to-end latency of one inference through every stage."""
-        return sum(stage.service_s for stage in self.stages)
+        return serial_sum(stage.service_s for stage in self.stages)
 
     @property
     def bottleneck_s(self) -> float:
@@ -206,14 +207,25 @@ class Deployment:
     @property
     def energy_per_inference_j(self) -> float:
         """Active energy across all stages for one inference."""
-        return sum(stage.energy_j for stage in self.stages)
+        return serial_sum(stage.energy_j for stage in self.stages)
 
     @property
     def key(self) -> str:
-        """Canonical identity for dedup and deterministic ordering."""
-        stages = ";".join(f"{stage.scenario.key}#{stage.span}"
-                          for stage in self.stages)
-        return f"{self.kind}|{self.link or '-'}|{stages}"
+        """Canonical identity for dedup and deterministic ordering.
+
+        Computed on first access and kept in the instance ``__dict__`` as
+        ``_key``; equality, hashing and pickles read the fields only.
+        """
+        memo = self.__dict__
+        if "_key" not in memo:
+            stages = ";".join(f"{stage.scenario.key}#{stage.span}"
+                              for stage in self.stages)
+            memo["_key"] = f"{self.kind}|{self.link or '-'}|{stages}"
+        return memo["_key"]
+
+    def __getstate__(self) -> dict[str, Any]:
+        return {name: value for name, value in self.__dict__.items()
+                if not name.startswith("_")}
 
     def describe(self) -> str:
         if self.is_single_node:

@@ -8,10 +8,14 @@ price each as a :class:`~repro.placement.deployment.Deployment`.
 
 Pricing reuses the serving stack's own machinery: single-node candidates
 go through ONE :meth:`Runner.run_grid` sweep (deployments, plans and
-rooflines dedup across cells).  Each device opens one runner session
-for its splits, each split pair prices all its cuts as columns
-(:func:`~repro.distribution.split.cut_columns`), and only the two kept
-cuts are lowered to deployments.
+rooflines dedup across cells).  Each device opens one runner session per
+search, shared by its splits and its pipelines.  Edge devices whose
+deployments share one prepared graph share one cut grid
+(:func:`~repro.distribution.split.cut_grid`), which prices every cut of
+every pair they start, and only the two kept cuts per pair are lowered to
+deployments; each edge device's pipelines of every depth come from one
+DP sweep.  The frontier is one dominance matrix
+(:func:`~repro.analysis.pareto.frontier_indices`).
 
 The result is the Pareto frontier of (latency, energy, cost): latency is
 the deployment's end-to-end seconds, energy its active joules per
@@ -28,10 +32,11 @@ first three).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.analysis.pareto import frontier_indices
 from repro.core.quantity import check_bounds
+from repro.core.summation import serial_sum
 from repro.placement.cost import device_price_usd
 from repro.placement.deployment import Deployment
 from repro.runtime.runner import (
@@ -40,6 +45,10 @@ from repro.runtime.runner import (
     default_runner,
 )
 from repro.runtime.scenario import Scenario
+
+if TYPE_CHECKING:
+    from repro.distribution.network import NetworkLink
+    from repro.distribution.split import _Side
 
 #: framework fallbacks for devices outside the edge candidates table
 #: (the HPC comparison points serve as remote/cloud endpoints).
@@ -173,7 +182,7 @@ class PlacementFrontier:
 
 
 def _deployment_cost_usd(deployment: Deployment) -> float:
-    return sum(device_price_usd(device) for device in deployment.devices)
+    return serial_sum(device_price_usd(device) for device in deployment.devices)
 
 
 def _single_node_deployments(model: str, devices: Sequence[str],
@@ -214,67 +223,66 @@ def _single_node_deployments(model: str, devices: Sequence[str],
     return deployments
 
 
-def _split_deployments(model: str, edge_devices: Sequence[str],
-                       all_devices: Sequence[str],
-                       singles: Sequence[Deployment], link: str,
-                       runner: Runner) -> list[Deployment]:
+def _split_deployments(edges: Sequence[str], devices: Sequence[str],
+                       sides: Mapping[str, _Side],
+                       link: NetworkLink) -> list[Deployment]:
     """Best-cut and all-remote splits for every ordered device pair.
 
     Each side runs its single-node-best framework (already picked by the
-    grid sweep), and each device's runner session is opened once per
-    search.  A pair costs one :func:`~repro.distribution.split.cut_columns`
-    call; the best cut is the ``argmin`` of its total column (the lowered
-    ``latency_s`` bit for bit), and only the kept cuts are lowered.
+    grid sweep) in the session opened once per search.  Edge devices whose
+    deployments share one prepared graph share one schedule, so one
+    :func:`~repro.distribution.split.cut_grid` prices every pair they
+    start: each remote device is priced along the schedule once, and each
+    pair's best cut is the ``argmin`` of its total column (the lowered
+    ``latency_s`` bit for bit).  Only the kept cuts are lowered, slicing
+    one op-name tuple per grid.  The pairs come out grid by grid; the
+    search dedups candidates by key and sorts them on a total key, so the
+    order does not reach the frontier.
     """
-    from repro.distribution.network import resolve_link
     from repro.distribution.split import (
         _deployment_from_split,
-        _open_side,
-        cut_columns,
+        _op_names,
+        cut_grid,
     )
 
-    resolved = resolve_link(link)
-    best_scenario = {d.devices[0]: d.stages[0].scenario for d in singles}
-    edges = [device for device in edge_devices if device in best_scenario]
-    devices = [device for device in all_devices if device in best_scenario]
-    if not edges or len(devices) < 2:
-        return []  # no pair: open no session
-    sides = {device: _open_side(best_scenario[device], runner)
-             for device in devices}
+    groups: dict[int, list[str]] = {}
+    for device in edges:
+        groups.setdefault(id(sides[device].graph), []).append(device)
     deployments: list[Deployment] = []
-    for edge_device in edges:
-        edge = sides[edge_device]
-        for remote_device in devices:
-            if remote_device == edge_device:
-                continue
-            remote = sides[remote_device]
-            columns = cut_columns(edge.plan, remote.plan,
-                                  edge.graph.table.cut_bytes, resolved)
-            best = columns.best_index()
-            deployments.extend(
-                _deployment_from_split(columns, index, edge, remote, resolved)
-                for index in ((best,) if best == 0 else (best, 0)))
+    for members in groups.values():
+        remotes = [device for device in devices if members != [device]]
+        grid = cut_grid([sides[device].plan for device in members],
+                        [sides[device].plan for device in remotes],
+                        sides[members[0]].graph.table.cut_bytes, link)
+        best = grid.best_indices().tolist()
+        names = _op_names(grid.ops)
+        for row, edge_device in enumerate(members):
+            for column, remote_device in enumerate(remotes):
+                if remote_device == edge_device:
+                    continue
+                columns, cut = grid.pair(row, column), best[row][column]
+                deployments.extend(
+                    _deployment_from_split(columns, names, index,
+                                           sides[edge_device],
+                                           sides[remote_device], link)
+                    for index in ((cut,) if cut == 0 else (cut, 0)))
     return deployments
 
 
-def _pipeline_deployments(singles: Sequence[Deployment],
-                          edge_devices: Sequence[str], link: str,
-                          max_depth: int, runner: Runner) -> list[Deployment]:
-    """Homogeneous device pipelines, depth 2..max_depth, per edge device."""
-    from repro.distribution.pipeline import lower_pipeline
+def _pipeline_deployments(edges: Sequence[str], sides: Mapping[str, _Side],
+                          link: NetworkLink, max_depth: int) -> list[Deployment]:
+    """Homogeneous device pipelines, depth 2..max_depth, per edge device:
+    every depth of one device from one DP sweep."""
+    from repro.distribution.pipeline import _homogeneous_pipelines
 
-    best_scenario = {d.devices[0]: d.stages[0].scenario for d in singles}
-    deployments = []
-    for device in edge_devices:
-        scenario = best_scenario.get(device)
-        if scenario is None:
-            continue
-        for depth in range(2, max_depth + 1):
-            try:
-                deployments.append(lower_pipeline(
-                    [scenario] * depth, link, runner=runner))
-            except ValueError:
-                break  # more stages than schedulable ops
+    deployments: list[Deployment] = []
+    for device in edges:
+        try:
+            for deployment in _homogeneous_pipelines(sides[device], link,
+                                                     max_depth):
+                deployments.append(deployment)
+        except ValueError:
+            continue  # no deeper chain can be lowered
     return deployments
 
 
@@ -304,6 +312,7 @@ def search_placements(model: str, *,
         UnknownEntryError: ``model`` is not a zoo model.
     """
     from repro.distribution.network import resolve_link
+    from repro.distribution.split import _open_side
     from repro.models import MODEL_REGISTRY
 
     MODEL_REGISTRY.display_name(model)  # unknown models fail fast
@@ -314,14 +323,24 @@ def search_placements(model: str, *,
     edge_devices = tuple(edge_devices)
     all_devices = edge_devices + tuple(
         device for device in remote_devices if device not in edge_devices)
-    link_name = resolve_link(link).name
+    resolved = resolve_link(link)
 
     singles = _single_node_deployments(model, all_devices, runner)
+    best_scenario = {d.devices[0]: d.stages[0].scenario for d in singles}
+    edges = [device for device in edge_devices if device in best_scenario]
+    devices = [device for device in all_devices if device in best_scenario]
+    pairs = bool(edges) and len(devices) >= 2
+    # One runner session per device per search serves its splits and its
+    # pipelines alike.
+    opened = devices if pairs else (edges if max_pipeline_depth >= 2 else [])
+    sides = {device: _open_side(best_scenario[device], runner)
+             for device in opened}
     deployments = list(singles)
-    deployments.extend(_split_deployments(
-        model, edge_devices, all_devices, singles, link_name, runner))
-    deployments.extend(_pipeline_deployments(
-        singles, edge_devices, link_name, max_pipeline_depth, runner))
+    if pairs:
+        deployments.extend(_split_deployments(edges, devices, sides, resolved))
+    if max_pipeline_depth >= 2:
+        deployments.extend(_pipeline_deployments(edges, sides, resolved,
+                                                 max_pipeline_depth))
 
     unique: dict[str, Deployment] = {}
     for deployment in deployments:
@@ -348,7 +367,7 @@ def search_placements(model: str, *,
     kept = frontier_indices([c.objectives for c in pool])
     frontier = tuple(pool[index] for index in kept)
 
-    return PlacementFrontier(model=model, link=link_name, slo=slo,
+    return PlacementFrontier(model=model, link=resolved.name, slo=slo,
                              candidates=tuple(candidates), frontier=frontier)
 
 

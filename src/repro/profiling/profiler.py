@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.summation import serial_sum
+
 
 @dataclass(frozen=True)
 class ProfileEntry:
@@ -44,7 +46,7 @@ class StackProfile:
 
     @property
     def total_s(self) -> float:
-        return sum(entry.total_s for entry in self.entries)
+        return serial_sum(entry.total_s for entry in self.entries)
 
     def fractions(self) -> dict[str, float]:
         """Bucket -> fraction of total profiled time (the pie of Figure 5)."""

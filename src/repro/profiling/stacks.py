@@ -8,6 +8,7 @@ Figure 5 get a generic breakdown with the same group vocabulary.
 
 from __future__ import annotations
 
+from repro.core.summation import serial_sum
 from repro.engine.executor import InferenceSession
 from repro.graphs.ops import Conv2D, Conv3D, Dense, BatchNorm, Activation, DepthwiseConv2D
 from repro.profiling.profiler import StackProfile
@@ -88,7 +89,7 @@ def _pytorch_stack(session: InferenceSession, n: int) -> StackProfile:
             buckets["activation"] = buckets.get("activation", 0.0) + timing.roofline_s
         else:
             other += timing.roofline_s
-    dispatch = sum(t.dispatch_s for t in timings)
+    dispatch = serial_sum(t.dispatch_s for t in timings)
     forward = other + dispatch + session.plan.session_overhead_s + session.plan.input_transfer_s
     for bucket, per_inference in buckets.items():
         profile.add(bucket, "per-inference", per_inference * n, calls=n)

@@ -54,29 +54,43 @@ class Scenario:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
     # -- canonical identity ------------------------------------------------
+    # Each identity is computed on first access and kept in the instance
+    # ``__dict__`` under a leading-underscore name (the fields have none):
+    # equality, hashing and ``replace`` read the fields only, and
+    # ``__getstate__`` leaves the memo out of pickles and copies.
+
     @property
     def cell(self) -> tuple[str, str, str]:
         """The canonical (model, device, framework) triple."""
-        return (
-            canonical_name(self.model),
-            canonical_name(self.device),
-            canonical_name(self.framework),
-        )
+        memo = self.__dict__
+        if "_cell" not in memo:
+            memo["_cell"] = (
+                canonical_name(self.model),
+                canonical_name(self.device),
+                canonical_name(self.framework),
+            )
+        return memo["_cell"]
 
     @property
     def cell_id(self) -> str:
         """Canonical ``model|device|framework`` string (the seed domain)."""
-        return "|".join(self.cell)
+        memo = self.__dict__
+        if "_cell_id" not in memo:
+            memo["_cell_id"] = "|".join(self.cell)
+        return memo["_cell_id"]
 
     @property
     def key(self) -> str:
         """Full canonical key covering every axis of the scenario."""
-        dtype = self.dtype.value if self.dtype is not None else "default"
-        return (
-            f"{self.cell_id}|dtype={dtype}|batch={self.batch_size}"
-            f"|power={self.power_mode.lower()}"
-            f"|container={'yes' if self.containerized else 'no'}"
-        )
+        memo = self.__dict__
+        if "_key" not in memo:
+            dtype = self.dtype.value if self.dtype is not None else "default"
+            memo["_key"] = (
+                f"{self.cell_id}|dtype={dtype}|batch={self.batch_size}"
+                f"|power={self.power_mode.lower()}"
+                f"|container={'yes' if self.containerized else 'no'}"
+            )
+        return memo["_key"]
 
     @property
     def seed(self) -> int:
@@ -87,8 +101,15 @@ class Scenario:
         harness's historical noise streams (run order, caching and worker
         scheduling independent).
         """
-        digest = hashlib.blake2s(self.cell_id.encode(), digest_size=4).digest()
-        return int.from_bytes(digest, "big")
+        memo = self.__dict__
+        if "_seed" not in memo:
+            digest = hashlib.blake2s(self.cell_id.encode(), digest_size=4).digest()
+            memo["_seed"] = int.from_bytes(digest, "big")
+        return memo["_seed"]
+
+    def __getstate__(self) -> dict[str, Any]:
+        return {name: value for name, value in self.__dict__.items()
+                if not name.startswith("_")}
 
     @property
     def deploy_key(self) -> tuple:

@@ -1,7 +1,19 @@
 """Pareto-frontier extraction."""
 
+import math
 
-from repro.analysis.pareto import ParetoPoint, dominated_by, pareto_frontier
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.pareto import (
+    ParetoPoint,
+    dominated_by,
+    frontier_indices,
+    pareto_frontier,
+)
+from tests.analysis.reference import reference_frontier_indices
 
 
 def _p(label, latency, power) -> ParetoPoint:
@@ -96,3 +108,41 @@ class TestNDimensionalFrontier:
 
         objectives = [(2.0, 1.0), (1.0, 2.0), (3.0, 3.0)]
         assert frontier_points(objectives) == [(1.0, 2.0), (2.0, 1.0)]
+
+
+#: Few distinct values make ties and duplicate rows common; NaN compares
+#: false both ways.
+_AXIS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0, math.inf, math.nan]),
+                  st.floats(-1e3, 1e3))
+
+
+class TestFrontierMatchesPairwiseLoop:
+    """The dominance-matrix frontier equals the pairwise loop it replaced
+    (``tests/analysis/reference.py``)."""
+
+    @given(arity=st.integers(0, 4), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_rows(self, arity, data):
+        rows = data.draw(st.lists(st.tuples(*[_AXIS] * arity), max_size=80))
+        if rows and data.draw(st.booleans()):
+            rows += data.draw(st.lists(st.sampled_from(rows), max_size=20))
+        assert frontier_indices(rows) == reference_frontier_indices(rows)
+
+    def test_five_thousand_rows_span_many_blocks(self):
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, 40, size=(5000, 3)).astype(float)
+        rows[::97, 1] = np.nan
+        rows = [tuple(row) for row in rows.tolist()]
+        rows[4000:4010] = rows[:10]  # duplicates far apart
+        kept = frontier_indices(rows)
+        assert kept == reference_frontier_indices(rows)
+        assert 0 < len(kept) < len(rows)
+
+    @pytest.mark.parametrize("rows", [
+        [(1.0, 2.0), (1.0, 2.0, 3.0)],
+        [(1.0, 2.0, 3.0), (0.0, 1.0)],
+        [(1.0,), (2.0,), ()],
+    ])
+    def test_mixed_arity_raises(self, rows):
+        with pytest.raises(ValueError, match="arity mismatch"):
+            frontier_indices(rows)

@@ -1,15 +1,18 @@
 """Test-only scalar references for the distribution algorithms.
 
 ``cut_points``, the split cuts and the pipeline DP run as a linear sweep,
-as float64 columns and as blocked NumPy tables; these are the direct
-formulations they replaced, kept as the oracle the fast forms must match
-exactly.
+as float64 grids and as one blocked NumPy sweep over every chain length;
+these are the direct formulations they replaced, kept as the oracle the
+fast forms must match exactly.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
+import numpy as np
+
+from repro.core.summation import serial_sum
 from repro.distribution.network import NetworkLink
 from repro.distribution.partition import CutPoint, cut_points
 from repro.engine.executor import InferenceSession
@@ -86,7 +89,7 @@ class ReferenceSplit(NamedTuple):
 def reference_split_legs(edge: DeployedModel,
                          remote: DeployedModel) -> ReferenceSplit:
     """Every cut's edge and remote legs priced one at a time: a running
-    edge prefix and one ``sum()`` per remote suffix, each op looked up by
+    edge prefix and one left-to-right sum per remote suffix, each op looked up by
     name (ops the remote side fused away cost 0.0 there)."""
     edge_times = reference_per_op_times(edge)
     remote_times = reference_per_op_times(remote)
@@ -106,7 +109,7 @@ def reference_split_legs(edge: DeployedModel,
         edge_s.append(0.0 if index == 0
                       else edge_prefix[index] + edge_times["__session__"])
         remote_s.append(0.0 if index == count
-                        else sum(remote_values[index:])
+                        else serial_sum(remote_values[index:])
                         + remote_times["__session__"])
     return ReferenceSplit(cuts, edge_s, remote_s)
 
@@ -223,3 +226,50 @@ def reference_pipeline(deployments: list[DeployedModel],
                        0.0 if d == last else transfer_at[end],
                        0 if d == last else cuts[end].transfer_bytes))
     return stages
+
+
+#: End columns per block of :func:`reference_partition`'s tables.
+_BLOCK = 64
+
+
+def reference_partition(prefixes: list, transfer_at) -> list[tuple]:
+    """The blocked DP for ONE chain length, as it ran before the sweep:
+    one ``(start, end, compute_s, transfer_s)`` stage per device.
+
+    Device ``d`` of D only ends a stage where it leaves one op to each
+    later device (the last device only at N), so each chain length is its
+    own DP; ``argmin`` down a column keeps the smallest start among ties.
+    """
+    n = len(transfer_at) - 1
+    num_devices = len(prefixes)
+    outgoing = np.append(transfer_at[:n], 0.0)
+    invalid = np.tri(_BLOCK, dtype=bool)
+    best = np.full(n + 1, np.inf)
+    best[0] = 0.0
+    choices = []
+    for d, prefix in enumerate(prefixes, start=1):
+        prefix = np.asarray(prefix)
+        row, last_end = d - 1, n - (num_devices - d)
+        new_best = np.full(n + 1, np.inf)
+        choice = np.full(n + 1, -1)
+        for lo in range(n if d == num_devices else d, last_end + 1, _BLOCK):
+            hi = min(lo + _BLOCK, last_end + 1)
+            width = hi - lo
+            table = np.maximum(
+                best[row:hi - 1, None],
+                (prefix[None, lo:hi] - prefix[row:hi - 1, None])
+                + outgoing[None, lo:hi])
+            table[lo - row:][invalid[:width - 1, :width]] = np.inf
+            starts = table.argmin(axis=0)
+            new_best[lo:hi] = table[starts, np.arange(width)]
+            choice[lo:hi] = starts + row
+        best = new_best
+        choices.append(choice)
+    if best[n] == np.inf:
+        raise ValueError("no feasible partition found")
+    boundaries = [n]
+    for choice in reversed(choices):
+        boundaries.append(int(choice[boundaries[-1]]))
+    boundaries.reverse()
+    return [(start, end, float(prefix[end] - prefix[start]), float(outgoing[end]))
+            for prefix, start, end in zip(prefixes, boundaries, boundaries[1:])]

@@ -12,8 +12,8 @@ import sys
 import numpy as np
 import pytest
 
-import repro.distribution.pipeline as pipeline_module
 import repro.distribution.split as split_module
+from repro.core.summation import serial_sum
 from repro.distribution import (
     LINK_PRESETS,
     cut_points,
@@ -22,7 +22,7 @@ from repro.distribution import (
     lower_split,
     split_deployments,
 )
-from repro.distribution.split import _suffix_sums, cut_columns
+from repro.distribution.split import _suffix_sums, cut_columns, cut_grid
 from repro.engine import InferenceSession
 from repro.engine.cache import clear_caches
 from repro.frameworks import load_framework
@@ -73,33 +73,52 @@ def _chain(num_ops: int):
 class TestZooPairs:
     @pytest.mark.parametrize("model", list_models())
     def test_every_priced_pair_over_every_link(self, model, monkeypatch):
-        """Each (edge, remote) pair the search prices, each link preset."""
-        sides, priced = {}, []
-        open_side, columns = split_module._open_side, split_module.cut_columns
+        """Each cut grid the search prices, repriced over each link preset:
+        every (edge, remote) pair it holds equals the scalar sweep, and the
+        grids cover every split pair among the candidates."""
+        sides, grids = {}, []
+        open_side, grid = split_module._open_side, split_module.cut_grid
 
         def recording_open_side(scenario, runner):
             side = open_side(scenario, runner)
             sides[id(side.plan)] = side
             return side
 
-        def recording_columns(edge, remote, cut_bytes, link):
-            priced.append((sides[id(edge)], sides[id(remote)]))
-            return columns(edge, remote, cut_bytes, link)
+        def recording_grid(edges, remotes, cut_bytes, link):
+            grids.append(([sides[id(plan)] for plan in edges],
+                          [sides[id(plan)] for plan in remotes], cut_bytes))
+            return grid(edges, remotes, cut_bytes, link)
 
         monkeypatch.setattr(split_module, "_open_side", recording_open_side)
-        monkeypatch.setattr(split_module, "cut_columns", recording_columns)
-        search_placements(model, remote_devices=REMOTE_DEVICES)
-        assert priced
+        monkeypatch.setattr(split_module, "cut_grid", recording_grid)
+        frontier = search_placements(model, remote_devices=REMOTE_DEVICES)
+        assert grids
         runner = default_runner()
-        for edge, remote in priced:
+        priced = set()
+        for edges, remotes, cut_bytes in grids:
             # The scalar edge and remote legs do not depend on the link:
             # price them once per pair, and only the transfer leg per link.
-            legs = reference_split_legs(runner.session(edge.scenario).deployed,
-                                        runner.session(remote.scenario).deployed)
+            legs = {(i, j): reference_split_legs(
+                        runner.session(edge.scenario).deployed,
+                        runner.session(remote.scenario).deployed)
+                    for i, edge in enumerate(edges)
+                    for j, remote in enumerate(remotes)
+                    if edge.scenario != remote.scenario}
+            priced.update((edges[i].scenario.device, remotes[j].scenario.device)
+                          for i, j in legs)
             for link in LINK_PRESETS.values():
-                columns = cut_columns(edge.plan, remote.plan,
-                                      edge.graph.table.cut_bytes, link)
-                _assert_matches_sweep(columns, legs.over(link))
+                relinked = cut_grid([side.plan for side in edges],
+                                    [side.plan for side in remotes],
+                                    cut_bytes, link)
+                total_s, best = relinked.total_s, relinked.best_indices()
+                for (i, j), pair_legs in legs.items():
+                    reference = pair_legs.over(link)
+                    _assert_matches_sweep(relinked.pair(i, j), reference)
+                    assert total_s[i, j].tolist() == reference.total_s
+                    assert best[i, j] == reference.best_index()
+        splits = {c.deployment.devices for c in frontier.candidates
+                  if c.deployment.kind == "split"}
+        assert splits <= priced
 
 
 class TestEntryPoints:
@@ -198,7 +217,7 @@ class TestSuffixBlocks:
         values = np.random.default_rng(count).lognormal(-9.0, 3.0, count)
         values[::7] = 0.0
         listed = values.tolist()
-        assert _suffix_sums(values).tolist() == [sum(listed[k:])
+        assert _suffix_sums(values).tolist() == [serial_sum(listed[k:])
                                                  for k in range(count)]
 
 
@@ -255,7 +274,8 @@ class TestPipelines:
 class TestSearchCounts:
     def test_cold_search_builds_no_cut_list_and_one_session_per_device(
             self, monkeypatch):
-        """Splits open each device's runner session once per search."""
+        """The search opens each device's runner session once, for its
+        splits and its pipelines alike, and builds no cut list."""
         calls = {"cut_points": 0}
         original_cut_points = cut_points
 
@@ -269,26 +289,14 @@ class TestSearchCounts:
                     if value is original_cut_points:
                         monkeypatch.setattr(module, attr, counting_cut_points)
 
-        in_pipeline = []
-        split_sessions = []
+        sessions = []
         session = Runner.session
-        original_lower_pipeline = pipeline_module.lower_pipeline
 
         def counting_session(self, scenario, graph=None):
-            if not in_pipeline:
-                split_sessions.append(scenario)
+            sessions.append(scenario)
             return session(self, scenario, graph)
 
-        def marked_lower_pipeline(*args, **kwargs):
-            in_pipeline.append(True)
-            try:
-                return original_lower_pipeline(*args, **kwargs)
-            finally:
-                in_pipeline.pop()
-
         monkeypatch.setattr(Runner, "session", counting_session)
-        monkeypatch.setattr(pipeline_module, "lower_pipeline",
-                            marked_lower_pipeline)
         clear_caches()
         frontier = search_placements("ResNet-18", remote_devices=REMOTE_DEVICES)
         assert calls["cut_points"] == 0
@@ -296,4 +304,6 @@ class TestSearchCounts:
                   if c.deployment.kind == "split"}
         devices = {device for pair in splits for device in pair}
         assert len(devices) >= 3
-        assert sorted(s.device for s in split_sessions) == sorted(devices)
+        assert {c.deployment.kind for c in frontier.candidates} == {
+            "single", "split", "pipeline"}
+        assert sorted(s.device for s in sessions) == sorted(devices)

@@ -9,7 +9,10 @@ from repro.distribution import load_link, lower_pipeline
 from repro.distribution.pipeline import _BLOCK, _partition
 from repro.distribution.split import _prefix_latency
 from repro.runtime import Scenario, default_runner
-from tests.distribution.reference import reference_boundaries
+from tests.distribution.reference import (
+    reference_boundaries,
+    reference_partition,
+)
 
 SCENARIO = Scenario("TinyYolo", "Raspberry Pi 3B", "TensorFlow")
 
@@ -34,7 +37,7 @@ class TestPartition:
         transfer_at = load_link("wifi").transfer_time_s(
             session.deployed.graph.table.cut_bytes)
         prefix = _prefix_latency(plan)
-        assert _partition([prefix], transfer_at) == [(0, n, prefix[n], 0.0)]
+        assert _partition([prefix], transfer_at) == [[(0, n, prefix[n], 0.0)]]
         assert _whole_model_s() == prefix[n]
         session_free = sum(t.latency_s for t in plan.timings)
         assert _whole_model_s() == pytest.approx(session_free)
@@ -115,7 +118,7 @@ class TestMatchesScalarReference:
     @settings(max_examples=60, deadline=None)
     def test_same_boundaries_and_stage_floats(self, chain):
         prefixes, transfer_at = chain
-        stages = _partition(prefixes, transfer_at)
+        stages = _partition(prefixes, transfer_at)[-1]
         boundaries = reference_boundaries(prefixes, transfer_at)
         assert [(start, end) for start, end, _, _ in stages] == list(
             zip(boundaries, boundaries[1:]))
@@ -133,6 +136,39 @@ class TestMatchesScalarReference:
         for first in range(1, n - num_devices + 2):
             cuts = list(range(first, first + num_devices - 1))
             transfer_at = [0.0 if k in cuts else 1.0 for k in range(n + 1)]
-            stages = _partition(prefixes, transfer_at)
+            stages = _partition(prefixes, transfer_at)[-1]
             assert [(start, end) for start, end, _, _ in stages] == list(
                 zip([0, *cuts], [*cuts, n]))
+
+
+class TestSweepMatchesPerLengthDP:
+    """One sweep prices every chain length: each equals the DP run for
+    that length alone (kept as ``reference_partition``)."""
+
+    @given(chain=_chains())
+    @settings(max_examples=80, deadline=None)
+    def test_every_chain_length(self, chain):
+        prefixes, transfer_at = chain
+        chains = _partition(prefixes, transfer_at)
+        assert len(chains) == len(prefixes)
+        for length, stages in enumerate(chains, start=1):
+            assert stages == reference_partition(prefixes[:length], transfer_at)
+
+    @pytest.mark.parametrize("num_devices", [1, 2, 5])
+    def test_more_devices_than_ops_are_infeasible(self, num_devices):
+        n = 3
+        prefixes = [[0.0, 1.0, 2.0, 3.0]] * (n + num_devices)
+        chains = _partition(prefixes, [0.5] * (n + 1))
+        assert chains[n:] == [None] * num_devices
+        for length in range(1, n + 1):
+            assert chains[length - 1] == reference_partition(
+                prefixes[:length], [0.5] * (n + 1))
+
+    def test_an_infinite_bottleneck_is_infeasible(self):
+        """Every cut ships forever: only the one-device chain is finite."""
+        prefixes = [[0.0, 1.0, 2.0, 3.0]] * 3
+        transfer_at = [np.inf] * 4
+        assert _partition(prefixes, transfer_at) == [
+            [(0, 3, 3.0, 0.0)], None, None]
+        with pytest.raises(ValueError, match="no feasible partition"):
+            reference_partition(prefixes[:2], transfer_at)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.summation import serial_sum
 from repro.engine.executor import PlanSpec, lower_plan_specs
 from repro.engine.roofline import OpTiming, RooflineInputs
 from repro.frameworks.base import Framework
@@ -151,5 +152,5 @@ def anchor_latency_components(framework_name: str, device_name: str,
 def anchor_latency_at(scale: float, fixed: float,
                       timings: list[OpTiming]) -> float:
     """Anchor latency at efficiency ``scale``, summed op by op."""
-    return fixed + sum(max(t.compute_s / scale, t.memory_s) + t.dispatch_s
-                       for t in timings)
+    return fixed + serial_sum(max(t.compute_s / scale, t.memory_s) + t.dispatch_s
+                              for t in timings)

@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.core.summation import serial_sum
 from repro.fleet.cluster import PoolSpec, ServiceProfile
 from repro.fleet.report import FleetStats, PoolStats, SojournSummary
 from repro.fleet.router import RoutingView, interleave
@@ -551,11 +552,11 @@ class _Reference:
             fleet_sojourns.append(sojourn_s)
             completed = sum(node.completed for node in pool_nodes)
             batches = sum(node.batches for node in pool_nodes)
-            busy_s = sum(node.busy_s for node in pool_nodes)
+            busy_s = serial_sum(node.busy_s for node in pool_nodes)
             if profile.stages is not None:
                 # One energy integral per stage device: each stage idles
                 # whenever it is not computing or sending.
-                energy_j = sum(
+                energy_j = serial_sum(
                     node.stage_busy_s[position] * stage.power_w
                     + (horizon_s - node.stage_busy_s[position]) * stage.idle_w
                     for node in pool_nodes
@@ -563,7 +564,7 @@ class _Reference:
                 device_seconds = (len(pool_nodes) * len(profile.stages)
                                   * horizon_s)
             else:
-                energy_j = sum(
+                energy_j = serial_sum(
                     node.busy_s * profile.power_w
                     + (horizon_s - node.busy_s) * profile.idle_w
                     for node in pool_nodes)

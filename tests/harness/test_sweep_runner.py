@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.summation import serial_sum
 from repro.engine.cache import clear_caches
 from repro.harness.registry import list_experiments
 from repro.harness.suite import compare_results, export_results
@@ -41,7 +42,7 @@ class TestRunSweep:
         assert [run.experiment_id for run in serial.runs] == FAST_IDS
         assert all(run.wall_s >= 0 for run in serial.runs)
         assert serial.wall_s >= 0
-        assert serial.experiment_s == sum(run.wall_s for run in serial.runs)
+        assert serial.experiment_s == serial_sum(run.wall_s for run in serial.runs)
 
     def test_threaded_snapshot_identical_to_serial(self, serial):
         parallel = run_sweep(FAST_IDS, jobs=4, executor="thread")

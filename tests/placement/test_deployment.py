@@ -124,6 +124,20 @@ class TestAggregates:
         assert _split().key == _split().key
         assert Deployment.single(_scenario(), compute_s=0.3).key != _split().key
 
+    def test_key_is_computed_once_and_stays_out_of_pickles(self):
+        import pickle
+        from dataclasses import replace
+
+        deployment = _split()
+        before = pickle.dumps(deployment)
+        key = deployment.key
+        assert deployment.key is key
+        assert pickle.dumps(deployment) == before
+        assert pickle.loads(before).key == key
+        relinked = replace(deployment, link="lan")
+        assert relinked.key == key.replace("|wifi|", "|lan|")
+        assert relinked != deployment and _split() == deployment
+
 
 class TestRoundTrip:
     def test_json_round_trip_is_lossless(self):

@@ -115,3 +115,44 @@ class TestConstructionAndDerivation:
         payload = scenario.to_dict()
         assert payload["dtype"] is None
         assert Scenario.from_dict(payload) == scenario
+
+
+class TestIdentityComputedOnce:
+    """``cell``, ``cell_id``, ``key`` and ``seed`` are computed on first
+    access only, and the memo never reaches equality, hashing, pickles,
+    copies, ``replace`` or ``to_dict``."""
+
+    def test_each_identity_canonicalizes_once(self, monkeypatch):
+        import repro.runtime.scenario as scenario_module
+
+        calls = []
+
+        def counting(name):
+            calls.append(name)
+            return canonical_name(name)
+
+        monkeypatch.setattr(scenario_module, "canonical_name", counting)
+        scenario = Scenario("resnet18", "Jetson Nano", "TensorRT")
+        first = (scenario.cell, scenario.cell_id, scenario.key, scenario.seed)
+        assert len(calls) == 3
+        again = (scenario.cell, scenario.cell_id, scenario.key, scenario.seed)
+        assert again == first and len(calls) == 3
+        assert first[3] == GOLDEN_SEEDS[("ResNet-18", "Jetson Nano", "TensorRT")]
+
+    def test_memo_stays_out_of_equality_pickles_and_copies(self):
+        import copy
+        import pickle
+        from dataclasses import replace
+
+        fresh = Scenario("ResNet-18", "Jetson Nano", "TensorRT")
+        read = Scenario("ResNet-18", "Jetson Nano", "TensorRT")
+        before = pickle.dumps(read)
+        key, seed = read.key, read.seed
+        assert pickle.dumps(read) == before == pickle.dumps(fresh)
+        assert read == fresh and hash(read) == hash(fresh)
+        assert read.to_dict() == fresh.to_dict()
+        for clone in (pickle.loads(before), copy.copy(read), copy.deepcopy(read)):
+            assert clone == read and (clone.key, clone.seed) == (key, seed)
+        other = replace(read, framework="PyTorch")
+        assert other.key == key.replace("tensorrt", "pytorch")
+        assert other.seed != seed
